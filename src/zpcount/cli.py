@@ -7,7 +7,7 @@ the command and its parameters so `recheck FILE` can re-run the computation
 and confirm the stored result byte-for-byte (elapsed excluded).
 
 Exit codes: 0 success, 1 usage or guard error, 2 a verification verdict
-failed or a recheck mismatch.
+failed or a recheck mismatch, 3 an internal invariant check failed.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import json
 import os
 import sys
 
-from .core import (
-    VERSION, SizeGuardError, Subset, is_odd_prime, orbit_catalog,
-)
+from .core import VERSION, Subset, is_odd_prime, orbit_catalog, prime_context
 from .counting import count_vector_to_json, power_sigma, s_count, s_k_count, sigma_vector
 from .extremal import (
-    ResultCache, minimize_s_general, minimize_sk, scan_k0,
+    InvariantError, ResultCache, minimize_s_general, minimize_sk, scan_k0,
     verify_thm_interval_extremal, verify_thm_k1, verify_thm_knot1,
 )
 from .fourier import (
@@ -65,17 +63,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _require_prime(p: int) -> None:
-    if not is_odd_prime(p) or p >= 64:
-        raise ValueError(f"p must be an odd prime below 64, got {p}")
-
-
 # --- handlers: params dict in, result dict out ---------------------------------
 
 
 def _run_count(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
     k = params.get("k")
     if len(sets) == 1:
@@ -93,7 +86,7 @@ def _run_count(params: dict) -> dict:
 
 def _run_sigma(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
     k = params.get("k")
     if k is not None:
@@ -107,7 +100,7 @@ def _run_sigma(params: dict) -> dict:
 
 def _run_pollard(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     sizes = params.get("sizes")
     set_lists = params.get("sets")
     if sizes and set_lists:
@@ -151,7 +144,7 @@ def _run_pollard(params: dict) -> dict:
 
 def _run_spectrum(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     kwargs = {}
     if params.get("precision"):
         kwargs["precision"] = params["precision"]
@@ -161,7 +154,7 @@ def _run_spectrum(params: dict) -> dict:
 
 def _run_optimal_t(params: dict) -> dict:
     p, a, k = params["p"], params["a"], params["k"]
-    _require_prime(p)
+    prime_context(p)
     ts = sorted(optimal_t(p, a, k))
     return {
         "p": p, "a": a, "k": k, "t": ts,
@@ -171,7 +164,7 @@ def _run_optimal_t(params: dict) -> dict:
 
 def _run_angle_check(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     kwargs = {}
     if params.get("precision"):
         kwargs["precision"] = params["precision"]
@@ -190,7 +183,7 @@ def _cache_from(params: dict) -> ResultCache | None:
 
 def _run_minimize(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     if params.get("sizes"):
         report = minimize_s_general(p, params["sizes"], mode=params.get("mode", "auto"))
     else:
@@ -208,7 +201,7 @@ def _run_minimize(params: dict) -> dict:
 def _run_verify(params: dict) -> dict:
     which = params["claim"]
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     cache = _cache_from(params)
     if which == "thm1":
         if params.get("all_sizes"):
@@ -266,7 +259,7 @@ def _verify_cor7(p_max: int) -> dict:
 
 def _run_scan_k0(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     return scan_k0(
         p, params["a"], params["mode"],
         k_limit=params.get("k_limit", 500),
@@ -278,7 +271,7 @@ def _run_scan_k0(params: dict) -> dict:
 
 def _run_orbits(params: dict) -> dict:
     p = params["p"]
-    _require_prime(p)
+    prime_context(p)
     return orbit_catalog(p, params["a"]).to_json()
 
 
@@ -358,9 +351,12 @@ def _emit_human(doc: dict) -> None:
 
 
 def _run_recheck(path: str, fmt: str) -> int:
+    """Recompute a stored report from scratch: the replay reads no cache and
+    uses one process, so nothing on disk can vouch for the stored result."""
     with open(path) as fh:
         doc = json.load(fh)
-    command, params = doc["command"], doc["params"]
+    command = doc["command"]
+    params = {k: v for k, v in doc["params"].items() if k not in ("cache_dir", "threads")}
     fresh = json.loads(json.dumps(_HANDLERS[command](params)))  # normalize tuples
     match = _strip_elapsed(fresh) == _strip_elapsed(doc["result"])
     _emit({"command": "recheck", "params": {"file": path},
@@ -508,9 +504,12 @@ def main(argv: list[str] | None = None) -> int:
             return _run_recheck(args.file, args.format)
         params = _params_from_args(args)
         result = _HANDLERS[args.command](params)
-    except (ValueError, SizeGuardError) as exc:
+    except ValueError as exc:  # includes SizeGuardError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 3
     doc = {"command": args.command, "params": params, "result": result}
     _emit(doc, args.format)
     return 2 if _verification_failed(args.command, result) else 0

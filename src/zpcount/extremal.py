@@ -40,6 +40,11 @@ GENERAL_TUPLE_GUARD = 4 * 10**6  # full-mode configuration budget
 WITNESS_CAP = 24  # stored attainer configurations per general report
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: two exact routes to the same
+    count disagree.  Raised (never asserted) so it also fires under -O."""
+
+
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of one exact minimization.
@@ -279,8 +284,13 @@ def minimize_sk(
             checked = len(reps) * p
 
     attainers = tuple(sorted(classes))
-    for rep in attainers:  # re-check on emission
-        assert s_k_count(rep, k) == best
+    for rep in attainers:  # re-check on emission, by the half-power route
+        recount = s_k_count(rep, k)
+        if recount != best:
+            raise InvariantError(
+                f"s_{k} recount of attainer {list(rep.members())} is {recount}, "
+                f"search found {best} (p={p}, a={a})"
+            )
     report = SearchReport(
         p=p,
         sizes=(a,),
@@ -384,7 +394,12 @@ def minimize_s_general(
             if len(witnesses) < WITNESS_CAP:
                 witnesses.append((head, *combo))
     for cfg in witnesses:  # re-check on emission
-        assert s_count(cfg[0], list(cfg[1:])) == best
+        recount = s_count(cfg[0], list(cfg[1:]))
+        if recount != best:
+            raise InvariantError(
+                f"s recount of witness {[list(s.members()) for s in cfg]} is "
+                f"{recount}, search found {best} (p={p}, sizes={list(sizes)})"
+            )
     return SearchReport(
         p=p,
         sizes=sizes,
@@ -452,7 +467,11 @@ def _predicted_translate_class(p: int, a: int, k: int) -> Subset:
         Subset.interval(p, a).translate(t).dilation_class_canonical()
         for t in optimal_t(p, a, k)
     }
-    assert len(classes) == 1  # the two even-case translates are reflections
+    if len(classes) != 1:  # the two even-case translates are reflections
+        raise InvariantError(
+            f"optimal translates of [{a}] in Z_{p} at k={k} span {len(classes)} "
+            "dilation classes"
+        )
     return classes.pop()
 
 

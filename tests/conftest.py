@@ -42,6 +42,25 @@ def brute_s_k(a: Subset, k: int) -> int:
     return brute_s_count(a, [a] * k)
 
 
+def schoolbook_convolve(u, v) -> tuple[int, ...]:
+    """(u * v)(x) = sum_y u(y) v(x - y), indices mod p: the O(p^2) loop the
+    packed kernel in zpcount.counting replaced, kept as its reference."""
+    p = len(u)
+    if len(v) != p:
+        raise ValueError("convolution needs equal-length vectors")
+    out = [0] * p
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if vj:
+                idx = i + j
+                if idx >= p:
+                    idx -= p
+                out[idx] += ui * vj
+    return tuple(out)
+
+
 def brute_sigma(sets) -> list[int]:
     p = sets[0].p
     vec = [0] * p

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zpcount import Subset, s_count
+import zpcount
+from zpcount import Subset, s_count, s_k_count
 from zpcount.cli import _parse_residues, _parse_sizes, main
 
 
@@ -214,3 +218,54 @@ def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     doc = run_json(capsys, "minimize", "--p", "7", "--a", "3", "--k", "5")
     assert doc["params"]["cache_dir"] == str(tmp_path)
     assert (tmp_path / "sk.jsonl").exists()
+
+
+def test_recheck_ignores_forged_cache(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ("minimize", "--p", "13", "--a", "4", "--k", "3", "--cache-dir", str(cache))
+    true_min = int(run_json(capsys, *argv)["result"]["min_value"])
+    # A self-consistent forgery: a non-minimal set stored with its own true
+    # count, so the cache's one-attainer spot check passes.
+    forged_set = [0, 1, 2, 3]
+    forged_value = s_k_count(Subset.from_residues(13, forged_set), 3)
+    assert forged_value > true_min
+    rec = json.loads((cache / "sk.jsonl").read_text().splitlines()[-1])
+    rec.update(min_value=str(forged_value), extremal_orbits=[forged_set])
+    with (cache / "sk.jsonl").open("a") as fh:
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["result"]["min_value"] == str(forged_value)
+    report = tmp_path / "forged.json"
+    report.write_text(out)
+    code, out2, _ = run(capsys, "recheck", str(report))
+    assert code == 2
+    assert json.loads(out2)["result"]["match"] is False
+
+
+# An off-by-one count patched into the recount of each search's attainers.
+_OFF_BY_ONE = {
+    "s_k_count": ["minimize", "--p", "7", "--a", "3", "--k", "4"],
+    "s_count": ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_BY_ONE))
+def test_invariant_error_exit_3_under_optimize(name):
+    script = (
+        "import sys\n"
+        "import zpcount.extremal as E\n"
+        f"real = E.{name}\n"
+        f"E.{name} = lambda *args: real(*args) + 1\n"
+        "from zpcount.cli import main\n"
+        f"sys.exit(main({_OFF_BY_ONE[name]!r}))\n"
+    )
+    src = str(Path(zpcount.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invariant violated:")

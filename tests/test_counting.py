@@ -1,6 +1,6 @@
-from itertools import product
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpcount import (
     Subset, cyclic_convolve, indicator, power_sigma, s_count, s_k_count,
@@ -8,7 +8,47 @@ from zpcount import (
 )
 from zpcount.counting import count_vector_from_json, count_vector_to_json
 
-from conftest import brute_s_count, brute_s_k, brute_sigma
+from conftest import brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
+
+PRIMES = (3, 5, 7, 11, 13, 31, 61)
+# Fixed example streams and no example database, so every run tries the
+# same cases.
+CASES = settings(deadline=None, derandomize=True, database=None)
+
+
+def schoolbook_power(v, k):
+    """k-th convolution power by right-to-left binary powering over the
+    schoolbook oracle (a different schedule from power_sigma's)."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = v if acc is None else schoolbook_convolve(acc, v)
+        k >>= 1
+        if k:
+            v = schoolbook_convolve(v, v)
+    return acc
+
+
+@st.composite
+def vector_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    entry = st.one_of(
+        st.just(0), st.integers(0, 3), st.integers(0, 2**300),
+        st.integers(2**300 - 2**20, 2**300),
+    )
+    vec = st.lists(entry, min_size=p, max_size=p).map(tuple)
+    return draw(vec), draw(vec)
+
+
+@st.composite
+def sets_of_all_sizes(draw):
+    """A subset of Z_p whose size is drawn first, so |A| in {0, 1, p-1} is
+    as likely as any other size."""
+    p = draw(st.sampled_from(PRIMES))
+    size = draw(st.sampled_from(sorted({0, 1, 2, p // 2, p - 1})))
+    members = draw(st.lists(st.integers(0, p - 1), min_size=size,
+                            max_size=size, unique=True))
+    return Subset.from_residues(p, members)
 
 
 def random_subset(rng, p, lo=1):
@@ -111,3 +151,63 @@ def test_empty_set_counts():
     empty = Subset.empty(7)
     assert s_k_count(Subset.interval(7, 3).intersection(empty), 2) == 0
     assert list(sigma_vector([empty, Subset.interval(7, 3)])) == [0] * 7
+
+
+@CASES
+@given(vector_pairs())
+def test_cyclic_convolve_matches_schoolbook(pair):
+    u, v = pair
+    assert cyclic_convolve(u, v) == schoolbook_convolve(u, v)
+    assert cyclic_convolve(u, u) == schoolbook_convolve(u, u)
+
+
+def test_cyclic_convolve_extreme_entries():
+    for p in (3, 61):
+        zero = (0,) * p
+        big = tuple(2**300 - 1 - i for i in range(p))
+        assert cyclic_convolve(zero, zero) == zero
+        assert cyclic_convolve(zero, big) == zero
+        assert cyclic_convolve(big, big) == schoolbook_convolve(big, big)
+        # every coefficient is p * 2^600: full slots, no carry between them
+        assert cyclic_convolve((2**300,) * p, (2**300,) * p) == (p * 2**600,) * p
+
+
+def test_cyclic_convolve_rejects_negative_entries():
+    with pytest.raises(ValueError, match="non-negative"):
+        cyclic_convolve((1, -1, 0), (1, 1, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        cyclic_convolve((2**100, 0, 5), (0, -(2**80), 1))
+    with pytest.raises(ValueError, match="equal-length"):
+        cyclic_convolve((1, 0, 0), (1, 0, 0, 0, 0))
+
+
+@CASES
+@given(sets_of_all_sizes(), st.integers(1, 40))
+def test_power_sigma_matches_schoolbook(a, k):
+    assert power_sigma(a, k) == schoolbook_power(indicator(a), k)
+
+
+@CASES
+@given(sets_of_all_sizes(), st.integers(2, 300))
+def test_s_k_count_matches_schoolbook(a, k):
+    sigma = schoolbook_power(indicator(a), k)
+    assert s_k_count(a, k) == sum(sigma[x] for x in a.members())
+
+
+@CASES
+@given(sets_of_all_sizes().filter(lambda a: a.p <= 7), st.integers(2, 5))
+def test_s_k_count_matches_brute_force(a, k):
+    assert s_k_count(a, k) == brute_s_k(a, k)
+
+
+def test_s_k_count_edge_sizes_both_parities():
+    for p in (3, 13, 61):
+        for k in (2, 3, 298, 299):
+            assert s_k_count(Subset.empty(p), k) == 0
+            # one point x: the single tuple x = k*x needs (k-1)x = 0
+            one = Subset.from_residues(p, [1])
+            assert s_k_count(one, k) == (1 if (k - 1) % p == 0 else 0)
+            # all but one point: compare with the schoolbook power
+            a = Subset.from_residues(p, range(1, p))
+            sigma = schoolbook_power(indicator(a), k)
+            assert s_k_count(a, k) == sum(sigma[x] for x in a.members())
