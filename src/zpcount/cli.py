@@ -6,8 +6,10 @@ fixed versioned columns, or a short human summary.  Each JSON document embeds
 the command and its parameters so `recheck FILE` can re-run the computation
 and confirm the stored result byte-for-byte (elapsed excluded).
 
-Exit codes: 0 success, 1 usage or guard error, 2 a verification verdict
-failed or a recheck mismatch, 3 an internal invariant check failed.
+Exit codes: 0 success; 1 usage or guard error, including a precision
+escalation that hit its cap and a recheck file that is missing, unreadable
+or not a zpcount report; 2 a verification verdict failed or a recheck
+mismatch; 3 an internal invariant check failed.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ import json
 import os
 import sys
 
-from .core import VERSION, Subset, is_odd_prime, orbit_catalog, prime_context
+from .core import VERSION, InvariantError, Subset, is_odd_prime, orbit_catalog, prime_context
 from .counting import count_vector_to_json, power_sigma, s_count, s_k_count, sigma_vector
 from .extremal import (
-    InvariantError, ResultCache, minimize_s_general, minimize_sk, scan_k0,
+    ResultCache, minimize_s_general, minimize_sk, scan_k0,
     verify_thm_interval_extremal, verify_thm_k1, verify_thm_knot1,
 )
 from .fourier import (
-    angle_check_punctured, optimal_t, spectral_levels, translate_phase_index,
+    PrecisionError, angle_check_punctured, optimal_t, spectral_levels, translate_phase_index,
 )
 from .pollard import (
     classify_equality_k2, critical_r0, interval_profile,
@@ -126,10 +128,10 @@ def _run_pollard(params: dict) -> dict:
     sizes = (a0,) + tuple(s.size for s in sets)
     r0 = critical_r0(sizes, p)
     prof = threshold_profile(sets)
-    partial = [
-        {"r": r, "lhs": pollard_lhs_rhs(sets, r)[0], "rhs": pollard_lhs_rhs(sets, r)[1]}
-        for r in range(1, max(r0, 1) + 1)
-    ]
+    partial = []
+    for r in range(1, max(r0, 1) + 1):
+        lhs, rhs = pollard_lhs_rhs(sets, r)
+        partial.append({"r": r, "lhs": lhs, "rhs": rhs})
     out = {
         "p": p,
         "sizes": list(sizes),
@@ -353,11 +355,20 @@ def _emit_human(doc: dict) -> None:
 def _run_recheck(path: str, fmt: str) -> int:
     """Recompute a stored report from scratch: the replay reads no cache and
     uses one process, so nothing on disk can vouch for the stored result."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    if not (isinstance(doc, dict) and {"command", "params", "result"} <= doc.keys()
+            and isinstance(doc["params"], dict)):
+        raise ValueError(f"{path} is not a zpcount report (needs command, params, result)")
     command = doc["command"]
+    handler = _HANDLERS.get(command) if isinstance(command, str) else None
+    if handler is None:
+        raise ValueError(f"{path}: cannot recheck command {command!r}")
     params = {k: v for k, v in doc["params"].items() if k not in ("cache_dir", "threads")}
-    fresh = json.loads(json.dumps(_HANDLERS[command](params)))  # normalize tuples
+    fresh = json.loads(json.dumps(handler(params)))  # normalize tuples
     match = _strip_elapsed(fresh) == _strip_elapsed(doc["result"])
     _emit({"command": "recheck", "params": {"file": path},
            "result": {"target": command, "match": match}}, fmt)
@@ -504,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_recheck(args.file, args.format)
         params = _params_from_args(args)
         result = _HANDLERS[args.command](params)
-    except ValueError as exc:  # includes SizeGuardError
+    except (ValueError, PrecisionError) as exc:  # ValueError includes SizeGuardError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

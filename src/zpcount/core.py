@@ -24,6 +24,13 @@ class SizeGuardError(ValueError):
     """Raised when a request exceeds the supported problem size."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: two exact routes to the same
+    count disagree, or a structural invariant (nested level sets, an orbit
+    partition, a sign window) does not hold.  Raised (never asserted) so it
+    also fires under -O."""
+
+
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False
@@ -347,7 +354,8 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
         for m in orbit:
             index[m] = pos
         seen |= orbit
-    assert sum(sizes) == total, "orbits must partition the a-subsets"
+    if sum(sizes) != total:
+        raise InvariantError(f"orbits of {a}-subsets of Z_{p} cover {sum(sizes)} of {total}")
     return OrbitCatalog(p, a, tuple(reps), tuple(sizes), index)
 
 

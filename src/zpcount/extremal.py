@@ -21,12 +21,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb
+from math import comb, inf
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import (
-    VERSION, SizeGuardError, Subset, orbit_catalog, prime_context,
+from .core import (  # InvariantError is re-exported from here
+    VERSION, InvariantError, SizeGuardError, Subset, orbit_catalog, prime_context,
     subset_masks_of_size,
 )
 from .counting import power_sigma, s_count, s_k_count, sigma_vector
@@ -38,11 +38,6 @@ INTERVAL_SCAN = "INTERVAL_SCAN"
 
 GENERAL_TUPLE_GUARD = 4 * 10**6  # full-mode configuration budget
 WITNESS_CAP = 24  # stored attainer configurations per general report
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: two exact routes to the same
-    count disagree.  Raised (never asserted) so it also fires under -O."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,9 @@ class TheoremVerdict:
 class ResultCache:
     """Append-only JSON-lines store for minimize_sk results.
 
-    One line per write; the newest line for a key wins.  The first hit each
-    session is spot-checked by re-counting one claimed attainer; a mismatch
-    drops the entry so it gets recomputed and re-appended.
+    One line per write; the newest line for a key wins.  Every hit re-counts
+    each stored attainer; a mismatch drops the entry so it gets recomputed
+    and re-appended.
     """
 
     def __init__(self, root: str | Path):
@@ -135,7 +130,6 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "sk.jsonl"
         self._entries: dict[str, dict] = {}
-        self._spot_checked = False
         if self.path.exists():
             with self.path.open() as fh:
                 for line in fh:
@@ -169,11 +163,10 @@ class ResultCache:
             elapsed=rec["elapsed"],
             checked=rec["checked"],
         )
-        if not self._spot_checked:
-            self._spot_checked = True
-            if s_k_count(report.extremal_orbits[0], k) != report.min_value:
-                del self._entries[self._key(p, a, k, method)]
-                return None
+        attainers = report.extremal_orbits
+        if not attainers or any(s_k_count(rep, k) != report.min_value for rep in attainers):
+            del self._entries[self._key(p, a, k, method)]
+            return None
         return report
 
     def put(self, report: SearchReport) -> None:
@@ -462,6 +455,48 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
     )
 
 
+def _verdict(
+    theorem_id: str,
+    params: dict,
+    raw_points: Sequence[tuple[int, bool, dict]],
+    start: float,
+    *,
+    k_limit: float = inf,
+    window: float = inf,
+) -> TheoremVerdict:
+    """Label (x, holds, details) points, ascending in x, and build the verdict.
+
+    The threshold is the least x <= k_limit such that every point in
+    [x, x + window] holds; failing points before it are "below-threshold",
+    the rest "fails".  The default limits give the least x from which the
+    claim holds through the end of the range."""
+    threshold = None
+    for i, (x, _, _) in enumerate(raw_points):
+        if x > k_limit:
+            break
+        if all(h for xx, h, _ in raw_points[i:] if xx <= x + window):
+            threshold = x
+            break
+    points = tuple(
+        PointVerdict(
+            x,
+            "holds" if holds else (
+                "below-threshold" if threshold is not None and x < threshold else "fails"
+            ),
+            det,
+        )
+        for x, holds, det in raw_points
+    )
+    return TheoremVerdict(
+        theorem_id=theorem_id,
+        params=params,
+        points=points,
+        threshold=threshold,
+        passed=threshold is not None,
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def _predicted_translate_class(p: int, a: int, k: int) -> Subset:
     classes = {
         Subset.interval(p, a).translate(t).dilation_class_canonical()
@@ -507,28 +542,9 @@ def verify_thm_knot1(
                 translate_phase_index(p, a, k, t) for t in optimal_t(p, a, k)
             ),
         }))
-    threshold = None
-    for i, (k, holds, _) in enumerate(raw_points):
-        if all(h for _, h, _ in raw_points[i:]):
-            threshold = k
-            break
-    points = tuple(
-        PointVerdict(
-            k,
-            "holds" if holds else (
-                "below-threshold" if threshold is not None and k < threshold else "fails"
-            ),
-            det,
-        )
-        for k, holds, det in raw_points
-    )
-    return TheoremVerdict(
-        theorem_id="thm3",
-        params={"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
-        points=points,
-        threshold=threshold,
-        passed=threshold is not None,
-        elapsed=time.perf_counter() - start,
+    return _verdict(
+        "thm3", {"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
+        raw_points, start,
     )
 
 
@@ -586,28 +602,9 @@ def verify_thm_k1(
             details["bucket"] = bucket
             details["interval_is_max"] = interval_is_max
         raw_points.append((s, holds, details))
-    threshold = None
-    for i, (s, holds, _) in enumerate(raw_points):
-        if all(h for _, h, _ in raw_points[i:]):
-            threshold = s
-            break
-    points = tuple(
-        PointVerdict(
-            s,
-            "holds" if holds else (
-                "below-threshold" if threshold is not None and s < threshold else "fails"
-            ),
-            det,
-        )
-        for s, holds, det in raw_points
-    )
-    return TheoremVerdict(
-        theorem_id="thm5",
-        params={"p": p, "a": a, "s_range": [ss[0], ss[-1]] if ss else []},
-        points=points,
-        threshold=threshold,
-        passed=threshold is not None,
-        elapsed=time.perf_counter() - start,
+    return _verdict(
+        "thm5", {"p": p, "a": a, "s_range": [ss[0], ss[-1]] if ss else []},
+        raw_points, start,
     )
 
 
@@ -669,30 +666,8 @@ def scan_k0(
         if not holds:
             details["extremal"] = [s.members() for s in report.extremal_orbits]
         raw_points.append((k, holds, details))
-
-    threshold = None
-    for i, (k, _, _) in enumerate(raw_points):
-        if k > k_limit:
-            break
-        tail = [h for kk, h, _ in raw_points[i:] if kk <= k + window]
-        if all(tail):
-            threshold = k
-            break
-    points = tuple(
-        PointVerdict(
-            k,
-            "holds" if holds else (
-                "below-threshold" if threshold is not None and k < threshold else "fails"
-            ),
-            det,
-        )
-        for k, holds, det in raw_points
-    )
-    return TheoremVerdict(
-        theorem_id=f"scan-{mode}",
-        params={"p": p, "a": a, "mode": mode, "k_limit": k_limit, "window": window},
-        points=points,
-        threshold=threshold,
-        passed=threshold is not None,
-        elapsed=time.perf_counter() - start,
+    return _verdict(
+        f"scan-{mode}",
+        {"p": p, "a": a, "mode": mode, "k_limit": k_limit, "window": window},
+        raw_points, start, k_limit=k_limit, window=window,
     )

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .core import AffineMap, Subset, orbit_catalog, prime_context
+from .core import AffineMap, InvariantError, Subset, orbit_catalog, prime_context
 
 DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
@@ -357,15 +357,17 @@ def primary_image(
                 ell = int(mp.nint(th * p / (2 * mp.pi))) % p
         image = d.dilate(gamma).translate(ell)
         m = AffineMap(p, gamma, ell)
-        if __debug__:
-            check = dft_indicator(image, prec)
-            with mp.workprec(check.work_prec):
-                assert abs(check.magnitude(1) - r) <= 6 * err
-                th1 = check.argument(1)
-                if th1 > mp.pi:
-                    th1 -= 2 * mp.pi
-                assert th1 <= mp.pi / p + 10 * err
-                assert th1 > -(mp.pi / p) - 10 * err
+        check = dft_indicator(image, prec)
+        with mp.workprec(check.work_prec):
+            th1 = check.argument(1)
+            if th1 > mp.pi:
+                th1 -= 2 * mp.pi
+            if not (abs(check.magnitude(1) - r) <= 6 * err
+                    and -(mp.pi / p) - 10 * err < th1 <= mp.pi / p + 10 * err):
+                raise InvariantError(
+                    f"primary image {list(image.members())} of {list(d.members())} "
+                    "misses rho(D) or the arc (-pi/p, pi/p] at frequency 1"
+                )
         return image, m
 
 
@@ -585,13 +587,12 @@ def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
     out = set()
     for target in targets:
         diff = (m0 - target) % (2 * p)
-        assert diff % 2 == 0
         t = (diff // 2) * inv % p
-        assert translate_phase_index(p, a, k, t) == target
+        if diff % 2 or translate_phase_index(p, a, k, t) != target:
+            raise InvariantError(f"translate {t} of [{a}] in Z_{p} misses phase {target} at k={k}")
         out.add(t)
-    if len(targets) == 2:
-        ts = sorted(out)
-        assert {(-(a - 1) - t) % p for t in ts} == out
+    if len(targets) == 2 and {(-(a - 1) - t) % p for t in out} != out:
+        raise InvariantError(f"optimal translates {sorted(out)} of [{a}] in Z_{p} are not reflections")
     return frozenset(out)
 
 
@@ -658,7 +659,8 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
         m = (b - 2) // 2
         branch_set = Subset.from_residues(p, [-m - 1] + list(range(-m + 1, m + 2)))
         parity = "even"
-    assert branch_set.size == b
+    if branch_set.size != b:
+        raise InvariantError(f"branch set for p={p}, a={a} has {branch_set.size} points, not {b}")
     branch_prof = dft_indicator(branch_set, precision)
     with mp.workprec(prof.work_prec):
         th = prof.argument(1)
@@ -756,7 +758,8 @@ def t_good_scan(
         q = th * p / mp.pi
         ell = 2 * int(mp.nint(q / 2))
         c = (q - ell) * mp.pi  # = p*theta - ell*pi
-        assert abs(c) < mp.pi and c != 0
+        if not (abs(c) < mp.pi and c != 0):
+            raise InvariantError(f"phase offset for p={p}, a={a} lies outside (-pi, pi) minus 0")
         eps = min(abs(c), mp.pi - abs(c)) / 3
         m2 = prof.magnitude(1)
         for t in t_range:
@@ -774,11 +777,12 @@ def t_good_scan(
                 continue
             if s_max is not None and s > s_max:
                 continue
-            assert lo < s * c < hi
             k = s * p + 1
             sign = 1 if t % 2 == 0 else -1
             cos_val = mp.cos(s * p * th)
-            assert (cos_val > 0) == (sign > 0) and abs(cos_val) >= mp.sin(eps) / 2
+            if not (lo < s * c < hi
+                    and (cos_val > 0) == (sign > 0) and abs(cos_val) >= mp.sin(eps) / 2):
+                raise InvariantError(f"k={k} misses its sign window for p={p}, a={a}")
             lead = 2 * (m2 ** (k + 1)) * mp.sin(eps)
             competing = (p - 1) * (m3 ** (k + 1)) if m3 > 0 else mp.mpf(0)
             own_tail = mp.fsum(prof.magnitude(g) ** (k + 1) for g in range(2, p - 1))

@@ -10,28 +10,43 @@ which arbitrary configurations are compared.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
-from .core import Subset, prime_context
+from .core import InvariantError, Subset, prime_context
 from .counting import CountVector, sigma_vector
 
 
 @dataclass(frozen=True)
 class ThresholdProfile:
-    """n[r] = |{x : sigma(x) >= r}| for r = 0..r_max, with n[r_max] = 0."""
+    """The level sets N_r = {x : sigma(x) >= r} of one tail, r = 0..r_max,
+    as p-bit masks: masks[0] = Z_p, masks[r_max] = empty.  n[r] = |N_r| and
+    the partial sums of n are derived from the masks."""
 
     p: int
-    n: tuple[int, ...]
+    masks: tuple[int, ...]
+    n: tuple[int, ...] = field(init=False)
+    _sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        assert self.n[0] == self.p and self.n[-1] == 0
-        assert all(self.n[i] >= self.n[i + 1] for i in range(len(self.n) - 1))
+        m = self.masks
+        if not m or m[0] != prime_context(self.p).full_mask or m[-1] != 0:
+            raise InvariantError("level sets must run from Z_p down to the empty set")
+        if any(inner & ~outer for outer, inner in zip(m, m[1:])):
+            raise InvariantError("level sets must be nested")
+        n = tuple(x.bit_count() for x in m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_sums", tuple(accumulate(n[1:], initial=0)))
 
     @property
     def r_max(self) -> int:
-        return len(self.n) - 1
+        return len(self.masks) - 1
+
+    def mask(self, r: int) -> int:
+        """N_r as a mask: Z_p for r <= 0, empty beyond r_max."""
+        return self.masks[max(r, 0)] if r < len(self.masks) else 0
 
     def n_r(self, r: int) -> int:
         if r < 0:
@@ -40,47 +55,45 @@ class ThresholdProfile:
 
     def partial_sum(self, r: int) -> int:
         """sum_{i=1}^{r} n_i (terms beyond r_max are zero)."""
-        return sum(self.n[1 : min(r, self.r_max) + 1])
+        return self._sums[min(r, self.r_max)]
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": list(self.n), "r_max": self.r_max}
 
 
 def profile_from_sigma(p: int, sigma: CountVector) -> ThresholdProfile:
-    n = [p]
-    r = 1
-    while True:
-        c = sum(1 for v in sigma if v >= r)
-        n.append(c)
-        if c == 0:
-            break
-        r += 1
-    return ThresholdProfile(p, tuple(n))
+    """The one place sigma is thresholded: residues are bucketed by sigma(x)
+    and the buckets OR-ed downwards, N_r = N_{r+1} | {x : sigma(x) = r}."""
+    buckets = [0] * (max(sigma) + 1)
+    for x, v in enumerate(sigma):
+        buckets[v] |= 1 << x
+    masks = [0]
+    for bucket in reversed(buckets):
+        masks.append(masks[-1] | bucket)
+    return ThresholdProfile(p, tuple(reversed(masks)))
+
+
+@lru_cache(maxsize=256)  # a sweep reuses one tail across every head and r
+def _tail_profile(p: int, masks: tuple[int, ...]) -> ThresholdProfile:
+    return profile_from_sigma(p, sigma_vector([Subset(p, m) for m in masks]))
 
 
 def threshold_profile(sets: Sequence[Subset]) -> ThresholdProfile:
-    p = sets[0].p
-    return profile_from_sigma(p, sigma_vector(sets))
+    """Level sets of the tail A_1, ..., A_k, cached per (p, tail masks)."""
+    if not sets or any(s.p != sets[0].p for s in sets):
+        raise ValueError("need at least one factor set, all with the same modulus")
+    return _tail_profile(sets[0].p, tuple(s.mask for s in sets))
 
 
 def threshold_set(sets: Sequence[Subset], r: int) -> Subset:
     """N_r = {x : sigma(x) >= r}; N_0 = Z_p."""
-    p = sets[0].p
-    if r <= 0:
-        return Subset.full(p)
-    sigma = sigma_vector(sets)
-    mask = 0
-    for x, v in enumerate(sigma):
-        if v >= r:
-            mask |= 1 << x
-    return Subset(p, mask)
+    prof = threshold_profile(sets)
+    return Subset(prof.p, prof.mask(r))
 
 
-@lru_cache(maxsize=4096)
 def interval_profile(p: int, sizes: tuple[int, ...]) -> ThresholdProfile:
     """Threshold profile of the initial intervals [0, a_i - 1]."""
-    sets = tuple(Subset.interval(p, a) for a in sizes)
-    return threshold_profile(sets)
+    return threshold_profile([Subset.interval(p, a) for a in sizes])
 
 
 def critical_r0(a_sizes: Sequence[int], p: int) -> int:
@@ -207,16 +220,9 @@ def check_extremality_conditions(a0: Subset, sets: Sequence[Subset]) -> tuple[bo
     if any(not 1 <= a <= p - 1 for a in sizes):
         raise ValueError("extremality conditions need all sizes in [1, p-1]")
     r0 = critical_r0(sizes, p)
-    sigma = sigma_vector(sets)
-    upper_mask = 0  # N_{r0+1}
-    lower_mask = 0  # N_{r0}
-    for x, v in enumerate(sigma):
-        if v >= r0 + 1:
-            upper_mask |= 1 << x
-        if v >= r0:
-            lower_mask |= 1 << x
-    empty_ok = (a0.mask & upper_mask) == 0
-    whole_ok = (a0.mask | lower_mask) == prime_context(p).full_mask
+    prof = threshold_profile(sets)
+    empty_ok = (a0.mask & prof.mask(r0 + 1)) == 0
+    whole_ok = (a0.mask | prof.mask(r0)) == prof.mask(0)
     if r0 == 0:
         tie_ok = True
     else:
@@ -240,8 +246,7 @@ def optimal_interval_translate(a_sizes: Sequence[int], p: int) -> int:
         raise ValueError(f"need 0 < a_0 < p, got a_0={a0}")
     if not rest or any(not 0 <= a <= p for a in rest):
         raise ValueError("factor sizes must lie in [0, p]")
-    sigma = sigma_vector(tuple(Subset.interval(p, a) for a in rest))
-    prof = profile_from_sigma(p, sigma)
+    prof = interval_profile(p, rest)
     doubled_centre = sum(a - 1 for a in rest) % (2 * p)
     # complement of [a_0]+t spans t+a_0 .. t+p-1: doubled centre 2t + a_0 + p - 1
     rhs = (doubled_centre - a0 - p + 1) % (2 * p)
@@ -250,16 +255,8 @@ def optimal_interval_translate(a_sizes: Sequence[int], p: int) -> int:
     else:
         candidates = [((rhs + 1) // 2) % p, ((rhs - 1) // 2) % p]
     for t in candidates:
-        interval = Subset.interval(p, a0, t)
-        ok = True
-        for r in range(1, prof.r_max + 1):
-            mask = 0
-            for x, v in enumerate(sigma):
-                if v >= r:
-                    mask |= 1 << x
-            if (interval.mask & mask).bit_count() != max(0, prof.n_r(r) + a0 - p):
-                ok = False
-                break
-        if ok:
+        head = Subset.interval(p, a0, t).mask
+        if all((head & prof.masks[r]).bit_count() == max(0, prof.n[r] + a0 - p)
+               for r in range(1, prof.r_max + 1)):
             return t
-    raise AssertionError("no translate satisfies the clipped-intersection identity")
+    raise InvariantError("no translate satisfies the clipped-intersection identity")

@@ -213,6 +213,29 @@ def test_recheck_detects_tampering(capsys, tmp_path):
     assert json.loads(out2)["result"]["match"] is False
 
 
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    '{"command": "count", "params": {"p": 7}}',  # no result
+    '{"command": "frobnicate", "params": {}, "result": {}}',
+], ids=["missing", "no-result", "unknown-command"])
+def test_recheck_bad_input_is_exit_1(capsys, tmp_path, content):
+    f = tmp_path / "report.json"
+    if content is not None:
+        f.write_text(content)
+    code, out, err = run(capsys, "recheck", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_precision_error_is_exit_1(capsys, monkeypatch):
+    def unresolved(*args, **kwargs):
+        raise zpcount.PrecisionError("spectral gaps unresolved")
+
+    monkeypatch.setattr("zpcount.cli.spectral_levels", unresolved)
+    code, out, err = run(capsys, "spectrum", "--p", "7", "--a", "3")
+    assert (code, out, err) == (1, "", "error: spectral gaps unresolved\n")
+
+
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZPCOUNT_CACHE_DIR", str(tmp_path))
     doc = run_json(capsys, "minimize", "--p", "7", "--a", "3", "--k", "5")
@@ -225,7 +248,7 @@ def test_recheck_ignores_forged_cache(capsys, tmp_path):
     argv = ("minimize", "--p", "13", "--a", "4", "--k", "3", "--cache-dir", str(cache))
     true_min = int(run_json(capsys, *argv)["result"]["min_value"])
     # A self-consistent forgery: a non-minimal set stored with its own true
-    # count, so the cache's one-attainer spot check passes.
+    # count, so the cache's attainer recount passes.
     forged_set = [0, 1, 2, 3]
     forged_value = s_k_count(Subset.from_residues(13, forged_set), 3)
     assert forged_value > true_min
@@ -243,22 +266,30 @@ def test_recheck_ignores_forged_cache(capsys, tmp_path):
     assert json.loads(out2)["result"]["match"] is False
 
 
-# An off-by-one count patched into the recount of each search's attainers.
-_OFF_BY_ONE = {
-    "s_k_count": ["minimize", "--p", "7", "--a", "3", "--k", "4"],
-    "s_count": ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"],
+# A broken step patched into the library (module, name, replacement) and a
+# command that reaches it: an off-by-one recount of each search's attainers,
+# or level sets that are not nested.
+_BROKEN = {
+    "s_k_count": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
+                  ["minimize", "--p", "7", "--a", "3", "--k", "4"]),
+    "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
+                ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
+    "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",
+                           "lambda p, sigma: M.ThresholdProfile(p, ((1 << p) - 1, 1, 2, 0))",
+                           ["pollard", "--p", "7", "--sizes", "3,2,2"]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_OFF_BY_ONE))
+@pytest.mark.parametrize("name", sorted(_BROKEN))
 def test_invariant_error_exit_3_under_optimize(name):
+    module, attr, patch, argv = _BROKEN[name]
     script = (
         "import sys\n"
-        "import zpcount.extremal as E\n"
-        f"real = E.{name}\n"
-        f"E.{name} = lambda *args: real(*args) + 1\n"
+        f"import {module} as M\n"
+        f"real = M.{attr}\n"
+        f"M.{attr} = {patch}\n"
         "from zpcount.cli import main\n"
-        f"sys.exit(main({_OFF_BY_ONE[name]!r}))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     src = str(Path(zpcount.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,6 +8,8 @@ from zpcount import (
     s_count, s_k_count, scan_k0, sigma_vector, verify_thm_interval_extremal,
     verify_thm_k1, verify_thm_knot1,
 )
+
+from zpcount.extremal import _verdict
 
 from conftest import brute_s_k
 
@@ -154,6 +157,21 @@ def test_result_cache_drops_corrupt_entries(tmp_path):
     assert fixed.min_value == good.min_value
 
 
+def test_result_cache_recounts_every_hit(tmp_path):
+    honest = minimize_sk(11, 3, 5, cache=ResultCache(tmp_path))
+    true_b = minimize_sk(11, 4, 5, cache=ResultCache(tmp_path)).min_value
+    path = tmp_path / "sk.jsonl"
+    rec = json.loads(path.read_text().splitlines()[-1])
+    rec["min_value"] = str(true_b + 1)
+    with path.open("a") as fh:
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    # One session reads both entries: the honest one first, then the forged one.
+    cache = ResultCache(tmp_path)
+    assert minimize_sk(11, 3, 5, cache=cache).to_json() == honest.to_json()
+    assert minimize_sk(11, 4, 5, cache=cache).min_value == true_b
+    assert len(path.read_text().splitlines()) == 4  # the recomputed entry
+
+
 def test_result_cache_ignores_garbage_lines(tmp_path):
     (tmp_path / "sk.jsonl").write_text('not json\n{"key": "half\n')
     cache = ResultCache(tmp_path)
@@ -193,3 +211,25 @@ def test_sigma_based_attainment_cross_check():
     assert s_k_count(iv, 4) == interval_value
     assert rep.min_value <= interval_value
     assert rep.checked > 0
+
+
+H, F = True, False
+
+
+@pytest.mark.parametrize("holds, limits, threshold, statuses", [
+    # a failure before the final run of holds is below threshold
+    ([H, F, H, H], {}, 3, ["holds", "below-threshold", "holds", "holds"]),
+    # the last point fails: no threshold, so every failure is a plain fail
+    ([H, H, F], {}, None, ["holds", "holds", "fails"]),
+    # the only failure lies beyond k + window, so k = 1 is the threshold
+    ([H, H, H, F], {"k_limit": 2, "window": 2}, 1, ["holds", "holds", "holds", "fails"]),
+    # no k <= k_limit qualifies, though k = 2 would with a larger limit
+    ([F, H, H, H], {"k_limit": 1}, None, ["fails", "holds", "holds", "holds"]),
+], ids=["below-threshold", "last-fails", "window", "k-limit"])
+def test_verdict_labels(holds, limits, threshold, statuses):
+    raw = [(x, h, {"x": x}) for x, h in enumerate(holds, start=1)]
+    v = _verdict("t", {"q": 1}, raw, time.perf_counter(), **limits)
+    assert (v.theorem_id, v.params) == ("t", {"q": 1})
+    assert v.threshold == threshold and v.passed == (threshold is not None)
+    assert [pt.status for pt in v.points] == statuses
+    assert [pt.details for pt in v.points] == [{"x": x} for x, _, _ in raw]
