@@ -220,6 +220,10 @@ def _run_verify(params: dict) -> dict:
         if not params.get("sizes"):
             raise ValueError("verify thm1 needs --sizes or --all-sizes")
         return verify_thm_interval_extremal(p, params["sizes"]).to_json()
+    if which in ("thm3", "thm5"):
+        bound = "k_max" if which == "thm3" else "s_max"
+        if params.get("a") is None or params.get(bound) is None:
+            raise ValueError(f"verify {which} needs --a and --{bound.replace('_', '-')}")
     if which == "thm3":
         lo, hi = params.get("k_min", 2), params["k_max"]
         ks = [k for k in range(max(lo, 2), hi + 1) if k % p != 1]

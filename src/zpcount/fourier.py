@@ -11,7 +11,13 @@ punctured intervals all live here.
 
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
-by floating-point proximity alone.
+by floating-point proximity alone; _lattice_reading is the one place that
+places an argument against that lattice.
+
+Every margin that a working precision may fail to resolve goes up one
+ladder, _escalate: an attempt at the requested precision, then at 2x, 4x,
+... that precision, and PrecisionError (naming the call site) once the next
+rung would exceed MAX_PRECISION.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import mpmath as mp
 
@@ -32,6 +38,28 @@ GUARD_BITS = 32
 
 class PrecisionError(RuntimeError):
     """Raised when escalation hits MAX_PRECISION without resolving a margin."""
+
+
+_T = TypeVar("_T")
+
+
+def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) -> _T:
+    """First non-None attempt(prec) for prec = precision, 2*precision, ...;
+    PrecisionError once the next rung would exceed MAX_PRECISION."""
+    prec = precision
+    while (result := attempt(prec)) is None:
+        prec *= 2
+        if prec > MAX_PRECISION:
+            raise PrecisionError(
+                f"{site}: unresolved at {prec // 2} bits (cap {MAX_PRECISION})"
+            )
+    return result
+
+
+def _fold(x: mp.mpf) -> mp.mpf:
+    """x minus its nearest multiple of 2*pi: an argument in [0, 2*pi) folds
+    to (-pi, pi]."""
+    return x - 2 * mp.pi * mp.nint(x / (2 * mp.pi))
 
 
 @lru_cache(maxsize=64)
@@ -88,19 +116,6 @@ class FourierProfile:
             if r <= 2 * self.err:
                 return mp.inf
             return self.err / (r - self.err)
-
-    def to_json(self) -> dict:
-        digits = int(self.precision * 0.302) + 4
-        return {
-            "p": self.p,
-            "set": self.subset.to_json(),
-            "precision": self.precision,
-            "err": mp.nstr(self.err, 8),
-            "coeffs": [
-                {"magnitude": mp.nstr(r, digits), "argument": mp.nstr(th, digits)}
-                for r, th in self.coeffs
-            ],
-        }
 
 
 def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfile:
@@ -199,60 +214,44 @@ class SpectralLevels:
 
 
 def spectral_levels(
-    p: int,
-    a: int,
-    depth: int = 3,
-    precision: int = DEFAULT_PRECISION,
-    max_precision: int = MAX_PRECISION,
+    p: int, a: int, depth: int = 3, precision: int = DEFAULT_PRECISION
 ) -> SpectralLevels:
     """Distinct values of rho across orbit representatives, largest first.
 
-    Escalates precision (doubling) until every kept level is separated from
-    its neighbours by more than 10x the coefficient error bound; raises
-    PrecisionError if MAX_PRECISION cannot resolve the gaps.
+    Escalates precision until every kept level is separated from its
+    neighbours by more than 10x the coefficient error bound.
     """
     if not 1 <= a <= p - 1:
         raise ValueError(f"need 1 <= a <= p-1 for nontrivial spectra, got a={a}")
     catalog = orbit_catalog(p, a)
-    prec = precision
-    while True:
+
+    def attempt(prec: int) -> SpectralLevels | None:
         profiles = [dft_indicator(rep, prec) for rep in catalog.reps]
         err = profiles[0].err
         rho_pairs = []
-        attain: dict[int, tuple[int, ...]] = {}
-        ambiguous = False
+        attain = []
         with mp.workprec(profiles[0].work_prec):
             for idx, prof in enumerate(profiles):
                 mags = [(prof.magnitude(g), g) for g in range(1, p)]
                 top = _top_cluster(mags, err)
                 if top is None:
-                    ambiguous = True
-                    break
-                attain[idx] = tuple(sorted(top))
+                    return None
+                attain.append(tuple(sorted(top)))
                 rho_pairs.append((max(m for m, _ in mags), idx))
-            if not ambiguous:
-                clusters = _descending_clusters(rho_pairs, err)
-                ambiguous = clusters is None
-        if ambiguous:
-            prec *= 2
-            if prec > max_precision:
-                raise PrecisionError(
-                    f"spectral gaps for p={p}, a={a} unresolved at {max_precision} bits"
-                )
-            continue
-        keep = clusters[: min(depth, len(clusters))]
-        with mp.workprec(profiles[0].work_prec):
-            gaps = []
-            for i in range(len(clusters) - 1):
-                if i < len(keep):
-                    gaps.append(clusters[i][-1][0] - clusters[i + 1][0][0])
-            min_gap = min(gaps) if gaps else mp.inf
-            ratio = float(min_gap / err) if mp.isfinite(min_gap) else float("inf")
+            clusters = _descending_clusters(rho_pairs, err)
+            if clusters is None:
+                return None
+            keep = clusters[:depth]
+            gaps = [clusters[i][-1][0] - clusters[i + 1][0][0]
+                    for i in range(min(len(keep), len(clusters) - 1))]
+            ratio = float(min(gaps) / err) if gaps else float("inf")
         levels = tuple(cl[0][0] for cl in keep)
         attainers = tuple(
             tuple((catalog.reps[idx], attain[idx]) for _, idx in cl) for cl in keep
         )
         return SpectralLevels(p, a, levels, attainers, err, prec, ratio)
+
+    return _escalate(f"spectral_levels(p={p}, a={a})", precision, attempt)
 
 
 def interval_secondary_peak(p: int, a: int, precision: int = DEFAULT_PRECISION) -> mp.mpf:
@@ -284,6 +283,28 @@ def _reflection_difference_vanishes(a: Subset, gamma: int, n: int) -> bool:
     return all(g[i] == lead * (-1) ** i for i in range(p))
 
 
+class _LatticeReading(NamedTuple):
+    index: int  # nearest n in [0, 2p) to the argument in units of pi/p
+    distance: mp.mpf  # |argument - index*pi/p|
+    exact: bool  # argument is exactly index*pi/p (Z[zeta_2p] test)
+
+
+def _lattice_reading(prof: FourierProfile, gamma: int) -> _LatticeReading | None:
+    """Where arg(hat1_A(gamma)) sits against (pi/p)*Z, read from prof; None
+    while |hat1_A(gamma)| <= 32*err leaves the nearest index in doubt."""
+    p = prof.p
+    r, th = prof.coeffs[gamma % p]
+    with mp.workprec(prof.work_prec):
+        if not r > 32 * prof.err:
+            return None
+        q = th * p / mp.pi
+        n = mp.nint(q)
+        distance = abs(q - n) * mp.pi / p
+    index = int(n) % (2 * p)
+    return _LatticeReading(index, distance,
+                           _reflection_difference_vanishes(prof.subset, gamma, index))
+
+
 def exact_arg_lattice_index(
     a: Subset, gamma: int, precision: int = 192
 ) -> int | None:
@@ -292,31 +313,18 @@ def exact_arg_lattice_index(
     The candidate n comes from a numeric argument; membership is then decided
     by exact integer arithmetic, so the answer does not depend on margins.
     """
-    p = a.p
-    if a.size in (0, p):
+    if a.size in (0, a.p):
         raise ValueError("coefficients of the empty/full set carry no direction")
-    prec = precision
-    while True:
-        prof = dft_indicator(a, prec)
-        r, th = prof.coeffs[gamma % p]
-        with mp.workprec(prof.work_prec):
-            if r > 32 * prof.err:
-                q = th * p / mp.pi
-                n = int(mp.nint(q)) % (2 * p)
-                break
-        prec *= 2
-        if prec > MAX_PRECISION:
-            raise PrecisionError("coefficient too small to locate its argument")
-    return n if _reflection_difference_vanishes(a, gamma, n) else None
+    reading = _escalate("exact_arg_lattice_index", precision,
+                        lambda prec: _lattice_reading(dft_indicator(a, prec), gamma))
+    return reading.index if reading.exact else None
 
 
 # --- primary image and projection scores ------------------------------------
 
 
 def primary_image(
-    d: Subset,
-    precision: int = DEFAULT_PRECISION,
-    max_precision: int = MAX_PRECISION,
+    d: Subset, precision: int = DEFAULT_PRECISION
 ) -> tuple[Subset, AffineMap]:
     """Affine image g*D + l whose frequency-1 coefficient realizes rho(D)
     with argument in (-pi/p, pi/p].
@@ -328,47 +336,37 @@ def primary_image(
     p = d.p
     if not 1 <= d.size <= p - 1:
         raise ValueError("primary image needs a nonempty proper subset")
-    prec = precision
-    while True:
+
+    def attempt(prec: int) -> tuple[Subset, AffineMap] | None:
         prof = dft_indicator(d, prec)
         err = prof.err
         with mp.workprec(prof.work_prec):
-            mags = [(prof.magnitude(g), g) for g in range(1, p)]
-            top = _top_cluster(mags, err)
+            top = _top_cluster([(prof.magnitude(g), g) for g in range(1, p)], err)
             if top is None:
-                prec *= 2
-                if prec > max_precision:
-                    raise PrecisionError("peak frequencies unresolved")
-                continue
+                return None
             gamma = min(top)
-            r, th = prof.coeffs[gamma]
-            q = th * p / mp.pi  # argument in lattice units
-            n = int(mp.nint(q)) % (2 * p)
-            lattice = _reflection_difference_vanishes(d, gamma, n)
-            if lattice:
-                ell = n // 2 if n % 2 == 0 else (n - 1) // 2
+            reading = _lattice_reading(prof, gamma)
+            if reading is None:
+                return None
+            if reading.exact:
+                ell = reading.index // 2
+            elif reading.distance > 10 * prof.argument_error(gamma):
+                ell = int(mp.nint(prof.argument(gamma) * p / (2 * mp.pi))) % p
             else:
-                dist = abs(q - mp.nint(q)) * mp.pi / p
-                if not dist > 10 * prof.argument_error(gamma):
-                    prec *= 2
-                    if prec > max_precision:
-                        raise PrecisionError("argument too close to the lattice")
-                    continue
-                ell = int(mp.nint(th * p / (2 * mp.pi))) % p
+                return None
         image = d.dilate(gamma).translate(ell)
-        m = AffineMap(p, gamma, ell)
         check = dft_indicator(image, prec)
         with mp.workprec(check.work_prec):
-            th1 = check.argument(1)
-            if th1 > mp.pi:
-                th1 -= 2 * mp.pi
-            if not (abs(check.magnitude(1) - r) <= 6 * err
+            th1 = _fold(check.argument(1))
+            if not (abs(check.magnitude(1) - prof.magnitude(gamma)) <= 6 * err
                     and -(mp.pi / p) - 10 * err < th1 <= mp.pi / p + 10 * err):
                 raise InvariantError(
                     f"primary image {list(image.members())} of {list(d.members())} "
                     "misses rho(D) or the arc (-pi/p, pi/p] at frequency 1"
                 )
-        return image, m
+        return image, AffineMap(p, gamma, ell)
+
+    return _escalate("primary_image", precision, attempt)
 
 
 @dataclass(frozen=True)
@@ -376,9 +374,11 @@ class ProjectionRanking:
     """Residues ranked by h(j) = cos(2*pi*j/p + theta), ties grouped.
 
     theta is the frequency-1 argument of a primary set, folded to
-    (-pi, pi]; lattice_index is 0 / +-1 when theta is exactly 0 or +-pi/p
-    (certified), else None.  top_sets lists every size-a maximizer of the
-    summed scores; punctured_candidates are the two runner-up shapes.
+    (-pi, pi]; lattice_index is 0, 1 or 2p-1 when theta is exactly 0, pi/p
+    or -pi/p (certified), else None.  top_sets lists every size-a maximizer
+    of the summed scores; punctured_candidates are the two runner-up shapes
+    (swap the a-th ranked residue for the (a+2)-th, or drop the (a-1)-th
+    for the (a+1)-th).
     """
 
     subset: Subset
@@ -391,51 +391,45 @@ class ProjectionRanking:
     err: mp.mpf
     precision: int
 
-    def score(self, e: Subset) -> mp.mpf:
-        with mp.workprec(self.precision + GUARD_BITS):
-            return mp.fsum(self.scores[j] for j in e.members())
-
-    def flat_order(self) -> tuple[int, ...]:
-        return tuple(j for group in self.groups for j in group)
-
 
 def projection_scores(
     d_pri: Subset, precision: int = DEFAULT_PRECISION
 ) -> ProjectionRanking:
-    """Ranking of cos(2*pi*j/p + theta) for a primary set.
+    """Ranking of cos(2*pi*j/p + theta) for a primary set of size 2..p-2.
 
     For theta strictly inside (0, pi/p) the order is 0 > -1 > 1 > -2 > 2 ...;
     for theta in (-pi/p, 0) it is 0 > 1 > -1 > 2 > -2 ...; theta = 0 ties
     {m, -m}; theta = pi/p ties {j, -j-1}; theta = -pi/p ties {j, 1-j}.
     The numeric ordering is re-verified with margins at the working precision.
+    Sizes 1 and p-1 are rejected: one of the two runner-up shapes needs a
+    residue on either side of the top set.
     """
     p = d_pri.p
     a = d_pri.size
-    if not 1 <= a <= p - 1:
-        raise ValueError("projection scores need a nonempty proper subset")
+    if not 2 <= a <= p - 2:
+        raise ValueError("projection scores need 2 <= |D| <= p-2")
     half = (p - 1) // 2
-    n = exact_arg_lattice_index(d_pri, 1)
-    prec = precision
-    while True:
+
+    def attempt(prec: int):
         prof = dft_indicator(d_pri, prec)
+        reading = _lattice_reading(prof, 1)
+        if reading is None:
+            return None
+        n = reading.index if reading.exact else None
         with mp.workprec(prof.work_prec):
-            th = prof.argument(1)
-            if th > mp.pi:
-                th -= 2 * mp.pi
+            th = _fold(prof.argument(1))
             if n is None and not abs(th) < mp.pi / p:
                 raise ValueError("set is not primary: argument outside (-pi/p, pi/p]")
-            if n is not None and n % (2 * p) not in (0, 1, 2 * p - 1):
+            if n is not None and n not in (0, 1, 2 * p - 1):
                 raise ValueError("set is not primary: lattice argument beyond +-pi/p")
-            if n is not None:
-                n_fold = n % (2 * p)
-                if n_fold == 0:
-                    groups = [(0,)] + [(m, p - m) for m in range(1, half + 1)]
-                elif n_fold == 1:
-                    groups = [((j) % p, (-j - 1) % p) for j in range(0, half)]
-                    groups.append((half,))
-                else:  # theta = -pi/p
-                    groups = [((j) % p, (1 - j) % p) for j in range(0, -half, -1)]
-                    groups.append(((half + 1) % p,))
+            if n == 0:
+                groups = [(0,)] + [(m, p - m) for m in range(1, half + 1)]
+            elif n == 1:
+                groups = [((j) % p, (-j - 1) % p) for j in range(0, half)]
+                groups.append((half,))
+            elif n is not None:  # theta = -pi/p
+                groups = [((j) % p, (1 - j) % p) for j in range(0, -half, -1)]
+                groups.append(((half + 1) % p,))
             elif th > 0:
                 seq = [0]
                 for m in range(1, half + 1):
@@ -449,21 +443,15 @@ def projection_scores(
             scores = {j: mp.cos(2 * mp.pi * j / p + th) for j in range(p)}
             # verify the claimed pattern at this precision
             h_err = prof.argument_error(1) + mp.ldexp(mp.mpf(8), -prof.work_prec)
-            ok = True
-            flat = [j for g in groups for j in g]
-            for g in groups:
-                for u, v in zip(g, g[1:]):
-                    if not abs(scores[u] - scores[v]) <= 4 * h_err:
-                        ok = False
-            for u, v in zip(flat, flat[1:]):
-                same = any(u in g and v in g for g in groups)
-                if not same and not scores[u] - scores[v] > 10 * h_err:
-                    ok = False
-            if ok:
-                break
-        prec *= 2
-        if prec > MAX_PRECISION:
-            raise PrecisionError("projection ordering unresolved")
+            tied = all(abs(scores[u] - scores[v]) <= 4 * h_err
+                       for g in groups for u, v in zip(g, g[1:]))
+            apart = all(scores[g[-1]] - scores[h[0]] > 10 * h_err
+                        for g, h in zip(groups, groups[1:]))
+        if not (tied and apart):
+            return None
+        return th, n, groups, scores, prof.err, prec
+
+    th, n, groups, scores, err, prec = _escalate("projection_scores", precision, attempt)
 
     # maximizing a-sets: fill whole groups, enumerate choices in a split group
     top_sets: list[Subset] = []
@@ -479,18 +467,12 @@ def projection_scores(
     else:
         for pick in combinations(groups[gi], remaining):
             top_sets.append(Subset.from_residues(p, chosen + list(pick)))
+    flat = [j for g in groups for j in g]
     cand1 = Subset.from_residues(p, flat[: a - 1] + [flat[a + 1]])
     cand2 = Subset.from_residues(p, flat[: a - 2] + flat[a - 1 : a + 1])
     return ProjectionRanking(
-        d_pri,
-        th,
-        n if n is None else n % (2 * p),
-        tuple(tuple(g) for g in groups),
-        scores,
-        tuple(top_sets),
-        (cand1, cand2),
-        prof.err,
-        prec,
+        d_pri, th, n, tuple(tuple(g) for g in groups), scores,
+        tuple(top_sets), (cand1, cand2), err, prec,
     )
 
 
@@ -647,9 +629,11 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
     if p < 7 or not 3 <= a <= p - 3:
         raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
     punct = Subset.punctured_interval(p, a)
-    n = exact_arg_lattice_index(punct, 1)
-    exact_nonlattice = n is None
     prof = dft_indicator(punct, precision)
+    reading = _lattice_reading(prof, 1)
+    if reading is None:
+        raise PrecisionError(f"angle_check_punctured(p={p}, a={a}): frequency-1 "
+                             f"coefficient too small to place at {precision} bits")
     b = min(a, p - a)
     if b % 2 == 1:
         m = (b - 1) // 2
@@ -663,22 +647,16 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
         raise InvariantError(f"branch set for p={p}, a={a} has {branch_set.size} points, not {b}")
     branch_prof = dft_indicator(branch_set, precision)
     with mp.workprec(prof.work_prec):
-        th = prof.argument(1)
-        q = th * p / mp.pi
-        nearest = int(mp.nint(q)) % (2 * p)
-        distance = abs(q - mp.nint(q)) * mp.pi / p
         angle_err = prof.argument_error(1)
-        passed = exact_nonlattice and distance > 10 * angle_err
-        th_b = branch_prof.argument(1)
-        if th_b > mp.pi:
-            th_b -= 2 * mp.pi
+        passed = not reading.exact and reading.distance > 10 * angle_err
+        th_b = _fold(branch_prof.argument(1))
         margin = 10 * branch_prof.argument_error(1)
         if parity == "odd":
             branch_ok = bool(th_b > margin and th_b < mp.pi / p - margin)
         else:
             branch_ok = bool(th_b < -margin and th_b > -mp.pi / p + margin)
     return AngleCheck(
-        p, a, distance, angle_err, nearest, exact_nonlattice,
+        p, a, reading.distance, angle_err, reading.index, not reading.exact,
         bool(passed), b, parity, th_b, branch_ok, precision,
     )
 
@@ -755,9 +733,8 @@ def t_good_scan(
     points: list[TGoodPoint] = []
     with mp.workprec(prof.work_prec):
         th = prof.argument(1)
-        q = th * p / mp.pi
-        ell = 2 * int(mp.nint(q / 2))
-        c = (q - ell) * mp.pi  # = p*theta - ell*pi
+        c = _fold(p * th)  # = p*theta - ell*pi with ell even
+        ell = int(mp.nint((p * th - c) / mp.pi))
         if not (abs(c) < mp.pi and c != 0):
             raise InvariantError(f"phase offset for p={p}, a={a} lies outside (-pi, pi) minus 0")
         eps = min(abs(c), mp.pi - abs(c)) / 3

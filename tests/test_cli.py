@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -236,6 +237,18 @@ def test_precision_error_is_exit_1(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: spectral gaps unresolved\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("thm3", "--p", "11", "--a", "4"),
+    ("thm5", "--p", "11", "--k-max", "20"),
+    ("thm3", "--p", "11", "--k-max", "20"),
+    ("thm5", "--p", "11", "--s-max", "3"),
+], ids=["thm3-no-k-max", "thm5-no-s-max", "thm3-no-a", "thm5-no-a"])
+def test_verify_missing_flag_is_exit_1(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: verify {argv[0]} needs --a and --") and err.count("\n") == 1
+
+
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZPCOUNT_CACHE_DIR", str(tmp_path))
     doc = run_json(capsys, "minimize", "--p", "7", "--a", "3", "--k", "5")
@@ -300,3 +313,13 @@ def test_invariant_error_exit_3_under_optimize(name):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: invariant violated:")
+
+
+def test_no_assert_statements_in_src():
+    # Checks must survive `python -O`, which strips assert statements.
+    src = Path(zpcount.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -9,7 +9,8 @@ from zpcount import (
     primary_image, projection_scores, s_k_count, spectral_levels, t_good_scan,
     translate_phase_index,
 )
-from zpcount.fourier import rho
+from zpcount import fourier
+from zpcount.fourier import PrecisionError, rho
 
 
 def test_dft_matches_exponential_sum():
@@ -147,6 +148,88 @@ def test_projection_scores_lattice_ties():
     rank5 = projection_scores(img5)
     assert rank5.lattice_index == 0
     assert len(rank5.top_sets) == 1 and rank5.top_sets[0].is_interval()
+
+
+@pytest.mark.parametrize("p, a", [(7, 1), (7, 6), (11, 10)])
+def test_projection_scores_rejects_sizes_without_runner_ups(p, a):
+    img, _ = primary_image(Subset.interval(p, a))
+    with pytest.raises(ValueError, match="2 <= [|]D[|] <= p-2"):
+        projection_scores(img)
+
+
+# Each precision-ladder exit, forced by a private helper: (site, helper to
+# patch, the patched helper's result in place of the real one, the call).
+_PUNCT = Subset.punctured_interval(13, 3)
+_PRIMARY = primary_image(Subset.interval(13, 4))[0]
+_LADDER = {
+    "levels-clusters": ("spectral_levels", "_descending_clusters", lambda real, *a: None,
+                        lambda prec: spectral_levels(11, 4, precision=prec)),
+    "levels-top": ("spectral_levels", "_top_cluster", lambda real, *a: None,
+                   lambda prec: spectral_levels(11, 4, precision=prec)),
+    "lattice-index": ("exact_arg_lattice_index", "_lattice_reading", lambda real, *a: None,
+                      lambda prec: exact_arg_lattice_index(Subset.interval(13, 4), 1, prec)),
+    "primary-top": ("primary_image", "_top_cluster", lambda real, *a: None,
+                    lambda prec: primary_image(_PUNCT, prec)),
+    "primary-distance": ("primary_image", "_lattice_reading",
+                         lambda real, *a: real(*a)._replace(exact=False, distance=mp.mpf(0)),
+                         lambda prec: primary_image(_PUNCT, prec)),
+    "projection-reading": ("projection_scores", "_lattice_reading", lambda real, *a: None,
+                           lambda prec: projection_scores(_PRIMARY, prec)),
+}
+
+
+def _force(monkeypatch, helper, replacement, times):
+    """Replace fourier.<helper> by replacement for its first `times` calls;
+    return the precisions that dft_indicator is asked for."""
+    real = getattr(fourier, helper)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return replacement(real, *args) if len(calls) <= times else real(*args)
+
+    precisions = []
+    real_dft = fourier.dft_indicator
+
+    def dft(a, precision=fourier.DEFAULT_PRECISION):
+        precisions.append(precision)
+        return real_dft(a, precision)
+
+    monkeypatch.setattr(fourier, helper, patched)
+    monkeypatch.setattr(fourier, "dft_indicator", dft)
+    return precisions
+
+
+@pytest.mark.parametrize("case", sorted(_LADDER))
+def test_ladder_resolves_at_the_next_rung(monkeypatch, case):
+    site, helper, replacement, call = _LADDER[case]
+    unforced = call(128)
+    precisions = _force(monkeypatch, helper, replacement, times=1)
+    assert call(64) == unforced
+    assert min(precisions) == 64 and max(precisions) == 128
+
+
+@pytest.mark.parametrize("case", sorted(_LADDER))
+def test_ladder_raises_past_the_cap(monkeypatch, case):
+    site, helper, replacement, call = _LADDER[case]
+    precisions = _force(monkeypatch, helper, replacement, times=10**9)
+    with pytest.raises(PrecisionError, match=f"^{site}.*at 4096 bits"):
+        call(64)
+    assert sorted(set(precisions)) == [64, 128, 256, 512, 1024, 2048, 4096]
+
+
+def test_projection_ladder_on_the_ordering_margin(monkeypatch):
+    unforced = projection_scores(_PRIMARY, 128)
+    calls = []
+    real = fourier.FourierProfile.argument_error
+
+    def unresolved_once(self, gamma):
+        calls.append(gamma)
+        return mp.inf if len(calls) == 1 else real(self, gamma)
+
+    monkeypatch.setattr(fourier.FourierProfile, "argument_error", unresolved_once)
+    ranking = projection_scores(_PRIMARY, 64)
+    assert ranking == unforced and ranking.precision == 128
 
 
 def test_F_identity_random():
