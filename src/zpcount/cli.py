@@ -1,10 +1,11 @@
 """Command-line surface: every library operation behind one executable.
 
-Outputs are deterministic JSON (sorted keys; no wall-clock fields except the
-elapsed stored inside reports, which a warm cache replays verbatim), CSV with
-fixed versioned columns, or a short human summary.  Each JSON document embeds
-the command and its parameters so `recheck FILE` can re-run the computation
-and confirm the stored result byte-for-byte (elapsed excluded).
+Every command computes in one process, from scratch.  Outputs are
+deterministic JSON (sorted keys; the only wall-clock fields are the elapsed
+times stored inside reports), CSV with fixed versioned columns, or a short
+human summary.  Each JSON document embeds the command and its parameters so
+`recheck FILE` can re-run the computation and confirm the stored result
+byte-for-byte (elapsed excluded).
 
 Exit codes: 0 success; 1 usage or guard error, including a precision
 escalation that hit its cap and a recheck file that is missing, unreadable
@@ -16,17 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import VERSION, InvariantError, Subset, is_odd_prime, orbit_catalog, prime_context
 from .counting import count_vector_to_json, power_sigma, s_count, s_k_count, sigma_vector
 from .extremal import (
-    ResultCache, minimize_s_general, minimize_sk, scan_k0,
+    minimize_s_general, minimize_sk, scan_k0,
     verify_thm_interval_extremal, verify_thm_k1, verify_thm_knot1,
 )
 from .fourier import (
-    PrecisionError, angle_check_punctured, optimal_t, spectral_levels, translate_phase_index,
+    DEFAULT_PRECISION, PrecisionError, angle_check_punctured, optimal_t, spectral_levels,
+    translate_phase_index,
 )
 from .pollard import (
     classify_equality_k2, critical_r0, interval_profile,
@@ -144,13 +145,20 @@ def _run_pollard(params: dict) -> dict:
     return out
 
 
+def _precision(params: dict) -> int:
+    """The working precision of a spectral command: --precision, else the
+    library default."""
+    prec = params.get("precision", DEFAULT_PRECISION)
+    if not isinstance(prec, int) or prec < 1:
+        raise ValueError(f"--precision must be a positive number of bits, got {prec!r}")
+    return prec
+
+
 def _run_spectrum(params: dict) -> dict:
     p = params["p"]
     prime_context(p)
-    kwargs = {}
-    if params.get("precision"):
-        kwargs["precision"] = params["precision"]
-    levels = spectral_levels(p, params["a"], depth=params.get("depth", 3), **kwargs)
+    levels = spectral_levels(p, params["a"], depth=params.get("depth", 3),
+                             precision=_precision(params))
     return levels.to_json()
 
 
@@ -167,20 +175,13 @@ def _run_optimal_t(params: dict) -> dict:
 def _run_angle_check(params: dict) -> dict:
     p = params["p"]
     prime_context(p)
-    kwargs = {}
-    if params.get("precision"):
-        kwargs["precision"] = params["precision"]
+    prec = _precision(params)
     a = params.get("a")
     if a is not None:
-        return angle_check_punctured(p, a, **kwargs).to_json()
-    checks = [angle_check_punctured(p, a_, **kwargs).to_json() for a_ in range(3, p - 2)]
+        return angle_check_punctured(p, a, prec).to_json()
+    checks = [angle_check_punctured(p, a_, prec).to_json() for a_ in range(3, p - 2)]
     return {"p": p, "checks": checks,
             "all_passed": all(c["passed"] and c["branch_ok"] for c in checks)}
-
-
-def _cache_from(params: dict) -> ResultCache | None:
-    cache_dir = params.get("cache_dir")
-    return ResultCache(cache_dir) if cache_dir else None
 
 
 def _run_minimize(params: dict) -> dict:
@@ -191,12 +192,7 @@ def _run_minimize(params: dict) -> dict:
     else:
         if params.get("a") is None or params.get("k") is None:
             raise ValueError("minimize needs --a with --k, or --sizes")
-        report = minimize_sk(
-            p, params["a"], params["k"],
-            method=params.get("method", "auto"),
-            jobs=params.get("threads", 1),
-            cache=_cache_from(params),
-        )
+        report = minimize_sk(p, params["a"], params["k"], method=params.get("method", "auto"))
     return report.to_json()
 
 
@@ -204,7 +200,6 @@ def _run_verify(params: dict) -> dict:
     which = params["claim"]
     p = params["p"]
     prime_context(p)
-    cache = _cache_from(params)
     if which == "thm1":
         if params.get("all_sizes"):
             k = params.get("k")
@@ -227,12 +222,10 @@ def _run_verify(params: dict) -> dict:
     if which == "thm3":
         lo, hi = params.get("k_min", 2), params["k_max"]
         ks = [k for k in range(max(lo, 2), hi + 1) if k % p != 1]
-        return verify_thm_knot1(
-            p, params["a"], ks, jobs=params.get("threads", 1), cache=cache
-        ).to_json()
+        return verify_thm_knot1(p, params["a"], ks).to_json()
     if which == "thm5":
         lo, hi = params.get("s_min", 1), params["s_max"]
-        return verify_thm_k1(p, params["a"], range(lo, hi + 1), cache=cache).to_json()
+        return verify_thm_k1(p, params["a"], range(lo, hi + 1)).to_json()
     if which == "cor7":
         return _verify_cor7(p)
     raise ValueError(f"unknown claim {which!r}")
@@ -270,8 +263,6 @@ def _run_scan_k0(params: dict) -> dict:
         p, params["a"], params["mode"],
         k_limit=params.get("k_limit", 500),
         window=params.get("window"),
-        jobs=params.get("threads", 1),
-        cache=_cache_from(params),
     ).to_json()
 
 
@@ -357,8 +348,8 @@ def _emit_human(doc: dict) -> None:
 
 
 def _run_recheck(path: str, fmt: str) -> int:
-    """Recompute a stored report from scratch: the replay reads no cache and
-    uses one process, so nothing on disk can vouch for the stored result."""
+    """Recompute a stored report from scratch and compare; nothing but the
+    stored command and params is taken from the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -371,8 +362,7 @@ def _run_recheck(path: str, fmt: str) -> int:
     handler = _HANDLERS.get(command) if isinstance(command, str) else None
     if handler is None:
         raise ValueError(f"{path}: cannot recheck command {command!r}")
-    params = {k: v for k, v in doc["params"].items() if k not in ("cache_dir", "threads")}
-    fresh = json.loads(json.dumps(handler(params)))  # normalize tuples
+    fresh = json.loads(json.dumps(handler(doc["params"])))  # normalize tuples
     match = _strip_elapsed(fresh) == _strip_elapsed(doc["result"])
     _emit({"command": "recheck", "params": {"file": path},
            "result": {"target": command, "match": match}}, fmt)
@@ -384,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--precision", type=int, default=None,
                         help="working precision in bits for spectral commands")
-    common.add_argument("--cache-dir", default=os.environ.get("ZPCOUNT_CACHE_DIR"),
-                        help="result cache directory (env ZPCOUNT_CACHE_DIR)")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, choices=(1,), default=1,
+                        help="always 1: every search runs in one process (recorded in params)")
 
     parser = argparse.ArgumentParser(
         prog="zpcount",
@@ -477,7 +466,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     params: dict = {}
     for key in ("p", "a", "k", "a0", "depth", "mode", "method", "claim",
                 "all_sizes", "k_min", "k_max", "s_min", "s_max", "k_limit",
-                "window", "precision", "cache_dir", "threads"):
+                "window", "precision", "threads"):
         val = getattr(args, key, None)
         if val is not None and val is not False:
             params[key] = val

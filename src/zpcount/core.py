@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-VERSION = "0.1.0"  # participates in result-cache keys; bump on count-affecting changes
+VERSION = "0.1.0"  # reported by `zpcount --version` and as zpcount.__version__
 
 MAX_P = 64  # subsets must fit a machine-word-sized membership word
 ORBIT_ENUM_GUARD = 10**8  # refuse catalogs with more than this many subsets

@@ -10,23 +10,20 @@ configurations (tiny p) or along the interval family.
 
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
-used to predict, never to decide.  Search results can persist in an
-append-only JSON-lines cache keyed by parameters and code version.
+used to predict, never to decide.  Every search runs in process and from
+scratch; nothing is read from or written to disk.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, inf
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import (  # InvariantError is re-exported from here
-    VERSION, InvariantError, SizeGuardError, Subset, orbit_catalog, prime_context,
+    InvariantError, SizeGuardError, Subset, orbit_catalog, prime_context,
     subset_masks_of_size,
 )
 from .counting import power_sigma, s_count, s_k_count, sigma_vector
@@ -114,80 +111,11 @@ class TheoremVerdict:
         }
 
 
-# --- result cache -------------------------------------------------------------
-
-
-class ResultCache:
-    """Append-only JSON-lines store for minimize_sk results.
-
-    One line per write; the newest line for a key wins.  Every hit re-counts
-    each stored attainer; a mismatch drops the entry so it gets recomputed
-    and re-appended.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / "sk.jsonl"
-        self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            with self.path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        self._entries[rec["key"]] = rec
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue  # torn or foreign line; recompute instead
-
-    @staticmethod
-    def _key(p: int, a: int, k: int, method: str) -> str:
-        return f"sk:p={p}:a={a}:k={k}:m={method}:v={VERSION}"
-
-    def get(self, p: int, a: int, k: int, method: str) -> SearchReport | None:
-        rec = self._entries.get(self._key(p, a, k, method))
-        if rec is None:
-            return None
-        report = SearchReport(
-            p=p,
-            sizes=(a,),
-            k=k,
-            min_value=int(rec["min_value"]),
-            extremal_orbits=tuple(
-                Subset.from_residues(p, xs) for xs in rec["extremal_orbits"]
-            ),
-            extremal_kind=rec["extremal_kind"],
-            method=rec["method"],
-            elapsed=rec["elapsed"],
-            checked=rec["checked"],
-        )
-        attainers = report.extremal_orbits
-        if not attainers or any(s_k_count(rep, k) != report.min_value for rep in attainers):
-            del self._entries[self._key(p, a, k, method)]
-            return None
-        return report
-
-    def put(self, report: SearchReport) -> None:
-        key = self._key(report.p, report.sizes[0], report.k, report.method)
-        rec = {"key": key, **report.to_json()}
-        self._entries[key] = rec
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 # --- s_k minimization ----------------------------------------------------------
 
 
-def _rep_value(args: tuple[Subset, int]) -> int:
-    rep, k = args
-    return s_k_count(rep, k)
-
-
-def _rep_translate_row(args: tuple[Subset, int]) -> tuple[int, tuple[int, ...]]:
+def _rep_translate_row(rep: Subset, k: int) -> tuple[int, tuple[int, ...]]:
     """(best value, attaining translates) of s_k over all translates of rep."""
-    rep, k = args
     p = rep.p
     sig = power_sigma(rep, k)
     members = rep.members()
@@ -203,22 +131,7 @@ def _rep_translate_row(args: tuple[Subset, int]) -> tuple[int, tuple[int, ...]]:
     return best, tuple(ts)
 
 
-def _map(fn, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def minimize_sk(
-    p: int,
-    a: int,
-    k: int,
-    *,
-    method: str = "auto",
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> SearchReport:
+def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport:
     """Exact minimum of s_k over all a-subsets of Z_p, with every attaining
     class.
 
@@ -235,11 +148,6 @@ def minimize_sk(
     if method not in ("auto", "raw"):
         raise ValueError(f"unknown method {method!r}")
     resolved = EXHAUSTIVE_RAW if method == "raw" else EXHAUSTIVE_ORBITS
-    if cache is not None:
-        hit = cache.get(p, a, k, resolved)
-        if hit is not None:
-            return hit
-
     start = time.perf_counter()
     orbit_level = k % p == 1
     kind = "orbit" if orbit_level else "dilation-class"
@@ -261,12 +169,12 @@ def minimize_sk(
     else:
         reps = orbit_catalog(p, a).reps
         if orbit_level:
-            vals = _map(_rep_value, [(rep, k) for rep in reps], jobs)
+            vals = [s_k_count(rep, k) for rep in reps]
             best = min(vals)
             classes = {rep for rep, v in zip(reps, vals) if v == best}
             checked = len(reps)
         else:
-            rows = _map(_rep_translate_row, [(rep, k) for rep in reps], jobs)
+            rows = [_rep_translate_row(rep, k) for rep in reps]
             best = min(v for v, _ in rows)
             classes = {
                 rep.translate(t).dilation_class_canonical()
@@ -284,7 +192,7 @@ def minimize_sk(
                 f"s_{k} recount of attainer {list(rep.members())} is {recount}, "
                 f"search found {best} (p={p}, a={a})"
             )
-    report = SearchReport(
+    return SearchReport(
         p=p,
         sizes=(a,),
         k=k,
@@ -295,9 +203,6 @@ def minimize_sk(
         elapsed=time.perf_counter() - start,
         checked=checked,
     )
-    if cache is not None:
-        cache.put(report)
-    return report
 
 
 # --- mixed-size minimization ----------------------------------------------------
@@ -510,14 +415,7 @@ def _predicted_translate_class(p: int, a: int, k: int) -> Subset:
     return classes.pop()
 
 
-def verify_thm_knot1(
-    p: int,
-    a: int,
-    k_range: Iterable[int],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> TheoremVerdict:
+def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     """For each k != 1 mod p, check the minimizers of s_k are exactly the
     dilations of the predicted optimal interval translate; points before the
     last failure are labelled below-threshold and the threshold is the least
@@ -530,7 +428,7 @@ def verify_thm_knot1(
         raise ValueError("k values must be >= 2 and != 1 mod p")
     raw_points = []
     for k in ks:
-        report = minimize_sk(p, a, k, jobs=jobs, cache=cache)
+        report = minimize_sk(p, a, k)
         predicted = _predicted_translate_class(p, a, k)
         actual = set(report.extremal_orbits)
         holds = actual == {predicted}
@@ -548,13 +446,7 @@ def verify_thm_knot1(
     )
 
 
-def verify_thm_k1(
-    p: int,
-    a: int,
-    s_range: Iterable[int],
-    *,
-    cache: ResultCache | None = None,
-) -> TheoremVerdict:
+def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     """Exponents k = s*p + 1: with a and k both even the interval orbit must
     be uniquely extremal; otherwise the minimum must undercut the interval,
     the interval must be the unique maximum, and each point is bucketed by
@@ -572,20 +464,20 @@ def verify_thm_k1(
     raw_points = []
     for s in ss:
         k = s * p + 1
-        report = minimize_sk(p, a, k, cache=cache)
-        values = {rep: s_k_count(rep, k) for rep in reps}
-        attainers = set(report.extremal_orbits)
+        values = {rep: s_k_count(rep, k) for rep in reps}  # k = 1 mod p: one per orbit
+        min_value = min(values.values())
+        attainers = {rep for rep, v in values.items() if v == min_value}
         interval_value = values[interval_orbit]
         details = {
             "k": k,
             "values": {str(rep.members()): str(v) for rep, v in values.items()},
-            "min_value": str(report.min_value),
+            "min_value": str(min_value),
         }
         if a % 2 == 0 and k % 2 == 0:
             holds = attainers == {interval_orbit}
             details["part"] = "1"
         else:
-            below = report.min_value < interval_value
+            below = min_value < interval_value
             others_max = max(
                 (v for rep, v in values.items() if rep != interval_orbit),
                 default=None,
@@ -615,8 +507,6 @@ def scan_k0(
     *,
     k_limit: int = 500,
     window: int | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
 ) -> TheoremVerdict:
     """Locate the least k* whose claim holds for every eligible k in
     [k*, k* + window].
@@ -648,7 +538,7 @@ def scan_k0(
 
     raw_points = []
     for k in family:
-        report = minimize_sk(p, a, k, jobs=jobs, cache=cache)
+        report = minimize_sk(p, a, k)
         details = {
             "min_value": str(report.min_value),
             "n_attainers": len(report.extremal_orbits),

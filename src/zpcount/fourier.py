@@ -615,6 +615,26 @@ class AngleCheck:
         }
 
 
+def _punctured_avoidance(
+    p: int, a: int, precision: int
+) -> tuple[FourierProfile, _LatticeReading, mp.mpf, bool]:
+    """One DFT of [a-1] u {a} and its frequency-1 lattice reading: (profile,
+    reading, angle error bound, passed), where passed means the argument is
+    certified off (pi/p)*Z and its distance clears 10x the error bound."""
+    prime_context(p)
+    if p < 7 or not 3 <= a <= p - 3:
+        raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
+    prof = dft_indicator(Subset.punctured_interval(p, a), precision)
+    reading = _lattice_reading(prof, 1)
+    if reading is None:
+        raise PrecisionError(f"angle_check_punctured(p={p}, a={a}): frequency-1 "
+                             f"coefficient too small to place at {precision} bits")
+    with mp.workprec(prof.work_prec):
+        angle_err = prof.argument_error(1)
+        passed = not reading.exact and reading.distance > 10 * angle_err
+    return prof, reading, angle_err, bool(passed)
+
+
 def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) -> AngleCheck:
     """Certify that arg(hat1 of [a-1] u {a} at frequency 1) avoids (pi/p)*Z.
 
@@ -625,15 +645,7 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
     punctured interval of size p-a, which is the side the argument places in
     an open interval):  b odd expects (0, pi/p), b even expects (-pi/p, 0).
     """
-    prime_context(p)
-    if p < 7 or not 3 <= a <= p - 3:
-        raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
-    punct = Subset.punctured_interval(p, a)
-    prof = dft_indicator(punct, precision)
-    reading = _lattice_reading(prof, 1)
-    if reading is None:
-        raise PrecisionError(f"angle_check_punctured(p={p}, a={a}): frequency-1 "
-                             f"coefficient too small to place at {precision} bits")
+    prof, reading, angle_err, passed = _punctured_avoidance(p, a, precision)
     b = min(a, p - a)
     if b % 2 == 1:
         m = (b - 1) // 2
@@ -647,8 +659,6 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
         raise InvariantError(f"branch set for p={p}, a={a} has {branch_set.size} points, not {b}")
     branch_prof = dft_indicator(branch_set, precision)
     with mp.workprec(prof.work_prec):
-        angle_err = prof.argument_error(1)
-        passed = not reading.exact and reading.distance > 10 * angle_err
         th_b = _fold(branch_prof.argument(1))
         margin = 10 * branch_prof.argument_error(1)
         if parity == "odd":
@@ -657,7 +667,7 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
             branch_ok = bool(th_b < -margin and th_b > -mp.pi / p + margin)
     return AngleCheck(
         p, a, reading.distance, angle_err, reading.index, not reading.exact,
-        bool(passed), b, parity, th_b, branch_ok, precision,
+        passed, b, parity, th_b, branch_ok, precision,
     )
 
 
@@ -723,11 +733,9 @@ def t_good_scan(
     interval's own secondary tail plus (p-1)*m3^(k+1) for every third-orbit
     competitor (m3 = 0 when only two orbits exist).
     """
-    check = angle_check_punctured(p, a, precision)
-    if not check.passed:
+    prof, _, _, passed = _punctured_avoidance(p, a, precision)
+    if not passed:
         raise PrecisionError(f"lattice avoidance unresolved for p={p}, a={a}")
-    punct = Subset.punctured_interval(p, a)
-    prof = dft_indicator(punct, precision)
     levels = spectral_levels(p, a, depth=3, precision=precision)
     m3 = levels.levels[2] if len(levels.levels) >= 3 else mp.mpf(0)
     points: list[TGoodPoint] = []

@@ -8,7 +8,7 @@ import pytest
 
 import zpcount
 from zpcount import Subset, s_count, s_k_count
-from zpcount.cli import _parse_residues, _parse_sizes, main
+from zpcount.cli import _parse_residues, _parse_sizes, _strip_elapsed, main
 
 
 def run(capsys, *argv):
@@ -105,16 +105,6 @@ def test_angle_check_single_and_sweep(capsys):
     doc = run_json(capsys, "angle-check", "--p", "11")
     assert doc["result"]["all_passed"] is True
     assert len(doc["result"]["checks"]) == len(range(3, 9))
-
-
-def test_minimize_and_cache(capsys, tmp_path):
-    argv = ("minimize", "--p", "17", "--a", "14", "--k", "3",
-            "--cache-dir", str(tmp_path))
-    cold = run_json(capsys, *argv)
-    warm = run_json(capsys, *argv)
-    assert cold["result"]["min_value"] == "2255"
-    assert cold == warm  # byte-identical replay from cache
-    assert (tmp_path / "sk.jsonl").exists()
 
 
 def test_minimize_sizes_mode(capsys):
@@ -249,34 +239,83 @@ def test_verify_missing_flag_is_exit_1(capsys, argv):
     assert err.startswith(f"error: verify {argv[0]} needs --a and --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ("--cache-dir", "D"), ("--threads", "2"), ("--threads", "0"), ("--threads", "-3"),
+], ids=["cache-dir", "threads-2", "threads-0", "threads-negative"])
+def test_removed_settings_are_exit_1(capsys, tmp_path, monkeypatch, flags):
+    # Searches run in one process with no result cache: --cache-dir is gone
+    # and --threads accepts only 1, the value every report records.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "minimize", "--p", "7", "--a", "3", "--k", "5", *flags)
+    assert code == 1 and out == "" and "error:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_1_is_recorded(capsys):
+    doc = run_json(capsys, "minimize", "--p", "7", "--a", "3", "--k", "5", "--threads", "1")
+    assert doc["params"]["threads"] == 1
+
+
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ZPCOUNT_CACHE_DIR", str(tmp_path))
-    doc = run_json(capsys, "minimize", "--p", "7", "--a", "3", "--k", "5")
-    assert doc["params"]["cache_dir"] == str(tmp_path)
-    assert (tmp_path / "sk.jsonl").exists()
+    # ZPCOUNT_CACHE_DIR no longer means anything: same stdout, no files.
+    argv = ("minimize", "--p", "7", "--a", "3", "--k", "5")
+    plain = run_json(capsys, *argv)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ZPCOUNT_CACHE_DIR", str(cache))
+    with_env = run_json(capsys, *argv)
+    assert _strip_elapsed(with_env) == _strip_elapsed(plain)
+    assert "cache_dir" not in with_env["params"]
+    assert not cache.exists()
 
 
 def test_recheck_ignores_forged_cache(capsys, tmp_path):
+    # An old report whose params name a cache holding a self-consistent forgery
+    # (a non-minimal set stored with its own true count) and two threads: the
+    # replay reads neither key and recomputes from scratch.
     cache = tmp_path / "cache"
-    argv = ("minimize", "--p", "13", "--a", "4", "--k", "3", "--cache-dir", str(cache))
-    true_min = int(run_json(capsys, *argv)["result"]["min_value"])
-    # A self-consistent forgery: a non-minimal set stored with its own true
-    # count, so the cache's attainer recount passes.
+    cache.mkdir()
     forged_set = [0, 1, 2, 3]
     forged_value = s_k_count(Subset.from_residues(13, forged_set), 3)
-    assert forged_value > true_min
-    rec = json.loads((cache / "sk.jsonl").read_text().splitlines()[-1])
-    rec.update(min_value=str(forged_value), extremal_orbits=[forged_set])
-    with (cache / "sk.jsonl").open("a") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert json.loads(out)["result"]["min_value"] == str(forged_value)
-    report = tmp_path / "forged.json"
-    report.write_text(out)
-    code, out2, _ = run(capsys, "recheck", str(report))
-    assert code == 2
-    assert json.loads(out2)["result"]["match"] is False
+    line = {"key": "sk:p=13:a=4:k=3:m=EXHAUSTIVE_ORBITS:v=0.1.0", "p": 13, "sizes": [4],
+            "k": 3, "min_value": str(forged_value), "extremal_orbits": [forged_set],
+            "extremal_kind": "dilation-class", "method": "EXHAUSTIVE_ORBITS",
+            "elapsed": 0.0, "checked": 0}
+    (cache / "sk.jsonl").write_text(json.dumps(line, sort_keys=True) + "\n")
+    doc = run_json(capsys, "minimize", "--p", "13", "--a", "4", "--k", "3")
+    assert int(doc["result"]["min_value"]) < forged_value
+    doc["params"].update(cache_dir=str(cache), threads=2)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "recheck", str(report))
+    assert code == 0 and json.loads(out)["result"]["match"] is True
+    doc["result"].update(min_value=str(forged_value), extremal_orbits=[forged_set])
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "recheck", str(report))
+    assert code == 2 and json.loads(out)["result"]["match"] is False
+    assert (cache / "sk.jsonl").read_text().count("\n") == 1  # nothing appended
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--p", "7", "--a", "3", "--precision", "-40"),
+    ("spectrum", "--p", "7", "--a", "3", "--precision", "0"),
+    ("angle-check", "--p", "11", "--a", "4", "--precision", "-20"),
+    ("angle-check", "--p", "11", "--precision", "0"),
+], ids=["spectrum-negative", "spectrum-zero", "angle-negative", "angle-sweep-zero"])
+def test_precision_below_one_is_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --precision must be a positive") and err.count("\n") == 1
+
+
+def test_recheck_validates_stored_precision(capsys, tmp_path):
+    doc = run_json(capsys, "spectrum", "--p", "7", "--a", "3", "--precision", "64")
+    assert doc["params"]["precision"] == 64 and doc["result"]["precision"] == 64
+    doc["params"]["precision"] = -40
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "recheck", str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: --precision must be a positive") and err.count("\n") == 1
 
 
 # A broken step patched into the library (module, name, replacement) and a

@@ -1,14 +1,15 @@
-import json
 import time
+from collections import Counter
 
 import pytest
 
 from zpcount import (
-    ResultCache, SizeGuardError, Subset, minimize_s_general, minimize_sk,
+    SizeGuardError, Subset, minimize_s_general, minimize_sk, orbit_catalog,
     s_count, s_k_count, scan_k0, sigma_vector, verify_thm_interval_extremal,
     verify_thm_k1, verify_thm_knot1,
 )
 
+from zpcount import extremal
 from zpcount.extremal import _verdict
 
 from conftest import brute_s_k
@@ -50,13 +51,6 @@ def test_minimize_sk_orbit_vs_dilation_kind():
     assert minimize_sk(7, 3, 8).extremal_kind == "orbit"
     # otherwise only dilation classes do
     assert minimize_sk(7, 3, 3).extremal_kind == "dilation-class"
-
-
-def test_minimize_sk_parallel_matches_serial():
-    rj = minimize_sk(13, 4, 3, jobs=2)
-    rs = minimize_sk(13, 4, 3)
-    assert rj.min_value == rs.min_value
-    assert rj.extremal_orbits == rs.extremal_orbits
 
 
 def test_minimize_s_general_modes_agree():
@@ -126,6 +120,22 @@ def test_verify_thm_k1_part2_buckets():
             assert int(pt.details["min_value"]) < interval_value
 
 
+def test_verify_thm_k1_counts_each_orbit_once(monkeypatch):
+    # k = s*p + 1 makes s_k constant on affine orbits: one count per
+    # representative and s decides the point, minimum and attainers included.
+    real = extremal.s_k_count
+    calls = Counter()
+
+    def counted(a, k):
+        calls[a.mask, k] += 1
+        return real(a, k)
+
+    monkeypatch.setattr(extremal, "s_k_count", counted)
+    verify_thm_k1(11, 4, range(1, 4))
+    reps = orbit_catalog(11, 4).reps
+    assert calls == Counter({(rep.mask, s * 11 + 1): 1 for rep in reps for s in (1, 2, 3)})
+
+
 def test_scan_k0_modes():
     sc = scan_k0(7, 3, "knot1", k_limit=60)
     assert sc.passed and sc.threshold == 2
@@ -137,46 +147,6 @@ def test_scan_k0_modes():
         scan_k0(7, 3, "k1-even")  # odd a has no even-k family
     with pytest.raises(ValueError):
         scan_k0(7, 3, "bogus")
-
-
-def test_result_cache_roundtrip(tmp_path):
-    cache = ResultCache(tmp_path)
-    cold = minimize_sk(11, 3, 5, cache=cache)
-    warm = minimize_sk(11, 3, 5, cache=ResultCache(tmp_path))
-    assert json.dumps(cold.to_json(), sort_keys=True) == \
-        json.dumps(warm.to_json(), sort_keys=True)
-
-
-def test_result_cache_drops_corrupt_entries(tmp_path):
-    cache = ResultCache(tmp_path)
-    good = minimize_sk(11, 3, 5, cache=cache)
-    poisoned = ResultCache(tmp_path)
-    key = ResultCache._key(11, 3, 5, "EXHAUSTIVE_ORBITS")
-    poisoned._entries[key]["min_value"] = "1"
-    fixed = minimize_sk(11, 3, 5, cache=poisoned)
-    assert fixed.min_value == good.min_value
-
-
-def test_result_cache_recounts_every_hit(tmp_path):
-    honest = minimize_sk(11, 3, 5, cache=ResultCache(tmp_path))
-    true_b = minimize_sk(11, 4, 5, cache=ResultCache(tmp_path)).min_value
-    path = tmp_path / "sk.jsonl"
-    rec = json.loads(path.read_text().splitlines()[-1])
-    rec["min_value"] = str(true_b + 1)
-    with path.open("a") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    # One session reads both entries: the honest one first, then the forged one.
-    cache = ResultCache(tmp_path)
-    assert minimize_sk(11, 3, 5, cache=cache).to_json() == honest.to_json()
-    assert minimize_sk(11, 4, 5, cache=cache).min_value == true_b
-    assert len(path.read_text().splitlines()) == 4  # the recomputed entry
-
-
-def test_result_cache_ignores_garbage_lines(tmp_path):
-    (tmp_path / "sk.jsonl").write_text('not json\n{"key": "half\n')
-    cache = ResultCache(tmp_path)
-    rep = minimize_sk(7, 3, 2, cache=cache)
-    assert rep.min_value == minimize_sk(7, 3, 2).min_value
 
 
 def test_minimize_input_guards():

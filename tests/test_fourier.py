@@ -310,6 +310,25 @@ def test_t_good_scan_13_3():
             assert (fv.value > 0) == (pt.cos_sign > 0)
 
 
+def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
+    # Beyond the spectral levels it reads, the scan transforms the punctured
+    # interval once: the lattice-avoidance guard and the profile share it.
+    real = fourier.dft_indicator
+    calls = []
+
+    def dft(a, precision=fourier.DEFAULT_PRECISION):
+        calls.append((a.mask, precision))
+        return real(a, precision)
+
+    monkeypatch.setattr(fourier, "dft_indicator", dft)
+    spectral_levels(13, 3, depth=3, precision=128)
+    level_calls = list(calls)
+    calls.clear()
+    t_good_scan(13, 3, range(-8, 9), precision=128)
+    punct = (Subset.punctured_interval(13, 3).mask, 128)
+    assert sorted(calls) == sorted(level_calls + [punct])
+
+
 def test_t_good_scan_interval_secondary():
     with mp.workprec(128):
         m2 = interval_secondary_peak(13, 3)
