@@ -26,8 +26,8 @@ from .extremal import (
     verify_thm_interval_extremal, verify_thm_k1, verify_thm_knot1,
 )
 from .fourier import (
-    DEFAULT_PRECISION, PrecisionError, angle_check_punctured, optimal_t, spectral_levels,
-    translate_phase_index,
+    DEFAULT_PRECISION, MAX_PRECISION, PrecisionError, angle_check_punctured, optimal_t,
+    spectral_levels, translate_phase_index,
 )
 from .pollard import (
     classify_equality_k2, critical_r0, interval_profile,
@@ -147,10 +147,12 @@ def _run_pollard(params: dict) -> dict:
 
 def _precision(params: dict) -> int:
     """The working precision of a spectral command: --precision, else the
-    library default."""
+    library default.  Capped here at MAX_PRECISION, the ladder's cap, because
+    angle-check climbs no ladder and would otherwise run at any size."""
     prec = params.get("precision", DEFAULT_PRECISION)
-    if not isinstance(prec, int) or prec < 1:
-        raise ValueError(f"--precision must be a positive number of bits, got {prec!r}")
+    if not isinstance(prec, int) or not 1 <= prec <= MAX_PRECISION:
+        raise ValueError(f"--precision must be a positive number of bits up to "
+                         f"{MAX_PRECISION}, got {prec!r}")
     return prec
 
 

@@ -3,14 +3,14 @@
 Subsets are p-bit membership words packed into a Python int (bit x set iff
 residue x is a member), so translation is a bit rotation and set algebra is
 word arithmetic.  The affine group {x -> xi*x + eta : xi != 0} acts on
-subsets; canonical_form picks the lexicographically smallest membership word
-in an orbit, and build_orbit_catalog enumerates all orbits of a-subsets.
+subsets.  One kernel, _translate_min (a set's smallest translate), serves
+Subset.canonical, Subset.is_interval and the build_orbit_catalog sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -77,22 +77,8 @@ class AffineMap:
         if self.xi == 0:
             raise ValueError("affine map needs an invertible multiplier")
 
-    @classmethod
-    def identity(cls, p: int) -> "AffineMap":
-        return cls(p, 1, 0)
-
     def __call__(self, x: int) -> int:
         return (self.xi * x + self.eta) % self.p
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x -> self(other(x))."""
-        if self.p != other.p:
-            raise ValueError("mismatched moduli")
-        return AffineMap(self.p, self.xi * other.xi, self.xi * other.eta + self.eta)
-
-    def inverse(self) -> "AffineMap":
-        inv = prime_context(self.p).inv[self.xi]
-        return AffineMap(self.p, inv, -inv * self.eta)
 
 
 def _rotate(mask: int, t: int, p: int, full: int) -> int:
@@ -101,6 +87,36 @@ def _rotate(mask: int, t: int, p: int, full: int) -> int:
     if t == 0:
         return mask
     return ((mask << t) | (mask >> (p - t))) & full
+
+
+def _translate_min(mask: int, p: int, full: int) -> int:
+    """Smallest membership word among the p translates of mask.
+
+    A smallest translate of a nonempty set has bit 0 set (otherwise the
+    shift by -1 halves it), so only the shifts moving a member to 0 are tried."""
+    best = mask
+    m = mask
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        r = (mask >> x) | ((mask << (p - x)) & full)
+        if r < best:
+            best = r
+        m ^= low
+    return best
+
+
+def _is_necklace(mask: int, p: int, full: int) -> bool:
+    """An odd mask is its own smallest translate: _translate_min's shifts,
+    stopping at the first smaller one, as most masks do within a few members."""
+    m = mask & (mask - 1)  # bit 0 is a member; the shift by 0 gives mask itself
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        if ((mask >> x) | ((mask << (p - x)) & full)) < mask:
+            return False
+        m ^= low
+    return True
 
 
 def _dilate_mask(mask: int, xi: int, p: int) -> int:
@@ -213,9 +229,7 @@ class Subset:
         a = self.size
         if a in (0, self.p):
             return True
-        full = prime_context(self.p).full_mask
-        base = (1 << a) - 1
-        return any(_rotate(base, t, self.p, full) == self.mask for t in range(self.p))
+        return _translate_min(self.mask, self.p, prime_context(self.p).full_mask) == (1 << a) - 1
 
     def arith_prog_differences(self) -> tuple[int, ...]:
         """All d != 0 such that the set is {x, x+d, ..., x+(size-1)d}."""
@@ -229,7 +243,10 @@ class Subset:
     # --- canonical forms ------------------------------------------------------
 
     def canonical(self) -> "Subset":
-        return Subset(self.p, _canonical_mask(self.p, self.mask))
+        """Smallest membership word over the p(p-1) affine images."""
+        p, full = self.p, prime_context(self.p).full_mask
+        return Subset(p, min(_translate_min(_dilate_mask(self.mask, xi, p), p, full)
+                             for xi in range(1, p)))
 
     def dilation_class_canonical(self) -> "Subset":
         """Smallest membership word among the p-1 dilations (no translation)."""
@@ -243,27 +260,6 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset(p={self.p}, {{{', '.join(map(str, self.members()))}}})"
-
-
-def apply_affine(m: AffineMap, a: Subset) -> Subset:
-    return a.apply(m)
-
-
-def _canonical_mask(p: int, mask: int) -> int:
-    full = (1 << p) - 1
-    best = full + 1
-    for xi in range(1, p):
-        d = _dilate_mask(mask, xi, p)
-        for t in range(p):
-            r = _rotate(d, t, p, full)
-            if r < best:
-                best = r
-    return best
-
-
-def canonical_form(a: Subset) -> Subset:
-    """Lexicographically smallest membership word over the p(p-1) affine images."""
-    return a.canonical()
 
 
 def subset_masks_of_size(p: int, a: int) -> Iterator[int]:
@@ -297,20 +293,11 @@ class OrbitCatalog:
     a: int
     reps: tuple[Subset, ...]  # canonical representative per orbit, ascending masks
     orbit_sizes: tuple[int, ...]
-    index: dict[int, int] = field(repr=False)  # mask -> position in reps
 
     @property
     def stabilizer_orders(self) -> tuple[int, ...]:
         g = self.p * (self.p - 1)
         return tuple(g // s for s in self.orbit_sizes)
-
-    def rep_of(self, a: Subset) -> Subset:
-        if a.p != self.p or a.size != self.a:
-            raise ValueError("subset does not belong to this catalog")
-        return self.reps[self.index[a.mask]]
-
-    def rep_index_of(self, a: Subset) -> int:
-        return self.index[a.canonical().mask]
 
     def to_json(self) -> dict:
         return {
@@ -326,8 +313,12 @@ class OrbitCatalog:
 def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     """Partition all a-subsets of Z_p into affine orbits (single-threaded sweep).
 
-    Masks are visited in increasing order, so the first unvisited mask of an
-    orbit is its canonical representative.
+    An orbit's representative, its smallest member, is a necklace (its own
+    smallest translate) with bit 0 set.  Odd masks are visited in increasing
+    order; a necklace is kept unless seen, which holds the smallest
+    translates of each kept orbit's dilations: one entry per translation
+    class, at most C(p, a)/p.  For 0 < a < p translation acts freely, so an
+    orbit holds p sets per translation class.
     """
     ctx = prime_context(p)
     if not 0 <= a <= p:
@@ -336,27 +327,22 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     if total > ORBIT_ENUM_GUARD:
         raise SizeGuardError(f"C({p},{a}) = {total} exceeds the enumeration guard")
     full = ctx.full_mask
+    if a in (0, p):
+        return OrbitCatalog(p, a, (Subset(p, a and full),), (1,))
     reps: list[Subset] = []
     sizes: list[int] = []
-    index: dict[int, int] = {}
     seen: set[int] = set()
-    for mask in subset_masks_of_size(p, a):
-        if mask in seen:
+    for v in _gosper_masks(p - 1, a - 1):
+        mask = v << 1 | 1
+        if mask in seen or not _is_necklace(mask, p, full):
             continue
-        orbit = set()
-        for xi in range(1, p):
-            d = _dilate_mask(mask, xi, p)
-            for t in range(p):
-                orbit.add(_rotate(d, t, p, full))
-        pos = len(reps)
+        forms = {_translate_min(_dilate_mask(mask, xi, p), p, full) for xi in range(1, p)}
         reps.append(Subset(p, mask))
-        sizes.append(len(orbit))
-        for m in orbit:
-            index[m] = pos
-        seen |= orbit
+        sizes.append(p * len(forms))
+        seen |= forms
     if sum(sizes) != total:
         raise InvariantError(f"orbits of {a}-subsets of Z_{p} cover {sum(sizes)} of {total}")
-    return OrbitCatalog(p, a, tuple(reps), tuple(sizes), index)
+    return OrbitCatalog(p, a, tuple(reps), tuple(sizes))
 
 
 @lru_cache(maxsize=24)

@@ -520,6 +520,8 @@ def scan_k0(
     start = time.perf_counter()
     if window is None:
         window = 4 * p
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if mode == "knot1":
         family = [k for k in range(2, k_limit + window + 1) if k % p != 1]
     elif mode == "k1-even":

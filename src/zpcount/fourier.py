@@ -45,7 +45,11 @@ _T = TypeVar("_T")
 
 def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) -> _T:
     """First non-None attempt(prec) for prec = precision, 2*precision, ...;
-    PrecisionError once the next rung would exceed MAX_PRECISION."""
+    PrecisionError once the next rung would exceed MAX_PRECISION.  A start
+    below 1 bit is a ValueError, a start above the cap a PrecisionError."""
+    _check_precision(precision)
+    if precision > MAX_PRECISION:
+        raise PrecisionError(f"{site}: {precision} bits requested (cap {MAX_PRECISION})")
     prec = precision
     while (result := attempt(prec)) is None:
         prec *= 2
@@ -54,6 +58,11 @@ def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) ->
                 f"{site}: unresolved at {prec // 2} bits (cap {MAX_PRECISION})"
             )
     return result
+
+
+def _check_precision(precision: int) -> None:
+    if precision < 1:
+        raise ValueError(f"precision must be a positive number of bits, got {precision}")
 
 
 def _fold(x: mp.mpf) -> mp.mpf:
@@ -119,7 +128,10 @@ class FourierProfile:
 
 
 def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfile:
-    """Indicator coefficients of a at >= precision bits with an error bound."""
+    """Indicator coefficients of a at >= precision bits with an error bound.
+
+    No upper cap: F_value asks for bits that grow with bitlen(k)."""
+    _check_precision(precision)
     p = a.p
     w = precision + GUARD_BITS
     table = _unit_table(p, w)

@@ -5,7 +5,7 @@ itertools.product); they are the reference the fast implementations are
 judged against, so they must stay obviously correct.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -67,6 +67,32 @@ def brute_sigma(sets) -> list[int]:
     for tail in product(*(s.members() for s in sets)):
         vec[sum(tail) % p] += 1
     return vec
+
+
+def brute_affine_orbit(p: int, residues) -> set[int]:
+    """Membership words of every image {xi*x + eta : x in residues}, mapped
+    point by point for each xi != 0 and each eta."""
+    members = set(residues)
+    return {
+        sum(1 << ((xi * x + eta) % p) for x in members)
+        for xi in range(1, p)
+        for eta in range(p)
+    }
+
+
+def brute_orbit_catalog(p: int, a: int) -> tuple[list[Subset], list[int]]:
+    """(reps, orbit_sizes) of the affine orbits of a-subsets of Z_p: each
+    orbit represented by its smallest membership word, in ascending order."""
+    seen: set[int] = set()
+    orbits = []
+    for members in combinations(range(p), a):
+        if sum(1 << x for x in members) in seen:
+            continue
+        orbit = brute_affine_orbit(p, members)
+        seen |= orbit
+        orbits.append((min(orbit), len(orbit)))
+    orbits.sort()
+    return [Subset(p, m) for m, _ in orbits], [n for _, n in orbits]
 
 
 @pytest.fixture

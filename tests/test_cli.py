@@ -147,6 +147,12 @@ def test_scan_k0(capsys):
     assert doc["result"]["threshold"] == 2
 
 
+def test_scan_k0_negative_window_is_exit_1(capsys):
+    code, out, err = run(capsys, "scan-k0", "--p", "11", "--a", "3", "--mode", "knot1",
+                         "--k-limit", "40", "--window", "-1")
+    assert (code, out, err) == (1, "", "error: window must be >= 0, got -1\n")
+
+
 def test_orbits(capsys):
     doc = run_json(capsys, "orbits", "--p", "7", "--a", "3")
     assert doc["result"]["orbit_count"] == 2
@@ -300,7 +306,10 @@ def test_recheck_ignores_forged_cache(capsys, tmp_path):
     ("spectrum", "--p", "7", "--a", "3", "--precision", "0"),
     ("angle-check", "--p", "11", "--a", "4", "--precision", "-20"),
     ("angle-check", "--p", "11", "--precision", "0"),
-], ids=["spectrum-negative", "spectrum-zero", "angle-negative", "angle-sweep-zero"])
+    ("spectrum", "--p", "7", "--a", "3", "--precision", "5000"),
+    ("angle-check", "--p", "11", "--a", "4", "--precision", "5000"),
+], ids=["spectrum-negative", "spectrum-zero", "angle-negative", "angle-sweep-zero",
+        "spectrum-above-cap", "angle-above-cap"])
 def test_precision_below_one_is_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""

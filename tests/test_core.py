@@ -1,8 +1,9 @@
 import pytest
 
+from conftest import brute_affine_orbit, brute_orbit_catalog
 from zpcount import (
-    AffineMap, SizeGuardError, Subset, apply_affine, build_orbit_catalog,
-    canonical_form, is_odd_prime, orbit_catalog, subset_masks_of_size,
+    AffineMap, SizeGuardError, Subset, build_orbit_catalog, is_odd_prime,
+    orbit_catalog, subset_masks_of_size,
 )
 from zpcount.core import prime_context
 
@@ -69,21 +70,21 @@ def test_union_intersection():
 def test_affine_map_algebra():
     m = AffineMap(13, 2, 5)  # x -> 2x + 5
     assert m(4) == 0
-    inv = m.inverse()
-    assert all(inv(m(x)) == x for x in range(13))
-    comp = m.compose(inv)
-    assert all(comp(x) == x for x in range(13))
-    ident = AffineMap.identity(13)
-    assert m.compose(ident) == m
+    assert AffineMap(13, 15, -8) == m  # coefficients reduce mod p
     with pytest.raises(ValueError):
         AffineMap(13, 0, 1)
+    with pytest.raises(ValueError):
+        AffineMap(13, 26, 1)
 
 
-def test_apply_affine_matches_pointwise():
+def test_subset_apply_matches_pointwise():
     s = Subset.from_residues(11, [0, 2, 3, 7])
-    m = AffineMap(11, 3, 4)
-    assert apply_affine(m, s).members() == tuple(sorted(m(x) for x in s))
-    assert s.apply(m).mask == apply_affine(m, s).mask
+    for xi in range(1, 11):
+        for eta in range(11):
+            m = AffineMap(11, xi, eta)
+            assert s.apply(m).members() == tuple(sorted(m(x) for x in s))
+    with pytest.raises(ValueError):
+        s.apply(AffineMap(13, 2, 1))
 
 
 def test_is_interval_and_ap_differences():
@@ -96,14 +97,30 @@ def test_is_interval_and_ap_differences():
     assert Subset.from_residues(11, [3, 8]).arith_prog_differences() == (5, 6)
 
 
-def test_canonical_form_is_orbit_invariant():
+def test_canonical_is_orbit_invariant():
     s = Subset.from_residues(13, [0, 1, 3, 9])
-    canon = canonical_form(s)
+    canon = s.canonical()
     for u in range(1, 13):
         for v in range(13):
             moved = s.dilate(u).translate(v)
-            assert canonical_form(moved).mask == canon.mask
-    assert canonical_form(canon).mask == canon.mask
+            assert moved.canonical().mask == canon.mask
+    assert canon.canonical().mask == canon.mask
+
+
+def test_canonical_and_is_interval_match_pointwise(rng):
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        sizes = [0, 1, p - 1, p] + [rng.randrange(p + 1) for _ in range(4)]
+        for a in sizes:
+            start = rng.randrange(p)
+            interval = [(start + i) % p for i in range(a)]
+            near = interval[:-1] + [(start + a) % p] if 2 <= a <= p - 2 else interval
+            for residues in (rng.sample(range(p), a), interval, near):
+                s = Subset.from_residues(p, residues)
+                assert s.canonical().mask == min(brute_affine_orbit(p, residues))
+                assert s.is_interval() == any(
+                    s == Subset.from_residues(p, ((t + i) % p for i in range(a)))
+                    for t in range(p)
+                ), (p, residues)
 
 
 def test_dilation_class_canonical():
@@ -148,7 +165,16 @@ def test_orbit_catalog_partitions_everything():
         cat = build_orbit_catalog(p, a)
         assert sum(cat.orbit_sizes) == comb(p, a)
         for rep in cat.reps:
-            assert cat.rep_of(rep.translate(5).dilate(2)).mask == rep.mask
+            assert rep.translate(5).dilate(2).canonical() == rep
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_orbit_catalog_matches_brute_force(p):
+    for a in range(p + 1):
+        cat = build_orbit_catalog(p, a)
+        reps, sizes = brute_orbit_catalog(p, a)
+        assert cat.reps == tuple(reps), (p, a)
+        assert cat.orbit_sizes == tuple(sizes), (p, a)
 
 
 def test_orbit_catalog_json():

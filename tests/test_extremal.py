@@ -147,6 +147,9 @@ def test_scan_k0_modes():
         scan_k0(7, 3, "k1-even")  # odd a has no even-k family
     with pytest.raises(ValueError):
         scan_k0(7, 3, "bogus")
+    # a negative window would certify k = 2, a point labelled "fails"
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        scan_k0(11, 3, "knot1", k_limit=40, window=-1)
 
 
 def test_minimize_input_guards():

@@ -218,6 +218,18 @@ def test_ladder_raises_past_the_cap(monkeypatch, case):
     assert sorted(set(precisions)) == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
+def test_precision_out_of_range_is_refused():
+    for bits in (-40, 0):
+        with pytest.raises(ValueError, match="positive number of bits"):
+            spectral_levels(7, 3, precision=bits)
+        with pytest.raises(ValueError, match="positive number of bits"):
+            dft_indicator(Subset.interval(7, 3), bits)
+    with pytest.raises(PrecisionError, match=r"^spectral_levels\(p=7, a=3\): 5000 bits"):
+        spectral_levels(7, 3, precision=5000)
+    # F_value's working precision legitimately passes the ladder's cap
+    assert dft_indicator(Subset.interval(7, 3), 5000).precision == 5000
+
+
 def test_projection_ladder_on_the_ordering_margin(monkeypatch):
     unforced = projection_scores(_PRIMARY, 128)
     calls = []
