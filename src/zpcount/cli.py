@@ -159,8 +159,10 @@ def _precision(params: dict) -> int:
 def _run_spectrum(params: dict) -> dict:
     p = params["p"]
     prime_context(p)
-    levels = spectral_levels(p, params["a"], depth=params.get("depth", 3),
-                             precision=_precision(params))
+    depth = params.get("depth", 3)
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError(f"--depth must be >= 1, got {depth!r}")
+    levels = spectral_levels(p, params["a"], depth=depth, precision=_precision(params))
     return levels.to_json()
 
 

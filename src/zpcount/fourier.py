@@ -1,13 +1,23 @@
 """High-precision Fourier analysis of subset indicators on Z_p.
 
-Coefficients hat1_A(g) = sum_{x in A} exp(-2*pi*i*x*g/p) are computed with
-mpmath at an explicit working precision and carried in polar form together
+Coefficients hat1_A(g) = sum_{x in A} exp(-2*pi*i*x*g/p) are computed at an
+explicit working precision and carried in polar form (mpmath values) together
 with a uniform absolute error bound, so every downstream comparison can state
 its margin.  Magnitude level sets across orbits, primary images (dilate and
 translate a set so its peak coefficient sits at frequency 1 with argument in
 (-pi/p, pi/p]), projection score rankings, the spectral form of the tuple
 count, optimal interval translates, and the lattice-avoidance check for
 punctured intervals all live here.
+
+dft_indicator is the one DFT kernel, and its sums are exact integer
+arithmetic: _unit_table holds round(2^w*cos(2*pi*j/p)) and
+round(2^w*sin(2*pi*j/p)) as Python ints (w = precision + GUARD_BITS), each
+coefficient for g = 1..(p-1)/2 is an exact sum of table entries, its
+magnitude is isqrt(re^2 + im^2)*2^-w and its argument one mp.atan2.  An
+indicator is real, so hat1_A(p-g) = conj(hat1_A(g)): frequency p-g gets the
+exact conjugate (r, 2*pi - theta), or (r, 0) when theta = 0, and mirrored
+magnitudes are equal.  _coeff_error derives why the bound it returns covers
+the table, isqrt, rounding and atan2 steps.
 
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
@@ -25,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import mpmath as mp
@@ -72,18 +83,37 @@ def _fold(x: mp.mpf) -> mp.mpf:
 
 
 @lru_cache(maxsize=64)
-def _unit_table(p: int, work_prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
-    """(cos, sin) of 2*pi*j/p for j = 0..p-1 at the given precision."""
-    with mp.workprec(work_prec):
-        tau = 2 * mp.pi
-        return tuple(
-            (mp.cos(tau * j / p), mp.sin(tau * j / p)) for j in range(p)
-        )
+def _unit_table(p: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(round(2^w*cos(2*pi*j/p)), round(2^w*sin(2*pi*j/p))) for j = 0..p-1 as
+    ints: evaluated at w+16 bits for j <= p//2 and mirrored, so the cosine
+    row is exactly even and the sine row exactly odd."""
+    half = p // 2
+    with mp.workprec(w + 16):
+        step = 2 * mp.pi / p
+        cos = [int(mp.nint(mp.ldexp(mp.cos(step * j), w))) for j in range(half + 1)]
+        sin = [int(mp.nint(mp.ldexp(mp.sin(step * j), w))) for j in range(half + 1)]
+    return (tuple(cos + [cos[p - j] for j in range(half + 1, p)]),
+            tuple(sin + [-sin[p - j] for j in range(half + 1, p)]))
 
 
 def _coeff_error(a: int, work_prec: int) -> mp.mpf:
-    # conservative static bound: a table lookups with <= 2^(-w+3) per
-    # component plus accumulation rounding <= a^2 * 2^(-w), times sqrt(2)
+    # Distance bound, in units u = 2^-w (w = work_prec), between a stored
+    # r*e^(i*theta) and the true coefficient z of an a-point set:
+    # - Table: 2*pi*j/p and its cos and sin are good to 2^-(w+12) at w+16
+    #   bits, and one rounding to an int adds 1/2, so each entry is within
+    #   1/2 + 2^-12 < 0.51 u of 2^w*cos and of 2^w*sin.  A term is then off by
+    #   < 0.73 u, and the exact integer sum z' = (re + i*im)*u lies within
+    #   0.73*a u of z; |z'| <= 1.01*a.
+    # - Magnitude: isqrt truncates |z'| by < 1 u, and ldexp keeps that int
+    #   exactly, so |r - |z'|| < 1 u.
+    # - Argument: atan2 of the exact ints is within 1 ulp of arg z' in
+    #   [-pi, pi] (<= 4 u).  Adding 2*pi, or taking 2*pi - theta for the
+    #   mirror, adds <= 4 u for 2*pi at w bits and <= 4 u for rounding a value
+    #   below 8.  So theta is within 12 u of arg z' (mod 2*pi), an arc of
+    #   <= 12.2*a u.
+    # - Total: 0.73*a + 1 + 12.2*a < 13*a + 1 <= 3*a^2 + 16*a + 16.  The slack
+    #   (3*a^2 + 3*a + 15 u) also covers an atan2 a few ulps worse.  The zero
+    #   frequency (a, 0) is exact.
     return mp.ldexp(mp.mpf(3 * a * a + 16 * a + 16), -work_prec)
 
 
@@ -134,26 +164,25 @@ def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfi
     _check_precision(precision)
     p = a.p
     w = precision + GUARD_BITS
-    table = _unit_table(p, w)
+    cos, sin = _unit_table(p, w)
     members = a.members()
-    coeffs: list[tuple[mp.mpf, mp.mpf]] = []
+    upper: list[tuple[mp.mpf, mp.mpf]] = []  # frequencies 1..(p-1)/2
     with mp.workprec(w):
         zero = mp.mpf(0)
-        coeffs.append((mp.mpf(len(members)), zero))
-        for g in range(1, p):
-            re = zero
-            im = zero
-            for x in members:
-                c, s = table[(-x * g) % p]
-                re += c
-                im += s
-            r = mp.hypot(re, im)
+        tau = 2 * mp.pi
+        for g in range(1, p // 2 + 1):
+            idx = [-x * g % p for x in members]
+            re = sum([cos[j] for j in idx])
+            im = sum([sin[j] for j in idx])
             th = mp.atan2(im, re)
             if th < 0:
-                th += 2 * mp.pi
-            coeffs.append((r, th))
+                th += tau
+            upper.append((mp.ldexp(isqrt(re * re + im * im), -w), th))
+        # frequency p-g carries the exact conjugate of frequency g
+        lower = [(r, tau - th if th else zero) for r, th in reversed(upper)]
         err = _coeff_error(len(members), w)
-    return FourierProfile(a, precision, w, err, tuple(coeffs))
+        coeffs = ((mp.mpf(len(members)), zero), *upper, *lower)
+    return FourierProfile(a, precision, w, err, coeffs)
 
 
 def rho(a: Subset, precision: int = DEFAULT_PRECISION) -> mp.mpf:
@@ -235,6 +264,8 @@ def spectral_levels(
     """
     if not 1 <= a <= p - 1:
         raise ValueError(f"need 1 <= a <= p-1 for nontrivial spectra, got a={a}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     catalog = orbit_catalog(p, a)
 
     def attempt(prec: int) -> SpectralLevels | None:

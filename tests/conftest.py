@@ -7,6 +7,7 @@ judged against, so they must stay obviously correct.
 
 from itertools import combinations, product
 
+import mpmath as mp
 import pytest
 
 from zpcount import Subset
@@ -67,6 +68,16 @@ def brute_sigma(sets) -> list[int]:
     for tail in product(*(s.members() for s in sets)):
         vec[sum(tail) % p] += 1
     return vec
+
+
+def brute_dft(a: Subset, work_prec: int) -> list:
+    """hat1_A(g) = sum_{x in A} exp(-2*pi*i*x*g/p) for g = 0..p-1: one
+    mp.expjpi per term, summed at 4*work_prec bits.  The reference for the
+    integer-table kernel in zpcount.fourier, with which it shares no code."""
+    p = a.p
+    with mp.workprec(4 * work_prec):
+        return [mp.fsum(mp.expjpi(mp.mpf(-2 * x * g) / p) for x in a.members())
+                for g in range(p)]
 
 
 def brute_affine_orbit(p: int, residues) -> set[int]:

@@ -316,6 +316,23 @@ def test_precision_below_one_is_exit_1(capsys, argv):
     assert err.startswith("error: --precision must be a positive") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_one_is_exit_1(capsys, depth):
+    code, out, err = run(capsys, "spectrum", "--p", "7", "--a", "3", "--depth", depth)
+    assert code == 1 and out == ""
+    assert err == f"error: --depth must be >= 1, got {depth}\n"
+
+
+# Reports written by the float-accumulating DFT kernel that preceded the
+# integer one: recheck must reproduce every printed digit.
+@pytest.mark.parametrize("name", ["spectrum_p13_a5_prec64.json", "angle_check_p11.json"])
+def test_older_spectral_reports_recheck(capsys, name):
+    report = Path(__file__).parent / "fixtures" / name
+    code, out, err = run(capsys, "recheck", str(report))
+    assert code == 0, err or out
+    assert json.loads(out)["result"]["match"] is True
+
+
 def test_recheck_validates_stored_precision(capsys, tmp_path):
     doc = run_json(capsys, "spectrum", "--p", "7", "--a", "3", "--precision", "64")
     assert doc["params"]["precision"] == 64 and doc["result"]["precision"] == 64

@@ -2,32 +2,59 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpcount import (
     F_value, Subset, angle_check_punctured, dft_indicator,
-    exact_arg_lattice_index, interval_secondary_peak, optimal_t, orbit_catalog,
-    primary_image, projection_scores, s_k_count, spectral_levels, t_good_scan,
-    translate_phase_index,
+    exact_arg_lattice_index, interval_secondary_peak, is_odd_prime, optimal_t,
+    orbit_catalog, primary_image, projection_scores, s_k_count, spectral_levels,
+    t_good_scan, translate_phase_index,
 )
 from zpcount import fourier
 from zpcount.fourier import PrecisionError, rho
 
+from conftest import brute_dft
+
+PRIMES = tuple(q for q in range(3, 62) if is_odd_prime(q))
+# Fixed example streams and no example database, so every run tries the
+# same cases.
+CASES = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sets_of_all_sizes(draw):
+    """A subset of Z_p, p <= 61, whose size is drawn first, so the empty set,
+    singletons and the full set are as likely as any other size."""
+    p = draw(st.sampled_from(PRIMES))
+    size = draw(st.sampled_from(sorted({0, 1, 2, p // 2, p - 1, p})))
+    members = draw(st.lists(st.integers(0, p - 1), min_size=size,
+                            max_size=size, unique=True))
+    return Subset.from_residues(p, members)
+
 
 def test_dft_matches_exponential_sum():
-    # oracle: straight exponential sum at high ambient precision
     rng = random.Random(5)
     for _ in range(12):
         p = rng.choice((5, 7, 11, 13))
         s = Subset.from_residues(p, rng.sample(range(p), rng.randint(1, p - 1)))
         prof = dft_indicator(s, 128)
+        direct = brute_dft(s, 80)
         with mp.workprec(320):
             for g in range(p):
-                direct = mp.fsum(
-                    (mp.expjpi(mp.mpf(-2 * x * g) / p) for x in s.members()),
-                    absolute=False,
-                )
-                got = prof.complex_coeff(g)
-                assert abs(got - direct) < mp.mpf(2) ** -100
+                assert abs(prof.complex_coeff(g) - direct[g]) < mp.mpf(2) ** -100
+
+
+@CASES
+@given(sets_of_all_sizes(), st.integers(1, 48))
+def test_dft_within_err_of_oracle(s, precision):
+    # every stored r*e^(i*theta) lies within the certified err of the plain
+    # exponential sum, at precisions low enough that err is the binding term
+    prof = dft_indicator(s, precision)
+    exact = brute_dft(s, prof.work_prec)
+    with mp.workprec(4 * prof.work_prec):
+        for g, (r, th) in enumerate(prof.coeffs):
+            assert abs(r * mp.expj(th) - exact[g]) <= prof.err
 
 
 def test_interval_magnitude_closed_form():
@@ -40,14 +67,20 @@ def test_interval_magnitude_closed_form():
 
 
 def test_conjugate_symmetry_and_parseval():
+    # frequency p-g is the exact conjugate of frequency g: equal magnitudes,
+    # and arguments in [0, 2*pi) that sum to 2*pi (the mirror is 2*pi - theta
+    # rounded to the working precision) or are both 0
     rng = random.Random(6)
     for _ in range(10):
         p = rng.choice((7, 11, 13))
         s = Subset.from_residues(p, rng.sample(range(p), rng.randint(1, p - 1)))
         prof = dft_indicator(s, 128)
         with mp.workprec(prof.work_prec):
-            for g in range(1, p):
-                assert abs(prof.magnitude(g) - prof.magnitude(p - g)) <= 2 * prof.err
+            assert all(0 <= prof.argument(g) < 2 * mp.pi for g in range(p))
+            for g in range(1, p // 2 + 1):
+                th, th_mirror = prof.argument(g), prof.argument(p - g)
+                assert prof.magnitude(g) == prof.magnitude(p - g)
+                assert th_mirror == 2 * mp.pi - th or th == th_mirror == 0
             total = mp.fsum(prof.magnitude(g) ** 2 for g in range(p))
             assert abs(total - p * s.size) <= p * prof.err * (2 * s.size + prof.err)
 
@@ -105,6 +138,12 @@ def test_spectral_levels_flat_cases():
     # spectrum has only two distinct magnitudes across both orbits
     assert len(spectral_levels(7, 3).levels) == 2
     assert len(spectral_levels(11, 3).levels) == 2
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_spectral_levels_rejects_depth_below_one(depth):
+    with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}$"):
+        spectral_levels(7, 3, depth=depth)
 
 
 def test_spectral_levels_json():
