@@ -11,6 +11,12 @@ Exit codes: 0 success; 1 usage or guard error, including a precision
 escalation that hit its cap and a recheck file that is missing, unreadable
 or not a zpcount report; 2 a verification verdict failed or a recheck
 mismatch; 3 an internal invariant check failed.
+
+Each command imports the layers it runs and no others: the spectral layer
+(zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
+zpcount.pollard by pollard, so a process that runs one of the exact commands
+(count, sigma, optimal-t, minimize, verify, scan-k0, orbits) never pays for
+them at start-up.
 """
 
 from __future__ import annotations
@@ -19,19 +25,14 @@ import argparse
 import json
 import sys
 
-from .core import VERSION, InvariantError, Subset, is_odd_prime, orbit_catalog, prime_context
+from .core import (
+    VERSION, InvariantError, PrecisionError, Subset, is_odd_prime, orbit_catalog,
+    prime_context,
+)
 from .counting import count_vector_to_json, power_sigma, s_count, s_k_count, sigma_vector
 from .extremal import (
-    minimize_s_general, minimize_sk, scan_k0,
+    minimize_s_general, minimize_sk, optimal_t, scan_k0, translate_phase_index,
     verify_thm_interval_extremal, verify_thm_k1, verify_thm_knot1,
-)
-from .fourier import (
-    DEFAULT_PRECISION, MAX_PRECISION, PrecisionError, angle_check_punctured, optimal_t,
-    spectral_levels, translate_phase_index,
-)
-from .pollard import (
-    classify_equality_k2, critical_r0, interval_profile,
-    optimal_interval_translate, pollard_lhs_rhs, threshold_profile,
 )
 
 CSV_SCHEMA = "1"
@@ -102,6 +103,11 @@ def _run_sigma(params: dict) -> dict:
 
 
 def _run_pollard(params: dict) -> dict:
+    from .pollard import (
+        classify_equality_k2, critical_r0, interval_profile,
+        optimal_interval_translate, pollard_lhs_rhs, threshold_profile,
+    )
+
     p = params["p"]
     prime_context(p)
     sizes = params.get("sizes")
@@ -149,6 +155,8 @@ def _precision(params: dict) -> int:
     """The working precision of a spectral command: --precision, else the
     library default.  Capped here at MAX_PRECISION, the ladder's cap, because
     angle-check climbs no ladder and would otherwise run at any size."""
+    from .fourier import DEFAULT_PRECISION, MAX_PRECISION
+
     prec = params.get("precision", DEFAULT_PRECISION)
     if not isinstance(prec, int) or not 1 <= prec <= MAX_PRECISION:
         raise ValueError(f"--precision must be a positive number of bits up to "
@@ -157,6 +165,8 @@ def _precision(params: dict) -> int:
 
 
 def _run_spectrum(params: dict) -> dict:
+    from .fourier import spectral_levels
+
     p = params["p"]
     prime_context(p)
     depth = params.get("depth", 3)
@@ -177,6 +187,8 @@ def _run_optimal_t(params: dict) -> dict:
 
 
 def _run_angle_check(params: dict) -> dict:
+    from .fourier import angle_check_punctured
+
     p = params["p"]
     prime_context(p)
     prec = _precision(params)

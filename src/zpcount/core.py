@@ -31,6 +31,12 @@ class InvariantError(RuntimeError):
     also fires under -O."""
 
 
+class PrecisionError(RuntimeError):
+    """Raised when a spectral margin stays unresolved at the precision cap.
+    Defined here, with the exact layers, so a caller can catch it without
+    importing the spectral layer (zpcount.fourier re-exports it)."""
+
+
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False

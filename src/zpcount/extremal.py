@@ -10,8 +10,11 @@ configurations (tiny p) or along the interval family.
 
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
-used to predict, never to decide.  Every search runs in process and from
-scratch; nothing is read from or written to disk.
+used to predict, never to decide.  The predicted translates come from
+optimal_t, which places the dominant spectral term's phase on the (pi/p)*Z
+lattice by integer arithmetic alone, so this layer never imports
+zpcount.fourier.  Every search runs in process and from scratch; nothing is
+read from or written to disk.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .core import (  # InvariantError is re-exported from here
     subset_masks_of_size,
 )
 from .counting import power_sigma, s_count, s_k_count, sigma_vector
-from .fourier import optimal_t, translate_phase_index
 
 EXHAUSTIVE_ORBITS = "EXHAUSTIVE_ORBITS"
 EXHAUSTIVE_RAW = "EXHAUSTIVE_RAW"
@@ -400,6 +402,46 @@ def _verdict(
         passed=threshold is not None,
         elapsed=time.perf_counter() - start,
     )
+
+
+# --- optimal interval translates (pure integer arithmetic) -----------------------
+
+
+def translate_phase_index(p: int, a: int, k: int, t: int) -> int:
+    """m in [0, 2p) with the dominant-term phase of [a]+t equal to pi*m/p."""
+    return (-(2 * t + a - 1) * (k - 1)) % (2 * p)
+
+
+def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
+    """Translates t making the dominant spectral term of [a]+t most negative.
+
+    For (a-1)(k-1) even the reachable phases are the even multiples of pi/p
+    and two translates tie at pi +- pi/p (each the reflection of the other);
+    otherwise the phases are the odd multiples and t with phase exactly pi is
+    unique.  Exact integer arithmetic throughout.  k = 1 mod p is rejected:
+    translates are then equivalent and no direction is preferred.
+    """
+    ctx = prime_context(p)
+    if not 1 <= a <= p - 1:
+        raise ValueError(f"need 1 <= a <= p-1, got a={a}")
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    if k % p == 1:
+        raise ValueError("k = 1 mod p leaves all translates equivalent")
+    big_k = k - 1
+    m0 = (-(a - 1) * big_k) % (2 * p)
+    inv = ctx.inv[big_k % p]
+    targets = (p,) if m0 % 2 == 1 else (p + 1, p - 1)
+    out = set()
+    for target in targets:
+        diff = (m0 - target) % (2 * p)
+        t = (diff // 2) * inv % p
+        if diff % 2 or translate_phase_index(p, a, k, t) != target:
+            raise InvariantError(f"translate {t} of [{a}] in Z_{p} misses phase {target} at k={k}")
+        out.add(t)
+    if len(targets) == 2 and {(-(a - 1) - t) % p for t in out} != out:
+        raise InvariantError(f"optimal translates {sorted(out)} of [{a}] in Z_{p} are not reflections")
+    return frozenset(out)
 
 
 def _predicted_translate_class(p: int, a: int, k: int) -> Subset:

@@ -6,8 +6,8 @@ with a uniform absolute error bound, so every downstream comparison can state
 its margin.  Magnitude level sets across orbits, primary images (dilate and
 translate a set so its peak coefficient sits at frequency 1 with argument in
 (-pi/p, pi/p]), projection score rankings, the spectral form of the tuple
-count, optimal interval translates, and the lattice-avoidance check for
-punctured intervals all live here.
+count, and the lattice-avoidance check for punctured intervals all live
+here.
 
 dft_indicator is the one DFT kernel, and its sums are exact integer
 arithmetic: _unit_table holds round(2^w*cos(2*pi*j/p)) and
@@ -40,15 +40,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import mpmath as mp
 
-from .core import AffineMap, InvariantError, Subset, orbit_catalog, prime_context
+from .core import (  # PrecisionError is re-exported from here
+    AffineMap, InvariantError, PrecisionError, Subset, orbit_catalog, prime_context,
+)
 
 DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 GUARD_BITS = 32
-
-
-class PrecisionError(RuntimeError):
-    """Raised when escalation hits MAX_PRECISION without resolving a margin."""
 
 
 _T = TypeVar("_T")
@@ -299,6 +297,8 @@ def spectral_levels(
 
 def interval_secondary_peak(p: int, a: int, precision: int = DEFAULT_PRECISION) -> mp.mpf:
     """max_{g in [2, p-2]} |hat1_{[a]}(g)|: the interval's runner-up magnitude."""
+    if p < 5:
+        raise ValueError(f"need p >= 5 for frequencies 2..p-2 to exist, got p={p}")
     prof = dft_indicator(Subset.interval(p, a), precision)
     return max(prof.magnitude(g) for g in range(2, p - 1))
 
@@ -545,80 +545,65 @@ class FValue:
 def F_value(a: Subset, k: int, precision: int = DEFAULT_PRECISION) -> FValue:
     """sum_{g != 0} hat1_A(g)^k * conj(hat1_A(g)) as a real number.
 
-    Magnitudes are raised to the k+1 power as mpf values (arbitrary exponent,
-    so k up to 10^6 cannot overflow); the working precision grows with
-    bit_length(k) so the angle (k-1)*theta keeps absolute accuracy.  The
-    returned err bounds |value - F(A)| and also exceeds the computed
-    imaginary part, which is checked to vanish.
+    hat1_A(p-g) = conj(hat1_A(g)), so the terms at g and p-g are conjugates
+    and the sum is 2 * sum_{g=1}^{(p-1)/2} r_g^(k+1) * cos((k-1)*theta_g).
+    The profile's mirror half is checked to be that exact conjugate before
+    it is left out.  Magnitudes are raised to the k+1 power as mpf values
+    (arbitrary exponent, so k up to 10^6 cannot overflow); the working
+    precision grows with bit_length(k) so the angle (k-1)*theta keeps
+    absolute accuracy.  The returned err bounds |value - F(A)|.
     """
+    _check_precision(precision)
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     p = a.p
     w = precision + 2 * k.bit_length() + 2 * GUARD_BITS
     prof = dft_indicator(a, w - GUARD_BITS)
     err = prof.err
+    coeffs = prof.coeffs
+    with mp.workprec(prof.work_prec):  # the kernel's own 2*pi - theta
+        tau = 2 * mp.pi
+        for g in range(1, p // 2 + 1):
+            r, th = coeffs[g]
+            if coeffs[p - g] != (r, tau - th if th else 0):
+                raise InvariantError(f"coefficient {p - g} of {list(a.members())} "
+                                     f"is not the conjugate of coefficient {g}")
+    # Error budget in ulps u = 2^-w for one g in 1..(p-1)/2: the computed
+    # t_g = r^(k+1)*cos((k-1)*theta) against the true term
+    # Re(z^k*conj(z)) = |z|^(k+1)*cos((k-1)*arg z).
+    # - Magnitude: |r - |z|| <= err, so |r^(k+1) - |z|^(k+1)| <= (k+1)*r_hi^k*err
+    #   (mean value theorem, r_hi = r + err; r_hi^k is computed once).
+    # - Angle: for r > 2*err, theta is within th_err = err/(r - err) of arg z
+    #   (mod 2*pi), so the cosine moves by <= (k-1)*th_err, times
+    #   mag_hi = r_hi^(k+1).  That also covers rounding (k-1)*theta, at most
+    #   2*pi*(k-1) u, because err/r > 2*pi u (r <= 1.01*a, see _coeff_error).
+    #   For r <= 2*err the angle is unknown and the term is bounded by its
+    #   size, 2*mag_hi.
+    # - Rounding: the power, the cosine and the product add a few u of mag_hi,
+    #   and each of the (p-1)/2 additions at most 1 u of a partial sum
+    #   <= sum(mag_hi); mag_hi*slop (slop = 64 u, and p < 64) covers both.
+    # The true terms at g and p-g are conjugates, and the check above shows
+    # the stored ones are too, so F(A) is twice the real sum over
+    # g = 1..(p-1)/2.  Doubling is exact in binary, so the per-g bounds double.
+    # The final (p-1)*slop*max(1, |value|) is headroom on the summation.
     with mp.workprec(w):
-        total_re = mp.mpf(0)
-        total_im = mp.mpf(0)
+        total = mp.mpf(0)
         bound = mp.mpf(0)
         slop = mp.ldexp(mp.mpf(1), -w + 6)
-        for g in range(1, p):
-            r, th = prof.coeffs[g]
+        for g in range(1, p // 2 + 1):
+            r, th = coeffs[g]
             r_hi = r + err
-            mag = r ** (k + 1)
-            mag_hi = r_hi ** (k + 1)
-            ang = (k - 1) * th
-            total_re += mag * mp.cos(ang)
-            total_im += mag * mp.sin(ang)
+            pow_hi = r_hi**k
+            mag_hi = pow_hi * r_hi
+            total += r ** (k + 1) * mp.cos((k - 1) * th)
             if r > 2 * err:
                 th_err = err / (r - err)
-                bound += (k + 1) * (r_hi**k) * err + mag_hi * ((k - 1) * th_err + slop)
+                bound += (k + 1) * pow_hi * err + mag_hi * ((k - 1) * th_err + slop)
             else:
-                bound += 2 * mag_hi + (k + 1) * (r_hi**k) * err
-        bound += (p - 1) * slop * max(mp.mpf(1), total_re, -total_re, total_im, -total_im)
-        if not abs(total_im) <= bound:
-            raise PrecisionError("spectral sum failed its own reality bound")
-    return FValue(a, k, total_re, bound, w)
-
-
-# --- optimal interval translates (pure integer arithmetic) -------------------
-
-
-def translate_phase_index(p: int, a: int, k: int, t: int) -> int:
-    """m in [0, 2p) with the dominant-term phase of [a]+t equal to pi*m/p."""
-    return (-(2 * t + a - 1) * (k - 1)) % (2 * p)
-
-
-def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
-    """Translates t making the dominant spectral term of [a]+t most negative.
-
-    For (a-1)(k-1) even the reachable phases are the even multiples of pi/p
-    and two translates tie at pi +- pi/p (each the reflection of the other);
-    otherwise the phases are the odd multiples and t with phase exactly pi is
-    unique.  Exact integer arithmetic throughout.  k = 1 mod p is rejected:
-    translates are then equivalent and no direction is preferred.
-    """
-    ctx = prime_context(p)
-    if not 1 <= a <= p - 1:
-        raise ValueError(f"need 1 <= a <= p-1, got a={a}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if k % p == 1:
-        raise ValueError("k = 1 mod p leaves all translates equivalent")
-    big_k = k - 1
-    m0 = (-(a - 1) * big_k) % (2 * p)
-    inv = ctx.inv[big_k % p]
-    targets = (p,) if m0 % 2 == 1 else (p + 1, p - 1)
-    out = set()
-    for target in targets:
-        diff = (m0 - target) % (2 * p)
-        t = (diff // 2) * inv % p
-        if diff % 2 or translate_phase_index(p, a, k, t) != target:
-            raise InvariantError(f"translate {t} of [{a}] in Z_{p} misses phase {target} at k={k}")
-        out.add(t)
-    if len(targets) == 2 and {(-(a - 1) - t) % p for t in out} != out:
-        raise InvariantError(f"optimal translates {sorted(out)} of [{a}] in Z_{p} are not reflections")
-    return frozenset(out)
+                bound += 2 * mag_hi + (k + 1) * pow_hi * err
+        value = 2 * total
+        bound = 2 * bound + (p - 1) * slop * max(mp.mpf(1), abs(value))
+    return FValue(a, k, value, bound, w)
 
 
 # --- punctured-interval angle check ------------------------------------------

@@ -228,7 +228,7 @@ def test_precision_error_is_exit_1(capsys, monkeypatch):
     def unresolved(*args, **kwargs):
         raise zpcount.PrecisionError("spectral gaps unresolved")
 
-    monkeypatch.setattr("zpcount.cli.spectral_levels", unresolved)
+    monkeypatch.setattr("zpcount.fourier.spectral_levels", unresolved)
     code, out, err = run(capsys, "spectrum", "--p", "7", "--a", "3")
     assert (code, out, err) == (1, "", "error: spectral gaps unresolved\n")
 
@@ -388,3 +388,52 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# --- lazy layers: a command imports only what it runs ----------------------------
+
+_EXACT_COMMANDS = [
+    ["minimize", "--p", "7", "--a", "3", "--k", "2"],
+    ["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "6"],
+    ["verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2"],
+    ["scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "20"],
+    ["count", "--p", "7", "--set", "0,1,2", "--k", "3"],
+    ["orbits", "--p", "7", "--a", "3"],
+    ["optimal-t", "--p", "7", "--a", "3", "--k", "2"],
+]
+_LAYERS = ("mpmath", "zpcount.fourier", "zpcount.pollard")
+
+
+def _loaded_after(commands: list[list[str]]) -> tuple[list[int], list[str]]:
+    """Exit codes of the commands run through cli.main in one fresh process,
+    and which of _LAYERS that process then holds in sys.modules."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from zpcount.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        f"print(json.dumps([codes, [m for m in {_LAYERS!r} if m in sys.modules]]))\n"
+    )
+    src = str(Path(zpcount.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    return codes, loaded
+
+
+def test_exact_commands_load_no_spectral_or_pollard_layer():
+    codes, loaded = _loaded_after(_EXACT_COMMANDS)
+    assert codes == [0] * len(_EXACT_COMMANDS)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["spectrum", "--p", "7", "--a", "3"], ["mpmath", "zpcount.fourier"]),
+    (["angle-check", "--p", "7", "--a", "3"], ["mpmath", "zpcount.fourier"]),
+    (["pollard", "--p", "7", "--sizes", "3,2,2"], ["zpcount.pollard"]),
+], ids=["spectrum", "angle-check", "pollard"])
+def test_layer_commands_load_their_layer(argv, layers):
+    codes, loaded = _loaded_after([argv])
+    assert codes == [0]
+    assert loaded == layers

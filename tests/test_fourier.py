@@ -23,10 +23,10 @@ CASES = settings(deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def sets_of_all_sizes(draw):
-    """A subset of Z_p, p <= 61, whose size is drawn first, so the empty set,
-    singletons and the full set are as likely as any other size."""
-    p = draw(st.sampled_from(PRIMES))
+def sets_of_all_sizes(draw, max_p=61):
+    """A subset of Z_p, p <= max_p, whose size is drawn first, so the empty
+    set, singletons and the full set are as likely as any other size."""
+    p = draw(st.sampled_from([q for q in PRIMES if q <= max_p]))
     size = draw(st.sampled_from(sorted({0, 1, 2, p // 2, p - 1, p})))
     members = draw(st.lists(st.integers(0, p - 1), min_size=size,
                             max_size=size, unique=True))
@@ -307,6 +307,26 @@ def test_F_guards():
         F_value(Subset.interval(7, 3), 1)
 
 
+def test_F_refuses_precision_below_one_bit():
+    for bits in (-20, 0):
+        with pytest.raises(ValueError, match="positive number of bits"):
+            F_value(Subset.interval(7, 3), 4, precision=bits)
+
+
+@CASES
+@given(sets_of_all_sizes(max_p=31), st.integers(2, 2000), st.integers(8, 96))
+def test_F_value_within_err_of_full_sum(s, k, precision):
+    # F_value sums half the frequencies and doubles; the reference sums all
+    # p-1 terms hat1(g)^k * conj(hat1(g)) from plain exponential sums, at 4x
+    # the working precision, and must land within the certified err.
+    fv = F_value(s, k, precision)
+    coeffs = brute_dft(s, fv.work_prec)
+    with mp.workprec(4 * fv.work_prec):
+        full = mp.fsum(z**k * mp.conj(z) for z in coeffs[1:])
+        assert abs(full.imag) <= mp.ldexp(abs(full.real) + 1, -fv.work_prec)
+        assert abs(full.real - fv.value) <= fv.err
+
+
 def test_optimal_t_matches_brute_scan():
     for p, a, k in ((7, 3, 2), (7, 4, 2), (11, 3, 4), (13, 4, 3), (17, 14, 3)):
         ts = optimal_t(p, a, k)
@@ -378,6 +398,11 @@ def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
     t_good_scan(13, 3, range(-8, 9), precision=128)
     punct = (Subset.punctured_interval(13, 3).mask, 128)
     assert sorted(calls) == sorted(level_calls + [punct])
+
+
+def test_interval_secondary_peak_needs_p_at_least_5():
+    with pytest.raises(ValueError, match="p >= 5"):
+        interval_secondary_peak(3, 1)
 
 
 def test_t_good_scan_interval_secondary():
