@@ -26,8 +26,8 @@ import json
 import sys
 
 from .core import (
-    VERSION, InvariantError, PrecisionError, Subset, is_odd_prime, orbit_catalog,
-    prime_context,
+    VERSION, InvariantError, PrecisionError, Subset, enumeration_guard, is_odd_prime,
+    orbit_catalog, prime_context,
 )
 from .counting import count_vector_to_json, power_sigma, s_count, s_k_count, sigma_vector
 from .extremal import (
@@ -256,7 +256,12 @@ def _all_size_vectors(p: int, k: int):
 def _verify_cor7(p_max: int) -> dict:
     """Orbit-count characterization sweep over odd primes p <= p_max:
     at least 3 orbits exactly when (p >= 13 and 3 <= a <= p-3) or
-    (p >= 11 and 4 <= a <= p-4)."""
+    (p >= 11 and 4 <= a <= p-4).
+
+    p_max is prime and has the largest catalogs of the sweep, so its guard
+    is checked before any catalog is built."""
+    for a in range(1, p_max):
+        enumeration_guard(p_max, a)
     rows = []
     ok = True
     for p in range(3, p_max + 1):

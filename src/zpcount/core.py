@@ -4,7 +4,9 @@ Subsets are p-bit membership words packed into a Python int (bit x set iff
 residue x is a member), so translation is a bit rotation and set algebra is
 word arithmetic.  The affine group {x -> xi*x + eta : xi != 0} acts on
 subsets.  One kernel, _translate_min (a set's smallest translate), serves
-Subset.canonical, Subset.is_interval and the build_orbit_catalog sweep.
+Subset.canonical, Subset.is_interval and build_orbit_catalog.  The catalog
+visits only the necklaces (sets that are their own smallest translate),
+which _necklaces generates from their gap words, largest gap first.
 """
 
 from __future__ import annotations
@@ -112,17 +114,44 @@ def _translate_min(mask: int, p: int, full: int) -> int:
     return best
 
 
-def _is_necklace(mask: int, p: int, full: int) -> bool:
-    """An odd mask is its own smallest translate: _translate_min's shifts,
-    stopping at the first smaller one, as most masks do within a few members."""
-    m = mask & (mask - 1)  # bit 0 is a member; the shift by 0 gives mask itself
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        if ((mask >> x) | ((mask << (p - x)) & full)) < mask:
-            return False
-        m ^= low
-    return True
+def _necklaces(p: int, a: int) -> Iterator[int]:
+    """The a-member masks (0 < a < p) that are their own smallest translate,
+    in ascending order.
+
+    Read from bit p-1 down to bit 0 such a mask is 0^g1 1 0^g2 1 ... 0^ga 1,
+    and it is its own smallest translate exactly when its gap word
+    (g1, ..., ga), which sums to p - a, is a necklace under the order that
+    ranks larger gaps first (a block with more leading zeros is the smaller
+    word).  So this is the Fredricksen-Kessler-Maiorana recursion over gap
+    words of length a, in the fixed-content form of Ruskey and Sawada
+    (SIAM J. Comput. 29, 1999): it visits necklaces and their prefixes,
+    not the C(p-1, a-1) odd masks.  Each gap is tried from the largest
+    allowed down, so masks come out ascending, and a branch stops once the
+    gaps still to place cannot fit under g1, the largest gap.
+    """
+    if a == 1:
+        yield 1
+        return
+    gaps = [0] * a
+
+    def extend(t: int, period: int, rest: int, mask: int) -> Iterator[int]:
+        # gaps[:t] are placed and the gaps t..a-1 must sum to rest
+        top = gaps[t - period]
+        if t == a - 1:  # the last gap is rest; a necklace needs a full period
+            if rest < top or (rest == top and a % period == 0):
+                yield mask << (rest + 1) | 1
+            return
+        room = (a - 1 - t) * gaps[0]
+        g = min(top, rest)
+        while g >= 0 and rest - g <= room:
+            gaps[t] = g
+            yield from extend(t + 1, period if g == top else t + 1, rest - g, mask << (g + 1) | 1)
+            g -= 1
+
+    total = p - a
+    for g1 in range(total, (total - 1) // a, -1):  # g1 >= total / a
+        gaps[0] = g1
+        yield from extend(1, 1, total - g1, 1)
 
 
 def _dilate_mask(mask: int, xi: int, p: int) -> int:
@@ -268,13 +297,20 @@ class Subset:
         return f"Subset(p={self.p}, {{{', '.join(map(str, self.members()))}}})"
 
 
+def enumeration_guard(p: int, a: int) -> int:
+    """C(p, a), or SizeGuardError if that many a-subsets are not enumerable
+    (more than ORBIT_ENUM_GUARD)."""
+    total = math.comb(p, a)
+    if total > ORBIT_ENUM_GUARD:
+        raise SizeGuardError(f"C({p},{a}) = {total} exceeds the enumeration guard")
+    return total
+
+
 def subset_masks_of_size(p: int, a: int) -> Iterator[int]:
     """All a-subsets of Z_p as masks, in increasing word order (Gosper).
 
     Guarded eagerly: C(p, a) must stay enumerable (<= 10^8)."""
-    total = math.comb(p, a)
-    if total > ORBIT_ENUM_GUARD:
-        raise SizeGuardError(f"C({p},{a}) = {total} exceeds the enumeration guard")
+    enumeration_guard(p, a)
     return _gosper_masks(p, a)
 
 
@@ -320,8 +356,9 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     """Partition all a-subsets of Z_p into affine orbits (single-threaded sweep).
 
     An orbit's representative, its smallest member, is a necklace (its own
-    smallest translate) with bit 0 set.  Odd masks are visited in increasing
-    order; a necklace is kept unless seen, which holds the smallest
+    smallest translate).  _necklaces yields the necklaces in increasing
+    order from their gap words, C(p, a)/p of them, without testing the other
+    masks; a necklace is kept unless seen, which holds the smallest
     translates of each kept orbit's dilations: one entry per translation
     class, at most C(p, a)/p.  For 0 < a < p translation acts freely, so an
     orbit holds p sets per translation class.
@@ -329,18 +366,15 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     ctx = prime_context(p)
     if not 0 <= a <= p:
         raise ValueError(f"subset size {a} out of range for p={p}")
-    total = math.comb(p, a)
-    if total > ORBIT_ENUM_GUARD:
-        raise SizeGuardError(f"C({p},{a}) = {total} exceeds the enumeration guard")
+    total = enumeration_guard(p, a)
     full = ctx.full_mask
     if a in (0, p):
         return OrbitCatalog(p, a, (Subset(p, a and full),), (1,))
     reps: list[Subset] = []
     sizes: list[int] = []
     seen: set[int] = set()
-    for v in _gosper_masks(p - 1, a - 1):
-        mask = v << 1 | 1
-        if mask in seen or not _is_necklace(mask, p, full):
+    for mask in _necklaces(p, a):
+        if mask in seen:
             continue
         forms = {_translate_min(_dilate_mask(mask, xi, p), p, full) for xi in range(1, p)}
         reps.append(Subset(p, mask))

@@ -141,6 +141,23 @@ def test_verify_cor7(capsys):
     assert rows[(13, 3)]["orbits"] >= 3
 
 
+def test_verify_cor7_guard_fails_before_any_catalog(capsys, monkeypatch):
+    import zpcount.core
+
+    builds = []
+
+    def build(p, a):
+        builds.append((p, a))
+        raise AssertionError(f"catalog ({p}, {a}) built before the guard")
+
+    monkeypatch.setattr(zpcount.core, "build_orbit_catalog", build)
+    zpcount.core.orbit_catalog.cache_clear()
+    code, out, err = run(capsys, "verify", "cor7", "--p", "31")
+    assert (code, out, err) == (
+        1, "", "error: C(31,12) = 141120525 exceeds the enumeration guard\n")
+    assert builds == []
+
+
 def test_scan_k0(capsys):
     doc = run_json(capsys, "scan-k0", "--p", "7", "--a", "3",
                    "--mode", "knot1", "--k-limit", "40")

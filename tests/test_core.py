@@ -5,7 +5,7 @@ from zpcount import (
     AffineMap, SizeGuardError, Subset, build_orbit_catalog, is_odd_prime,
     orbit_catalog, subset_masks_of_size,
 )
-from zpcount.core import prime_context
+from zpcount.core import _gosper_masks, _necklaces, _translate_min, prime_context
 
 
 def test_is_odd_prime():
@@ -148,6 +148,21 @@ def test_size_guard():
         list(subset_masks_of_size(61, 30))
 
 
+def test_necklaces_are_the_smallest_translates():
+    from math import comb
+
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        full = (1 << p) - 1
+        for a in range(1, p):
+            odd = (v << 1 | 1 for v in _gosper_masks(p - 1, a - 1))
+            expected = [m for m in odd if _translate_min(m, p, full) == m]
+            assert list(_necklaces(p, a)) == expected, (p, a)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for a in range(1, p):
+            if comb(p - 1, a - 1) <= 2 * 10**5:
+                assert sum(1 for _ in _necklaces(p, a)) == comb(p, a) // p, (p, a)
+
+
 def test_orbit_catalog_small():
     cat = orbit_catalog(7, 3)
     assert len(cat.reps) == 2
@@ -168,7 +183,7 @@ def test_orbit_catalog_partitions_everything():
             assert rep.translate(5).dilate(2).canonical() == rep
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
 def test_orbit_catalog_matches_brute_force(p):
     for a in range(p + 1):
         cat = build_orbit_catalog(p, a)
