@@ -7,10 +7,15 @@ human summary.  Each JSON document embeds the command and its parameters so
 `recheck FILE` can re-run the computation and confirm the stored result
 byte-for-byte (elapsed excluded).
 
+Every command but recheck takes --p, and the one prime guard checks it
+before any set literal is read; recheck applies the same guard to the
+stored params.
+
 Exit codes: 0 success; 1 usage or guard error, including a precision
-escalation that hit its cap and a recheck file that is missing, unreadable
-or not a zpcount report; 2 a verification verdict failed or a recheck
-mismatch; 3 an internal invariant check failed.
+escalation that hit its cap, a claim range that holds no point to test, and
+a recheck file that is missing, unreadable, not a zpcount report or
+malformed (stored params missing or of the wrong type); 2 a verification
+verdict failed or a recheck mismatch; 3 an internal invariant check failed.
 
 Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
@@ -22,6 +27,7 @@ them at start-up.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -72,7 +78,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 def _run_count(params: dict) -> dict:
     p = params["p"]
-    prime_context(p)
     sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
     k = params.get("k")
     if len(sets) == 1:
@@ -90,7 +95,6 @@ def _run_count(params: dict) -> dict:
 
 def _run_sigma(params: dict) -> dict:
     p = params["p"]
-    prime_context(p)
     sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
     k = params.get("k")
     if k is not None:
@@ -109,7 +113,6 @@ def _run_pollard(params: dict) -> dict:
     )
 
     p = params["p"]
-    prime_context(p)
     sizes = params.get("sizes")
     set_lists = params.get("sets")
     if sizes and set_lists:
@@ -167,18 +170,16 @@ def _precision(params: dict) -> int:
 def _run_spectrum(params: dict) -> dict:
     from .fourier import spectral_levels
 
-    p = params["p"]
-    prime_context(p)
     depth = params.get("depth", 3)
     if not isinstance(depth, int) or depth < 1:
         raise ValueError(f"--depth must be >= 1, got {depth!r}")
-    levels = spectral_levels(p, params["a"], depth=depth, precision=_precision(params))
+    levels = spectral_levels(params["p"], params["a"], depth=depth,
+                             precision=_precision(params))
     return levels.to_json()
 
 
 def _run_optimal_t(params: dict) -> dict:
     p, a, k = params["p"], params["a"], params["k"]
-    prime_context(p)
     ts = sorted(optimal_t(p, a, k))
     return {
         "p": p, "a": a, "k": k, "t": ts,
@@ -190,7 +191,6 @@ def _run_angle_check(params: dict) -> dict:
     from .fourier import angle_check_punctured
 
     p = params["p"]
-    prime_context(p)
     prec = _precision(params)
     a = params.get("a")
     if a is not None:
@@ -202,7 +202,6 @@ def _run_angle_check(params: dict) -> dict:
 
 def _run_minimize(params: dict) -> dict:
     p = params["p"]
-    prime_context(p)
     if params.get("sizes"):
         report = minimize_s_general(p, params["sizes"], mode=params.get("mode", "auto"))
     else:
@@ -215,7 +214,6 @@ def _run_minimize(params: dict) -> dict:
 def _run_verify(params: dict) -> dict:
     which = params["claim"]
     p = params["p"]
-    prime_context(p)
     if which == "thm1":
         if params.get("all_sizes"):
             k = params.get("k")
@@ -223,7 +221,7 @@ def _run_verify(params: dict) -> dict:
                 raise ValueError("--all-sizes needs --k")
             verdicts = []
             ok = True
-            for sizes in _all_size_vectors(p, k):
+            for sizes in itertools.product(range(1, p + 1), repeat=k + 1):
                 v = verify_thm_interval_extremal(p, sizes)
                 ok = ok and v.passed
                 verdicts.append(v.to_json())
@@ -245,12 +243,6 @@ def _run_verify(params: dict) -> dict:
     if which == "cor7":
         return _verify_cor7(p)
     raise ValueError(f"unknown claim {which!r}")
-
-
-def _all_size_vectors(p: int, k: int):
-    from itertools import product as _product
-
-    yield from _product(range(1, p + 1), repeat=k + 1)
 
 
 def _verify_cor7(p_max: int) -> dict:
@@ -278,19 +270,15 @@ def _verify_cor7(p_max: int) -> dict:
 
 
 def _run_scan_k0(params: dict) -> dict:
-    p = params["p"]
-    prime_context(p)
     return scan_k0(
-        p, params["a"], params["mode"],
+        params["p"], params["a"], params["mode"],
         k_limit=params.get("k_limit", 500),
         window=params.get("window"),
     ).to_json()
 
 
 def _run_orbits(params: dict) -> dict:
-    p = params["p"]
-    prime_context(p)
-    return orbit_catalog(p, params["a"]).to_json()
+    return orbit_catalog(params["p"], params["a"]).to_json()
 
 
 _HANDLERS = {
@@ -307,18 +295,10 @@ _HANDLERS = {
 }
 
 
-def _verification_failed(command: str, result: dict) -> bool:
-    if command == "verify":
-        if "all_passed" in result:
-            return not result["all_passed"]
-        return not result.get("passed", True)
-    if command == "scan-k0":
-        return not result.get("passed", True)
-    if command == "angle-check":
-        if "all_passed" in result:
-            return not result["all_passed"]
-        return not (result.get("passed") and result.get("branch_ok"))
-    return False
+def _verification_failed(result: dict) -> bool:
+    """Whether a result carries a verdict that failed (exit 2): only verdicts
+    have all_passed, passed or branch_ok keys, and each one must hold."""
+    return not all(result.get(key, True) for key in ("all_passed", "passed", "branch_ok"))
 
 
 def _strip_elapsed(obj):
@@ -344,16 +324,12 @@ def _emit_csv(doc: dict) -> None:
     writer = csv.writer(sys.stdout)
     writer.writerow(["schema", f"{doc['command']}/{CSV_SCHEMA}"])
     result = doc["result"]
-    rows = None
-    if doc["command"] == "verify" and "points" in result:
-        writer.writerow(["x", "status", "threshold", "passed"])
+    if "points" in result:  # a verify or scan-k0 verdict, one row per point
+        x = "k" if doc["command"] == "scan-k0" else "x"
+        writer.writerow([x, "status", "threshold", "passed"])
         rows = [[pt["x"], pt["status"], result["threshold"], result["passed"]]
                 for pt in result["points"]]
-    elif doc["command"] == "scan-k0":
-        writer.writerow(["k", "status", "threshold", "passed"])
-        rows = [[pt["x"], pt["status"], result["threshold"], result["passed"]]
-                for pt in result["points"]]
-    if rows is None:
+    else:
         writer.writerow(["key", "value"])
         rows = [[k, json.dumps(v, sort_keys=True)] for k, v in sorted(result.items())]
     writer.writerows(rows)
@@ -379,11 +355,17 @@ def _run_recheck(path: str, fmt: str) -> int:
     if not (isinstance(doc, dict) and {"command", "params", "result"} <= doc.keys()
             and isinstance(doc["params"], dict)):
         raise ValueError(f"{path} is not a zpcount report (needs command, params, result)")
-    command = doc["command"]
+    command, params = doc["command"], doc["params"]
     handler = _HANDLERS.get(command) if isinstance(command, str) else None
     if handler is None:
         raise ValueError(f"{path}: cannot recheck command {command!r}")
-    fresh = json.loads(json.dumps(handler(doc["params"])))  # normalize tuples
+    _prime_guard(params)
+    try:
+        result = handler(params)
+    except (KeyError, TypeError) as exc:  # a param missing or of the wrong type
+        raise ValueError(f"{path}: malformed {command} params "
+                         f"({type(exc).__name__}: {exc})") from None
+    fresh = json.loads(json.dumps(result))  # normalize tuples
     match = _strip_elapsed(fresh) == _strip_elapsed(doc["result"])
     _emit({"command": "recheck", "params": {"file": path},
            "result": {"target": command, "match": match}}, fmt)
@@ -397,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working precision in bits for spectral commands")
     common.add_argument("--threads", type=int, choices=(1,), default=1,
                         help="always 1: every search runs in one process (recorded in params)")
+    prime = argparse.ArgumentParser(add_help=False, parents=[common])
+    prime.add_argument("--p", type=int, required=True,
+                       help="odd prime (verify cor7: sweep primes up to this value)")
 
     parser = argparse.ArgumentParser(
         prog="zpcount",
@@ -405,56 +390,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zpcount {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("count", parents=[common],
+    sp = sub.add_parser("count", parents=[prime],
                         help="s_k of one set, or s(A0; A1..Ak) of explicit sets")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--set", action="append", required=True, metavar="RESIDUES")
     sp.add_argument("--k", type=int)
 
-    sp = sub.add_parser("sigma", parents=[common],
+    sp = sub.add_parser("sigma", parents=[prime],
                         help="count vector of a set list or a k-th power")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--set", action="append", required=True, metavar="RESIDUES")
     sp.add_argument("--k", type=int)
 
-    sp = sub.add_parser("pollard", parents=[common],
+    sp = sub.add_parser("pollard", parents=[prime],
                         help="threshold profile, r0, partial sums, equality class")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--sizes", metavar="A0,A1,..")
     sp.add_argument("--set", action="append", metavar="RESIDUES")
     sp.add_argument("--a0", type=int, help="head size (set mode)")
 
-    sp = sub.add_parser("spectrum", parents=[common],
+    sp = sub.add_parser("spectrum", parents=[prime],
                         help="top coefficient-magnitude levels across orbits")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--depth", type=int, default=3)
 
-    sp = sub.add_parser("optimal-t", parents=[common],
+    sp = sub.add_parser("optimal-t", parents=[prime],
                         help="translates of [a] with the most negative dominant term")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
 
-    sp = sub.add_parser("angle-check", parents=[common],
+    sp = sub.add_parser("angle-check", parents=[prime],
                         help="punctured-interval argument vs the pi/p lattice")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int)
 
-    sp = sub.add_parser("minimize", parents=[common],
+    sp = sub.add_parser("minimize", parents=[prime],
                         help="exact minimum of s_k (--a/--k) or s (--sizes)")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--sizes", metavar="A0,A1,..")
     sp.add_argument("--method", choices=("auto", "raw"), default="auto")
     sp.add_argument("--mode", choices=("auto", "full", "interval"), default="auto")
 
-    sp = sub.add_parser("verify", parents=[common],
+    sp = sub.add_parser("verify", parents=[prime],
                         help="point-by-point verdicts for the structural claims")
     sp.add_argument("claim", choices=("thm1", "thm3", "thm5", "cor7"))
-    sp.add_argument("--p", type=int, required=True,
-                    help="prime (for cor7: sweep primes up to this value)")
     sp.add_argument("--a", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--sizes", metavar="A0,A1,..")
@@ -464,17 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-min", type=int, default=1)
     sp.add_argument("--s-max", type=int)
 
-    sp = sub.add_parser("scan-k0", parents=[common],
+    sp = sub.add_parser("scan-k0", parents=[prime],
                         help="least k* whose claim holds across a trailing window")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--mode", choices=("knot1", "k1-even", "k1-part2"), required=True)
     sp.add_argument("--k-limit", type=int, default=500)
     sp.add_argument("--window", type=int)
 
-    sp = sub.add_parser("orbits", parents=[common],
+    sp = sub.add_parser("orbits", parents=[prime],
                         help="affine orbit catalog for (p, a)")
-    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
 
     sp = sub.add_parser("recheck", parents=[common],
@@ -483,21 +457,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsed flags that are not params: the subcommand, the output format, and
+# the set and size literals, which enter params parsed (as sets and sizes).
+_NOT_PARAMS = ("command", "format", "set", "sizes")
+
+
+def _prime_guard(params: dict) -> None:
+    """The CLI's one prime guard, run on fresh and replayed params alike
+    before anything reads p: every command but recheck takes --p."""
+    prime_context(params.get("p"))
+
+
 def _params_from_args(args: argparse.Namespace) -> dict:
-    params: dict = {}
-    for key in ("p", "a", "k", "a0", "depth", "mode", "method", "claim",
-                "all_sizes", "k_min", "k_max", "s_min", "s_max", "k_limit",
-                "window", "precision", "threads"):
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            params[key] = val
-    if getattr(args, "sizes", None):
-        params["sizes"] = list(_parse_sizes(args.sizes))
-    raw_sets = getattr(args, "set", None)
-    if raw_sets:
-        if "p" not in params:
-            raise ValueError("--set needs --p")
-        params["sets"] = [_parse_residues(text, params["p"]) for text in raw_sets]
+    given = vars(args)
+    params = {key: val for key, val in given.items()
+              if key not in _NOT_PARAMS and val is not None and val is not False}
+    _prime_guard(params)
+    if given.get("sizes"):
+        params["sizes"] = list(_parse_sizes(given["sizes"]))
+    if given.get("set"):
+        params["sets"] = [_parse_residues(text, params["p"]) for text in given["set"]]
     return params
 
 
@@ -537,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     doc = {"command": args.command, "params": params, "result": result}
     _emit(doc, args.format)
-    return 2 if _verification_failed(args.command, result) else 0
+    return 2 if _verification_failed(result) else 0
 
 
 if __name__ == "__main__":

@@ -297,6 +297,14 @@ class Subset:
         return f"Subset(p={self.p}, {{{', '.join(map(str, self.members()))}}})"
 
 
+def _check_claim_range(p: int, a: int) -> None:
+    """The range of the structural claims (the k != 1 and k = 1 mod p
+    minimizer theorems and the punctured-interval angle check), outside which
+    they say nothing: p >= 7 and 3 <= a <= p-3."""
+    if p < 7 or not 3 <= a <= p - 3:
+        raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
+
+
 def enumeration_guard(p: int, a: int) -> int:
     """C(p, a), or SizeGuardError if that many a-subsets are not enumerable
     (more than ORBIT_ENUM_GUARD)."""

@@ -26,8 +26,8 @@ from math import comb, inf
 from typing import Iterable, Sequence
 
 from .core import (  # InvariantError is re-exported from here
-    InvariantError, SizeGuardError, Subset, orbit_catalog, prime_context,
-    subset_masks_of_size,
+    InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
+    prime_context, subset_masks_of_size,
 )
 from .counting import power_sigma, s_count, s_k_count, sigma_vector
 
@@ -116,21 +116,29 @@ class TheoremVerdict:
 # --- s_k minimization ----------------------------------------------------------
 
 
-def _rep_translate_row(rep: Subset, k: int) -> tuple[int, tuple[int, ...]]:
-    """(best value, attaining translates) of s_k over all translates of rep."""
+def _argmin(pairs: Iterable[tuple[object, int]], cap: float = inf) -> tuple[int, list, int]:
+    """(least value, the first cap keys attaining it in input order, how many
+    keys attain it) over (key, value) pairs; a smaller value resets both."""
+    best = None
+    keys: list = []
+    count = 0
+    for key, val in pairs:
+        if best is None or val < best:
+            best, keys, count = val, [key], 1
+        elif val == best:
+            count += 1
+            if len(keys) < cap:
+                keys.append(key)
+    return best, keys, count
+
+
+def _translate_row(rep: Subset, k: int) -> list[int]:
+    """s_k(rep + t) for t = 0, ..., p-1."""
     p = rep.p
     sig = power_sigma(rep, k)
     members = rep.members()
     step = (k - 1) % p
-    best = None
-    ts: list[int] = []
-    for t in range(p):
-        val = sum(sig[(y - step * t) % p] for y in members)
-        if best is None or val < best:
-            best, ts = val, [t]
-        elif val == best:
-            ts.append(t)
-    return best, tuple(ts)
+    return [sum(sig[(y - step * t) % p] for y in members) for t in range(p)]
 
 
 def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport:
@@ -154,37 +162,32 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     orbit_level = k % p == 1
     kind = "orbit" if orbit_level else "dilation-class"
     if resolved == EXHAUSTIVE_RAW:
-        best = None
-        masks: list[int] = []
-        checked = 0
-        for m in subset_masks_of_size(p, a):
-            val = s_k_count(Subset(p, m), k)
-            checked += 1
-            if best is None or val < best:
-                best, masks = val, [m]
-            elif val == best:
-                masks.append(m)
+        subsets = (Subset(p, m) for m in subset_masks_of_size(p, a))
+        best, found, _ = _argmin((s, s_k_count(s, k)) for s in subsets)
         if orbit_level:
-            classes = {Subset(p, m).canonical() for m in masks}
+            classes = {s.canonical() for s in found}
         else:
-            classes = {Subset(p, m).dilation_class_canonical() for m in masks}
-    else:
+            classes = {s.dilation_class_canonical() for s in found}
+        checked = comb(p, a)
+    elif orbit_level:
         reps = orbit_catalog(p, a).reps
-        if orbit_level:
-            vals = [s_k_count(rep, k) for rep in reps]
-            best = min(vals)
-            classes = {rep for rep, v in zip(reps, vals) if v == best}
-            checked = len(reps)
-        else:
-            rows = [_rep_translate_row(rep, k) for rep in reps]
-            best = min(v for v, _ in rows)
-            classes = {
-                rep.translate(t).dilation_class_canonical()
-                for rep, (v, ts) in zip(reps, rows)
-                if v == best
-                for t in ts
-            }
-            checked = len(reps) * p
+        best, found, _ = _argmin((rep, s_k_count(rep, k)) for rep in reps)
+        classes = set(found)
+        checked = len(reps)
+    else:
+        # one key per representative (its best translate) keeps the kernel's
+        # input at len(reps), not p times that; the attaining translates are
+        # expanded for the winning representatives only
+        reps = orbit_catalog(p, a).reps
+        scans = ((rep, _translate_row(rep, k)) for rep in reps)
+        best, winners, _ = _argmin((scan, min(scan[1])) for scan in scans)
+        classes = {
+            rep.translate(t).dilation_class_canonical()
+            for rep, row in winners
+            for t, val in enumerate(row)
+            if val == best
+        }
+        checked = len(reps) * p
 
     attainers = tuple(sorted(classes))
     for rep in attainers:  # re-check on emission, by the half-power route
@@ -210,12 +213,13 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
 # --- mixed-size minimization ----------------------------------------------------
 
 
-def _best_head_set(sig: Sequence[int], a0: int) -> tuple[int, Subset]:
-    """Cheapest A_0 for a fixed right-hand configuration: the a0 residues
-    with the smallest count-vector entries (ties broken by residue)."""
-    order = sorted(range(len(sig)), key=lambda y: (sig[y], y))
-    picked = order[:a0]
-    return sum(sig[y] for y in picked), Subset.from_residues(len(sig), picked)
+def _cheapest_config(tail: tuple[Subset, ...], a0: int) -> tuple[tuple[Subset, ...], int]:
+    """(A_0, *tail) with the cheapest A_0 for a fixed right-hand configuration
+    (the a0 residues with the smallest count-vector entries, ties broken by
+    residue), and its count."""
+    sig = sigma_vector(tail)
+    picked = sorted(range(len(sig)), key=lambda y: (sig[y], y))[:a0]
+    return (Subset.from_residues(len(sig), picked), *tail), sum(sig[y] for y in picked)
 
 
 def minimize_s_general(
@@ -227,7 +231,9 @@ def minimize_s_general(
     Full mode enumerates every (A_1, ..., A_k) tuple and pairs it with its
     cheapest A_0 (the a_0 residues of smallest count); interval mode only
     scans s([a_0] + t; [a_1], ..., [a_k]) over the p translates.  auto picks
-    full when the tuple budget allows, interval otherwise.
+    full when the tuple budget allows, interval otherwise.  Both modes read
+    counts off the sigma vector of the summands, and every stored witness is
+    re-counted by s_count before the report is returned.
     """
     prime_context(p)
     sizes = tuple(int(x) for x in sizes)
@@ -247,52 +253,22 @@ def minimize_s_general(
 
     start = time.perf_counter()
     if mode == "interval":
-        tail = [Subset.interval(p, ai) for ai in rest]
-        best = None
-        count = 0
-        configs: list[tuple[Subset, ...]] = []
-        for t in range(p):
-            head = Subset.interval(p, a0, start=t)
-            val = s_count(head, tail)
-            if best is None or val < best:
-                best, configs, count = val, [(head, *tail)], 1
-            elif val == best:
-                count += 1
-                if len(configs) < WITNESS_CAP:
-                    configs.append((head, *tail))
-        return SearchReport(
-            p=p,
-            sizes=sizes,
-            k=k,
-            min_value=best,
-            extremal_orbits=(),
-            extremal_kind="config",
-            method=INTERVAL_SCAN,
-            elapsed=time.perf_counter() - start,
-            checked=p,
-            extremal_configs=tuple(configs),
-            attainer_count=count,
-        )
-
-    if n_tuples > GENERAL_TUPLE_GUARD:
-        raise SizeGuardError(
-            f"{n_tuples} configurations exceed the full-search budget"
-        )
-    best = None
-    witnesses: list[tuple[Subset, ...]] = []
-    count = 0
-    mask_pools = [
-        [Subset(p, m) for m in subset_masks_of_size(p, ai)] for ai in rest
-    ]
-    for combo in product(*mask_pools):
-        sig = sigma_vector(list(combo))
-        val, head = _best_head_set(sig, a0)
-        if best is None or val < best:
-            best, witnesses, count = val, [(head, *combo)], 1
-        elif val == best:
-            count += 1
-            if len(witnesses) < WITNESS_CAP:
-                witnesses.append((head, *combo))
+        tail = tuple(Subset.interval(p, ai) for ai in rest)
+        sig = sigma_vector(tail)
+        heads = (Subset.interval(p, a0, start=t) for t in range(p))
+        configs = (((head, *tail), sum(sig[y] for y in head.members())) for head in heads)
+        method, checked = INTERVAL_SCAN, p
+    else:
+        if n_tuples > GENERAL_TUPLE_GUARD:
+            raise SizeGuardError(
+                f"{n_tuples} configurations exceed the full-search budget"
+            )
+        mask_pools = [
+            [Subset(p, m) for m in subset_masks_of_size(p, ai)] for ai in rest
+        ]
+        configs = (_cheapest_config(tail, a0) for tail in product(*mask_pools))
+        method, checked = EXHAUSTIVE_RAW, n_tuples
+    best, witnesses, count = _argmin(configs, WITNESS_CAP)
     for cfg in witnesses:  # re-check on emission
         recount = s_count(cfg[0], list(cfg[1:]))
         if recount != best:
@@ -307,9 +283,9 @@ def minimize_s_general(
         min_value=best,
         extremal_orbits=(),
         extremal_kind="config",
-        method=EXHAUSTIVE_RAW,
+        method=method,
         elapsed=time.perf_counter() - start,
-        checked=n_tuples,
+        checked=checked,
         extremal_configs=tuple(witnesses),
         attainer_count=count,
     )
@@ -376,7 +352,10 @@ def _verdict(
     The threshold is the least x <= k_limit such that every point in
     [x, x + window] holds; failing points before it are "below-threshold",
     the rest "fails".  The default limits give the least x from which the
-    claim holds through the end of the range."""
+    claim holds through the end of the range.  A range with no point tested
+    nothing, so it is a usage error, never a failed claim."""
+    if not raw_points:
+        raise ValueError(f"{theorem_id}: the range holds no point to test")
     threshold = None
     for i, (x, _, _) in enumerate(raw_points):
         if x > k_limit:
@@ -463,8 +442,7 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     last failure are labelled below-threshold and the threshold is the least
     tested k from which the claim holds through the end of the range."""
     start = time.perf_counter()
-    if p < 7 or not 3 <= a <= p - 3:
-        raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
+    _check_claim_range(p, a)
     ks = sorted(set(k_range))
     if any(k % p == 1 or k < 2 for k in ks):
         raise ValueError("k values must be >= 2 and != 1 mod p")
@@ -495,8 +473,7 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     whether the punctured-interval orbit is the unique minimizer ("2b"),
     some other orbit wins ("2c"), or the attainers mix."""
     start = time.perf_counter()
-    if p < 7 or not 3 <= a <= p - 3:
-        raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
+    _check_claim_range(p, a)
     ss = sorted(set(s_range))
     if any(s < 1 for s in ss):
         raise ValueError("s values must be >= 1")
@@ -557,9 +534,11 @@ def scan_k0(
     "k1-even" tests unique interval extremality over even k = 1 mod p
     (a must be even); "k1-part2" tests min < interval count over the
     remaining k = 1 mod p.  Violations are listed exactly; no monotonicity
-    is assumed.
+    is assumed.  Like the claims it scans, it needs p >= 7 and
+    3 <= a <= p-3.
     """
     start = time.perf_counter()
+    _check_claim_range(p, a)
     if window is None:
         window = 4 * p
     if window < 0:

@@ -41,7 +41,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 import mpmath as mp
 
 from .core import (  # PrecisionError is re-exported from here
-    AffineMap, InvariantError, PrecisionError, Subset, orbit_catalog, prime_context,
+    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, orbit_catalog,
+    prime_context,
 )
 
 DEFAULT_PRECISION = 256
@@ -650,8 +651,7 @@ def _punctured_avoidance(
     reading, angle error bound, passed), where passed means the argument is
     certified off (pi/p)*Z and its distance clears 10x the error bound."""
     prime_context(p)
-    if p < 7 or not 3 <= a <= p - 3:
-        raise ValueError(f"need p >= 7 and 3 <= a <= p-3, got p={p}, a={a}")
+    _check_claim_range(p, a)
     prof = dft_indicator(Subset.punctured_interval(p, a), precision)
     reading = _lattice_reading(prof, 1)
     if reading is None:

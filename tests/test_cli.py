@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import subprocess
@@ -8,7 +9,10 @@ import pytest
 
 import zpcount
 from zpcount import Subset, s_count, s_k_count
-from zpcount.cli import _parse_residues, _parse_sizes, _strip_elapsed, main
+from zpcount.cli import (
+    _NOT_PARAMS, _params_from_args, _parse_residues, _parse_sizes, _strip_elapsed,
+    build_parser, main,
+)
 
 
 def run(capsys, *argv):
@@ -60,6 +64,46 @@ def test_count_usage_errors(capsys):
     assert code == 1 and "fix k" in err
     code, _, err = run(capsys, "count", "--p", "6", "--set", "0,1", "--k", "2")
     assert code == 1 and "odd prime" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--p", "0", "--set", "1", "--k", "2"),
+    ("count", "--p", "-7", "--set", "1..3", "--k", "2"),
+], ids=["p-zero", "p-negative-with-range"])
+def test_prime_guard_runs_before_set_literals(capsys, argv):
+    # p = 0 used to reach residue parsing (ZeroDivisionError), and p = -7 was
+    # reported as a range longer than the group.
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: p must be an odd prime") and err.count("\n") == 1
+
+
+def test_every_parser_flag_reaches_params():
+    # params are built from every parsed flag but the documented exclusions,
+    # so a new flag cannot be dropped from reports (and from recheck) silently.
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        assert ("--p" in flags) == (name != "recheck"), name
+        if name == "recheck":  # replays stored params; it has none of its own
+            continue
+        argv = [name]
+        dests = set()
+        for action in sub._actions:
+            if action.dest == "help":
+                continue
+            dests.add(action.dest)
+            value = {"p": "7", "set": "0", "sizes": "1,2"}.get(
+                action.dest, str(action.choices[0]) if action.choices else "7")
+            if not action.option_strings:
+                argv.append(value)
+            elif action.nargs == 0:
+                argv.append(action.option_strings[0])
+            else:
+                argv += [action.option_strings[0], value]
+        params = _params_from_args(parser.parse_args(argv))
+        assert sorted(d for d in dests if d not in params and d not in _NOT_PARAMS) == [], name
 
 
 def test_argparse_usage_is_exit_1(capsys):
@@ -170,6 +214,29 @@ def test_scan_k0_negative_window_is_exit_1(capsys):
     assert (code, out, err) == (1, "", "error: window must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm3", "--p", "7", "--a", "3", "--k-min", "10", "--k-max", "5"),
+    ("verify", "thm3", "--p", "7", "--a", "3", "--k-min", "8", "--k-max", "8"),
+    ("verify", "thm5", "--p", "7", "--a", "3", "--s-min", "5", "--s-max", "2"),
+    ("scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "1", "--window", "0"),
+], ids=["thm3-descending", "thm3-only-1-mod-p", "thm5-descending", "scan-k0-empty"])
+def test_empty_claim_range_is_exit_1(capsys, argv):
+    # nothing was tested: a usage error, not a failed claim (exit 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.endswith(": the range holds no point to test\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-k0", "--p", "7", "--a", "2", "--mode", "knot1"),
+    ("scan-k0", "--p", "5", "--a", "2", "--mode", "k1-even"),
+], ids=["a-below-3", "p-below-7"])
+def test_scan_k0_outside_claim_range_is_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: need p >= 7 and 3 <= a <= p-3") and err.count("\n") == 1
+
+
 def test_orbits(capsys):
     doc = run_json(capsys, "orbits", "--p", "7", "--a", "3")
     assert doc["result"]["orbit_count"] == 2
@@ -190,6 +257,14 @@ def test_csv_format(capsys):
     assert lines[0].startswith("schema,verify/")
     assert lines[1] == "x,status,threshold,passed"
     assert len(lines) > 3
+
+
+def test_csv_scan_k0_rows(capsys):
+    code, out, _ = run(capsys, "scan-k0", "--p", "7", "--a", "3", "--mode", "knot1",
+                       "--k-limit", "10", "--window", "3", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[:3] == ["schema,scan-k0/1", "k,status,threshold,passed", "2,holds,2,True"]
 
 
 def test_human_format(capsys):
@@ -227,18 +302,26 @@ def test_recheck_detects_tampering(capsys, tmp_path):
     assert json.loads(out2)["result"]["match"] is False
 
 
-@pytest.mark.parametrize("content", [
-    None,  # no such file
-    '{"command": "count", "params": {"p": 7}}',  # no result
-    '{"command": "frobnicate", "params": {}, "result": {}}',
-], ids=["missing", "no-result", "unknown-command"])
-def test_recheck_bad_input_is_exit_1(capsys, tmp_path, content):
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),  # no such file
+    ('{"command": "count", "params": {"p": 7}}', "is not a zpcount report"),  # no result
+    ('{"command": "frobnicate", "params": {}, "result": {}}', "cannot recheck command"),
+    ('{"command": "minimize", "params": {}, "result": {}}', "p must be an odd prime"),
+    ('{"command": "verify", "params": {"p": 7, "a": 3, "s_max": 2}, "result": {}}',
+     "malformed verify params (KeyError: 'claim')"),
+    ('{"command": "minimize", "params": {"p": 7, "a": "x", "k": 3}, "result": {}}',
+     "malformed minimize params (TypeError: "),
+], ids=["missing", "no-result", "unknown-command", "no-p", "no-claim", "wrong-type"])
+def test_recheck_bad_input_is_exit_1(capsys, tmp_path, content, message):
     f = tmp_path / "report.json"
     if content is not None:
         f.write_text(content)
     code, out, err = run(capsys, "recheck", str(f))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    if "malformed" in message:
+        assert str(f) in err
 
 
 def test_precision_error_is_exit_1(capsys, monkeypatch):

@@ -4,15 +4,24 @@ from collections import Counter
 import pytest
 
 from zpcount import (
-    SizeGuardError, Subset, minimize_s_general, minimize_sk, orbit_catalog,
+    InvariantError, SizeGuardError, Subset, minimize_s_general, minimize_sk, orbit_catalog,
     s_count, s_k_count, scan_k0, sigma_vector, verify_thm_interval_extremal,
     verify_thm_k1, verify_thm_knot1,
 )
 
 from zpcount import extremal
-from zpcount.extremal import _verdict
+from zpcount.extremal import _argmin, _verdict
 
 from conftest import brute_s_k
+
+
+def test_argmin_keeps_ties_in_order_and_counts_past_the_cap():
+    pairs = [("a", 3), ("b", 1), ("c", 2), ("d", 1), ("e", 1)]
+    assert _argmin(pairs) == (1, ["b", "d", "e"], 3)
+    # cap limits the keys kept, never the count of attainers
+    assert _argmin(iter(pairs), cap=2) == (1, ["b", "d"], 3)
+    # a later smaller value resets both the keys and the count
+    assert _argmin(pairs + [("f", 0), ("g", 0)], cap=1) == (0, ["f"], 2)
 
 
 def test_minimize_sk_tiny_vs_brute():
@@ -60,6 +69,15 @@ def test_minimize_s_general_modes_agree():
         assert f.min_value == i.min_value
         for cfg in f.extremal_configs:
             assert s_count(cfg[0], list(cfg[1:])) == f.min_value
+
+
+def test_interval_mode_recounts_its_witnesses(monkeypatch):
+    # the interval scan reads counts off one sigma vector and re-counts each
+    # witness by s_count, so a wrong s_count is caught, not reported
+    real = extremal.s_count
+    monkeypatch.setattr(extremal, "s_count", lambda a0, sets: real(a0, sets) + 1)
+    with pytest.raises(InvariantError, match="s recount of witness"):
+        minimize_s_general(7, (3, 3, 3), mode="interval")
 
 
 def test_minimize_s_general_edges():
@@ -150,6 +168,30 @@ def test_scan_k0_modes():
     # a negative window would certify k = 2, a point labelled "fails"
     with pytest.raises(ValueError, match="window must be >= 0"):
         scan_k0(11, 3, "knot1", k_limit=40, window=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_thm_knot1(7, 3, []),
+    lambda: verify_thm_knot1(7, 3, range(10, 5)),
+    lambda: verify_thm_k1(7, 3, []),
+    lambda: scan_k0(7, 3, "knot1", k_limit=1, window=0),
+    lambda: _verdict("t", {}, [], time.perf_counter()),
+], ids=["thm3-empty", "thm3-descending", "thm5-empty", "scan-k0-empty", "verdict"])
+def test_empty_range_is_a_usage_error(call):
+    # no point was tested, so there is no verdict to report, passing or failing
+    with pytest.raises(ValueError, match="the range holds no point to test"):
+        call()
+
+
+@pytest.mark.parametrize("p, a", [(5, 2), (7, 2), (7, 5), (11, 9)])
+def test_claim_range_guard_is_shared(p, a):
+    from zpcount.fourier import angle_check_punctured
+
+    for call in (lambda: verify_thm_knot1(p, a, [2]), lambda: verify_thm_k1(p, a, [1]),
+                 lambda: scan_k0(p, a, "knot1"), lambda: scan_k0(p, a, "k1-even"),
+                 lambda: angle_check_punctured(p, a)):
+        with pytest.raises(ValueError, match=r"need p >= 7 and 3 <= a <= p-3"):
+            call()
 
 
 def test_minimize_input_guards():
