@@ -12,10 +12,11 @@ before any set literal is read; recheck applies the same guard to the
 stored params.
 
 Exit codes: 0 success; 1 usage or guard error, including a precision
-escalation that hit its cap, a claim range that holds no point to test, and
-a recheck file that is missing, unreadable, not a zpcount report or
-malformed (stored params missing or of the wrong type); 2 a verification
-verdict failed or a recheck mismatch; 3 an internal invariant check failed.
+escalation that hit its cap, a claim range that holds no point to test (for
+scan-k0, also a --k-limit below the first eligible k), and a recheck file
+that is missing, unreadable, not a zpcount report or malformed (stored
+params missing or of the wrong type); 2 a verification verdict failed or a
+recheck mismatch; 3 an internal invariant check failed.
 
 Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,

@@ -201,14 +201,6 @@ class Subset:
             raise ValueError(f"punctured interval needs 2 <= a <= p-1, got a={a}")
         return cls(p, ((1 << (a - 1)) - 1) | (1 << a))
 
-    @classmethod
-    def empty(cls, p: int) -> "Subset":
-        return cls(p, 0)
-
-    @classmethod
-    def full(cls, p: int) -> "Subset":
-        return cls(p, (1 << p) - 1)
-
     # --- basic queries ----------------------------------------------------
 
     @property
@@ -228,11 +220,6 @@ class Subset:
 
     def complement(self) -> "Subset":
         return Subset(self.p, self.mask ^ prime_context(self.p).full_mask)
-
-    def union(self, other: "Subset") -> "Subset":
-        if self.p != other.p:
-            raise ValueError("mismatched moduli")
-        return Subset(self.p, self.mask | other.mask)
 
     def intersection(self, other: "Subset") -> "Subset":
         if self.p != other.p:

@@ -136,7 +136,3 @@ def s_k_count(a: Subset, k: int) -> int:
 def count_vector_to_json(v: CountVector) -> list[str]:
     """Entries as decimal strings: they routinely exceed 2^53."""
     return [str(x) for x in v]
-
-
-def count_vector_from_json(items: Sequence[str]) -> CountVector:
-    return tuple(int(x) for x in items)

@@ -8,6 +8,13 @@ s_k(R + t) = sum_{y in R} sigma_R^(k)(y - (k-1)t).  minimize_s_general covers
 the mixed-size count s(A_0; A_1, ..., A_k), either brute-force over all
 configurations (tiny p) or along the interval family.
 
+Each k-lane has one point evaluator that every claim on it shares:
+_orbit_sweep for k = 1 mod p, _knot1_point for k != 1 mod p.  Each reported
+attainer is recounted before it is emitted, and a disagreement raises
+InvariantError: orbit-sweep attainers by the full power sigma^(k) (the sweep
+counts by s_k_count's half power), translate-scan and raw-search attainers by
+s_k_count, mixed-size witnesses by s_count.
+
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
 used to predict, never to decide.  The predicted translates come from
@@ -141,6 +148,29 @@ def _translate_row(rep: Subset, k: int) -> list[int]:
     return [sum(sig[(y - step * t) % p] for y in members) for t in range(p)]
 
 
+def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
+    """Raise InvariantError unless count(rep, k) == best for every attainer."""
+    for rep in attainers:
+        recount = count(rep, k)
+        if recount != best:
+            raise InvariantError(
+                f"s_{k} recount of attainer {list(rep.members())} is {recount}, "
+                f"search found {best} (p={rep.p}, a={rep.size})"
+            )
+
+
+def _orbit_sweep(p: int, a: int, k: int) -> tuple[dict[Subset, int], int, tuple[Subset, ...]]:
+    """The one k = 1 mod p search: s_k is constant on affine orbits, so one
+    s_k_count per orbit representative gives (values by representative, the
+    least value, its attainers in ascending order).  Each attainer is recounted
+    as the t = 0 entry of its translate row, from the full power sigma^(k)."""
+    values = {rep: s_k_count(rep, k) for rep in orbit_catalog(p, a).reps}
+    best, found, _ = _argmin(values.items())
+    attainers = tuple(sorted(found))
+    _recount(attainers, best, k, lambda rep, k: _translate_row(rep, k)[0])
+    return values, best, attainers
+
+
 def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport:
     """Exact minimum of s_k over all a-subsets of Z_p, with every attaining
     class.
@@ -148,7 +178,9 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     The default method searches class representatives (orbits for k = 1
     mod p, dilation classes with a translate scan otherwise); method="raw"
     re-derives the same answer from all C(p,a) subsets.  Every emitted
-    attainer is re-counted before the report is returned.
+    attainer is re-counted before the report is returned: by the full power
+    in the orbit search, by the half-power s_k_count in the translate scan
+    (whose rows use the full power) and in the raw search.
     """
     prime_context(p)
     if not 1 <= a <= p - 1:
@@ -169,11 +201,9 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
         else:
             classes = {s.dilation_class_canonical() for s in found}
         checked = comb(p, a)
-    elif orbit_level:
-        reps = orbit_catalog(p, a).reps
-        best, found, _ = _argmin((rep, s_k_count(rep, k)) for rep in reps)
-        classes = set(found)
-        checked = len(reps)
+    elif orbit_level:  # _orbit_sweep recounts its attainers by the full power
+        values, best, classes = _orbit_sweep(p, a, k)
+        checked = len(values)
     else:
         # one key per representative (its best translate) keeps the kernel's
         # input at len(reps), not p times that; the attaining translates are
@@ -188,15 +218,9 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
             if val == best
         }
         checked = len(reps) * p
-
     attainers = tuple(sorted(classes))
-    for rep in attainers:  # re-check on emission, by the half-power route
-        recount = s_k_count(rep, k)
-        if recount != best:
-            raise InvariantError(
-                f"s_{k} recount of attainer {list(rep.members())} is {recount}, "
-                f"search found {best} (p={p}, a={a})"
-            )
+    if resolved == EXHAUSTIVE_RAW or not orbit_level:
+        _recount(attainers, best, k, s_k_count)
     return SearchReport(
         p=p,
         sizes=(a,),
@@ -313,11 +337,8 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
     if uniform and k % p != 1 and k >= 2:
         ctx = prime_context(p)
         a = sizes[0]
-        t = next(
-            t for t in range(p)
-            if s_count(Subset.interval(p, a, start=t),
-                       [Subset.interval(p, a)] * k) == ivl.min_value
-        )
+        head = ivl.extremal_configs[0][0]  # the first attaining translate [a] + t
+        t = next((x for x in head if x - 1 not in head), 0)
         eta = (-t * ctx.inv[(k - 1) % p]) % p
         common = Subset.interval(p, a).translate(eta)
         common_val = s_count(common, [common] * k)
@@ -352,10 +373,14 @@ def _verdict(
     The threshold is the least x <= k_limit such that every point in
     [x, x + window] holds; failing points before it are "below-threshold",
     the rest "fails".  The default limits give the least x from which the
-    claim holds through the end of the range.  A range with no point tested
-    nothing, so it is a usage error, never a failed claim."""
+    claim holds through the end of the range.  A range with no point, or
+    with no point at or below k_limit, tested no threshold candidate, so it
+    is a usage error, never a failed claim."""
     if not raw_points:
         raise ValueError(f"{theorem_id}: the range holds no point to test")
+    if raw_points[0][0] > k_limit:
+        raise ValueError(f"{theorem_id}: no point of the range lies at or below "
+                         f"k_limit={k_limit}")
     threshold = None
     for i, (x, _, _) in enumerate(raw_points):
         if x > k_limit:
@@ -423,17 +448,18 @@ def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _predicted_translate_class(p: int, a: int, k: int) -> Subset:
-    classes = {
-        Subset.interval(p, a).translate(t).dilation_class_canonical()
-        for t in optimal_t(p, a, k)
-    }
+def _knot1_point(p: int, a: int, k: int) -> tuple[SearchReport, Subset, list[int]]:
+    """The one k != 1 mod p point: the search report, the dilation class of
+    the optimal interval translates, and their phase indices."""
+    report = minimize_sk(p, a, k)
+    ts = optimal_t(p, a, k)
+    classes = {Subset.interval(p, a).translate(t).dilation_class_canonical() for t in ts}
     if len(classes) != 1:  # the two even-case translates are reflections
         raise InvariantError(
             f"optimal translates of [{a}] in Z_{p} at k={k} span {len(classes)} "
             "dilation classes"
         )
-    return classes.pop()
+    return report, classes.pop(), sorted(translate_phase_index(p, a, k, t) for t in ts)
 
 
 def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
@@ -448,17 +474,12 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
         raise ValueError("k values must be >= 2 and != 1 mod p")
     raw_points = []
     for k in ks:
-        report = minimize_sk(p, a, k)
-        predicted = _predicted_translate_class(p, a, k)
-        actual = set(report.extremal_orbits)
-        holds = actual == {predicted}
-        raw_points.append((k, holds, {
+        report, predicted, phases = _knot1_point(p, a, k)
+        raw_points.append((k, report.extremal_orbits == (predicted,), {
             "min_value": str(report.min_value),
             "extremal": [s.members() for s in report.extremal_orbits],
             "predicted": predicted.members(),
-            "phase_indices": sorted(
-                translate_phase_index(p, a, k, t) for t in optimal_t(p, a, k)
-            ),
+            "phase_indices": phases,
         }))
     return _verdict(
         "thm3", {"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
@@ -477,15 +498,12 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     ss = sorted(set(s_range))
     if any(s < 1 for s in ss):
         raise ValueError("s values must be >= 1")
-    reps = orbit_catalog(p, a).reps
     interval_orbit = Subset.interval(p, a).canonical()
     punctured_orbit = Subset.punctured_interval(p, a).canonical()
     raw_points = []
     for s in ss:
         k = s * p + 1
-        values = {rep: s_k_count(rep, k) for rep in reps}  # k = 1 mod p: one per orbit
-        min_value = min(values.values())
-        attainers = {rep for rep, v in values.items() if v == min_value}
+        values, min_value, attainers = _orbit_sweep(p, a, k)
         interval_value = values[interval_orbit]
         details = {
             "k": k,
@@ -493,7 +511,7 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
             "min_value": str(min_value),
         }
         if a % 2 == 0 and k % 2 == 0:
-            holds = attainers == {interval_orbit}
+            holds = attainers == (interval_orbit,)
             details["part"] = "1"
         else:
             below = min_value < interval_value
@@ -502,7 +520,7 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
                 default=None,
             )
             interval_is_max = others_max is None or interval_value > others_max
-            if attainers == {punctured_orbit}:
+            if attainers == (punctured_orbit,):
                 bucket = "2b"
             elif interval_orbit not in attainers and punctured_orbit not in attainers:
                 bucket = "2c"
@@ -535,7 +553,7 @@ def scan_k0(
     (a must be even); "k1-part2" tests min < interval count over the
     remaining k = 1 mod p.  Violations are listed exactly; no monotonicity
     is assumed.  Like the claims it scans, it needs p >= 7 and
-    3 <= a <= p-3.
+    3 <= a <= p-3, and at least one eligible k <= k_limit.
     """
     start = time.perf_counter()
     _check_claim_range(p, a)
@@ -559,25 +577,26 @@ def scan_k0(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    interval_orbit = Subset.interval(p, a).canonical()
     raw_points = []
     for k in family:
-        report = minimize_sk(p, a, k)
-        details = {
-            "min_value": str(report.min_value),
-            "n_attainers": len(report.extremal_orbits),
-        }
+        details = {}
         if mode == "knot1":
-            predicted = _predicted_translate_class(p, a, k)
-            holds = set(report.extremal_orbits) == {predicted}
+            report, predicted, _ = _knot1_point(p, a, k)
+            min_value, attainers = report.min_value, report.extremal_orbits
+            holds = attainers == (predicted,)
             details["predicted"] = predicted.members()
-        elif mode == "k1-even":
-            holds = set(report.extremal_orbits) == {Subset.interval(p, a).canonical()}
         else:
-            interval_value = s_k_count(Subset.interval(p, a), k)
-            details["interval_value"] = str(interval_value)
-            holds = report.min_value < interval_value
+            values, min_value, attainers = _orbit_sweep(p, a, k)
+            if mode == "k1-even":
+                holds = attainers == (interval_orbit,)
+            else:
+                details["interval_value"] = str(values[interval_orbit])
+                holds = min_value < values[interval_orbit]
+        details["min_value"] = str(min_value)
+        details["n_attainers"] = len(attainers)
         if not holds:
-            details["extremal"] = [s.members() for s in report.extremal_orbits]
+            details["extremal"] = [s.members() for s in attainers]
         raw_points.append((k, holds, details))
     return _verdict(
         f"scan-{mode}",

@@ -142,11 +142,6 @@ class FourierProfile:
     def argument(self, gamma: int) -> mp.mpf:
         return self.coeffs[gamma % self.p][1]
 
-    def complex_coeff(self, gamma: int) -> mp.mpc:
-        r, th = self.coeffs[gamma % self.p]
-        with mp.workprec(self.work_prec):
-            return mp.mpc(r * mp.cos(th), r * mp.sin(th))
-
     def argument_error(self, gamma: int) -> mp.mpf:
         """Bound on the argument error; infinite if the coefficient is too small."""
         r = self.magnitude(gamma)
@@ -182,12 +177,6 @@ def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfi
         err = _coeff_error(len(members), w)
         coeffs = ((mp.mpf(len(members)), zero), *upper, *lower)
     return FourierProfile(a, precision, w, err, coeffs)
-
-
-def rho(a: Subset, precision: int = DEFAULT_PRECISION) -> mp.mpf:
-    """Largest nontrivial coefficient magnitude max_{g != 0} |hat1_A(g)|."""
-    prof = dft_indicator(a, precision)
-    return max(prof.magnitude(g) for g in range(1, a.p))
 
 
 def _top_cluster(pairs: Sequence[tuple[mp.mpf, object]], err: mp.mpf) -> list | None:
@@ -256,7 +245,8 @@ class SpectralLevels:
 def spectral_levels(
     p: int, a: int, depth: int = 3, precision: int = DEFAULT_PRECISION
 ) -> SpectralLevels:
-    """Distinct values of rho across orbit representatives, largest first.
+    """Distinct values of rho(A) = max_{g != 0} |hat1_A(g)| across orbit
+    representatives, largest first.
 
     Escalates precision until every kept level is separated from its
     neighbours by more than 10x the coefficient error bound.

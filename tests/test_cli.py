@@ -228,6 +228,18 @@ def test_empty_claim_range_is_exit_1(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "0"),
+    ("scan-k0", "--p", "7", "--a", "4", "--mode", "k1-even", "--k-limit", "3"),
+], ids=["knot1", "k1-even"])
+def test_scan_k0_k_limit_below_every_point_is_exit_1(capsys, argv):
+    # every point may hold, but no threshold candidate was tested: not exit 2
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: scan-{argv[6]}: no point of the range lies at or below "
+                   f"k_limit={argv[8]}\n")
+
+
+@pytest.mark.parametrize("argv", [
     ("scan-k0", "--p", "7", "--a", "2", "--mode", "knot1"),
     ("scan-k0", "--p", "5", "--a", "2", "--mode", "k1-even"),
 ], ids=["a-below-3", "p-below-7"])
@@ -450,6 +462,18 @@ def test_recheck_validates_stored_precision(capsys, tmp_path):
 _BROKEN = {
     "s_k_count": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                   ["minimize", "--p", "7", "--a", "3", "--k", "4"]),
+    # k = 1 mod p: the orbit sweep recounts by the full power, so a half
+    # power that is off by one everywhere is caught on every command using it
+    "s_k_count_minimize_k1": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
+                              ["minimize", "--p", "7", "--a", "3", "--k", "15"]),
+    "s_k_count_thm5": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
+                       ["verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2"]),
+    "s_k_count_scan_k1_even": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
+                               ["scan-k0", "--p", "7", "--a", "4", "--mode", "k1-even",
+                                "--k-limit", "20"]),
+    "s_k_count_scan_k1_part2": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
+                                ["scan-k0", "--p", "7", "--a", "3", "--mode", "k1-part2",
+                                 "--k-limit", "20"]),
     "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
                 ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
     "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",

@@ -6,7 +6,7 @@ from zpcount import (
     Subset, cyclic_convolve, indicator, power_sigma, s_count, s_k_count,
     sigma_vector,
 )
-from zpcount.counting import count_vector_from_json, count_vector_to_json
+from zpcount.counting import count_vector_to_json
 
 from conftest import brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
 
@@ -143,12 +143,12 @@ def test_counting_input_guards():
 
 def test_count_vector_json_roundtrip():
     vec = power_sigma(Subset.interval(13, 5), 40)
-    assert count_vector_from_json(count_vector_to_json(vec)) == vec
+    assert tuple(map(int, count_vector_to_json(vec))) == vec
     assert all(isinstance(t, str) for t in count_vector_to_json(vec))
 
 
 def test_empty_set_counts():
-    empty = Subset.empty(7)
+    empty = Subset(7, 0)
     assert s_k_count(Subset.interval(7, 3).intersection(empty), 2) == 0
     assert list(sigma_vector([empty, Subset.interval(7, 3)])) == [0] * 7
 
@@ -203,7 +203,7 @@ def test_s_k_count_matches_brute_force(a, k):
 def test_s_k_count_edge_sizes_both_parities():
     for p in (3, 13, 61):
         for k in (2, 3, 298, 299):
-            assert s_k_count(Subset.empty(p), k) == 0
+            assert s_k_count(Subset(p, 0), k) == 0
             # one point x: the single tuple x = k*x needs (k-1)x = 0
             one = Subset.from_residues(p, [1])
             assert s_k_count(one, k) == (1 if (k - 1) % p == 0 else 0)

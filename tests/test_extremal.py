@@ -107,6 +107,27 @@ def test_verify_thm1_verdicts():
     assert verify_thm_interval_extremal(5, (2, 3, 4)).passed
 
 
+def test_verify_thm1_reads_the_head_translate_off_the_interval_search(monkeypatch):
+    # the common set comes from the first attaining interval translate, which
+    # the interval search already found: no s_count re-scan of the translates
+    for p, a, k in ((7, 3, 2), (7, 2, 3), (7, 4, 3), (13, 3, 2), (5, 2, 4)):
+        sizes = (a,) * (k + 1)
+        tail = [Subset.interval(p, a)] * k
+        best = min(s_count(Subset.interval(p, a, start=t), tail) for t in range(p))
+        t = next(t for t in range(p) if s_count(Subset.interval(p, a, start=t), tail) == best)
+        eta = -t * pow(k - 1, -1, p) % p
+        det = verify_thm_interval_extremal(p, sizes).points[0].details
+        assert det["common_set"] == Subset.interval(p, a).translate(eta).members()
+    full = minimize_s_general(11, (4, 4, 4), mode="full")
+    ivl = minimize_s_general(11, (4, 4, 4), mode="interval")
+    real = extremal.s_count
+    calls = []
+    monkeypatch.setattr(extremal, "s_count", lambda *args: calls.append(1) or real(*args))
+    verify_thm_interval_extremal(11, (4, 4, 4))
+    # one recount per stored witness of each search, plus the common set
+    assert len(calls) == len(full.extremal_configs) + len(ivl.extremal_configs) + 1 == 26
+
+
 def test_verify_thm_knot1_small():
     ks = [k for k in range(2, 30) if k % 7 != 1]
     v = verify_thm_knot1(7, 3, ks)
@@ -152,6 +173,29 @@ def test_verify_thm_k1_counts_each_orbit_once(monkeypatch):
     verify_thm_k1(11, 4, range(1, 4))
     reps = orbit_catalog(11, 4).reps
     assert calls == Counter({(rep.mask, s * 11 + 1): 1 for rep in reps for s in (1, 2, 3)})
+    # scan-k0's k1 modes share the sweep: k1-part2 reads the interval's count
+    # off it instead of counting the interval again
+    for mode, ks in (("k1-even", (12, 34)), ("k1-part2", (23,))):
+        calls.clear()
+        scan_k0(11, 4, mode, k_limit=40, window=0)
+        assert calls == Counter({(rep.mask, k): 1 for rep in reps for k in ks}), mode
+
+
+@pytest.mark.parametrize("p, a, call", [
+    (13, 5, lambda: minimize_sk(13, 5, 14)),
+    (13, 5, lambda: verify_thm_k1(13, 5, [1])),
+    (13, 5, lambda: scan_k0(13, 5, "k1-part2", k_limit=14, window=0)),
+    (13, 4, lambda: scan_k0(13, 4, "k1-even", k_limit=14, window=0)),
+], ids=["minimize", "thm5", "scan-k1-part2", "scan-k1-even"])
+def test_k1_attainers_are_recounted_by_the_full_power(monkeypatch, p, a, call):
+    # a half-power count that lies about the interval orbit makes it the
+    # unique minimizer; the full-power recount of that attainer catches it
+    real = extremal.s_k_count
+    interval = Subset.interval(p, a).canonical()
+    monkeypatch.setattr(extremal, "s_k_count",
+                        lambda s, k: 1 if s == interval else real(s, k))
+    with pytest.raises(InvariantError, match=r"s_14 recount of attainer .* search found 1"):
+        call()
 
 
 def test_scan_k0_modes():
@@ -180,6 +224,17 @@ def test_scan_k0_modes():
 def test_empty_range_is_a_usage_error(call):
     # no point was tested, so there is no verdict to report, passing or failing
     with pytest.raises(ValueError, match="the range holds no point to test"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scan_k0(7, 3, "knot1", k_limit=0),
+    lambda: scan_k0(7, 4, "k1-even", k_limit=3),
+    lambda: _verdict("t", {}, [(2, True, {})], time.perf_counter(), k_limit=1),
+], ids=["scan-knot1", "scan-k1-even", "verdict"])
+def test_k_limit_below_every_point_is_a_usage_error(call):
+    # every point may hold, but no threshold candidate was tested
+    with pytest.raises(ValueError, match="no point of the range lies at or below k_limit"):
         call()
 
 

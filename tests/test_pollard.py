@@ -192,7 +192,7 @@ def test_extremality_conditions_track_the_global_minimum(rng):
 
 def test_extremality_guards():
     with pytest.raises(ValueError):
-        check_extremality_conditions(Subset.full(7), [Subset.interval(7, 3)] * 2)
+        check_extremality_conditions(Subset(7, (1 << 7) - 1), [Subset.interval(7, 3)] * 2)
 
 
 def test_optimal_interval_translate_identity(rng):
