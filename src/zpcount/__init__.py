@@ -53,8 +53,8 @@ _LAZY = {
     **dict.fromkeys((
         "AngleCheck", "FourierProfile", "FValue", "F_value", "ProjectionRanking",
         "SpectralLevels", "TGoodScan", "angle_check_punctured", "dft_indicator",
-        "exact_arg_lattice_index", "interval_secondary_peak", "primary_image",
-        "projection_scores", "spectral_levels", "t_good_scan",
+        "exact_arg_lattice_index", "primary_image", "projection_scores",
+        "spectral_levels", "t_good_scan",
     ), "fourier"),
     **dict.fromkeys((
         "EqualityCase", "EqualityTag", "ThresholdProfile", "check_extremality_conditions",

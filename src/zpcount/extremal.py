@@ -11,9 +11,10 @@ configurations (tiny p) or along the interval family.
 Each k-lane has one point evaluator that every claim on it shares:
 _orbit_sweep for k = 1 mod p, _knot1_point for k != 1 mod p.  Each reported
 attainer is recounted before it is emitted, and a disagreement raises
-InvariantError: orbit-sweep attainers by the full power sigma^(k) (the sweep
-counts by s_k_count's half power), translate-scan and raw-search attainers by
-s_k_count, mixed-size witnesses by s_count.
+InvariantError: orbit-sweep and raw-search attainers by the full power
+sigma^(k) (both searches count by s_k_count's half power), translate-scan
+attainers by s_k_count (the scan's rows use the full power), mixed-size
+witnesses by s_count.
 
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, inf
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (  # InvariantError is re-exported from here
     InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
@@ -159,15 +160,21 @@ def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
             )
 
 
+def _full_power_count(rep: Subset, k: int) -> int:
+    """s_k(rep) from the full power sigma^(k): the t = 0 entry of its translate
+    row, a route that shares no code with s_k_count's half power."""
+    return _translate_row(rep, k)[0]
+
+
 def _orbit_sweep(p: int, a: int, k: int) -> tuple[dict[Subset, int], int, tuple[Subset, ...]]:
     """The one k = 1 mod p search: s_k is constant on affine orbits, so one
     s_k_count per orbit representative gives (values by representative, the
     least value, its attainers in ascending order).  Each attainer is recounted
-    as the t = 0 entry of its translate row, from the full power sigma^(k)."""
+    from the full power."""
     values = {rep: s_k_count(rep, k) for rep in orbit_catalog(p, a).reps}
     best, found, _ = _argmin(values.items())
     attainers = tuple(sorted(found))
-    _recount(attainers, best, k, lambda rep, k: _translate_row(rep, k)[0])
+    _recount(attainers, best, k, _full_power_count)
     return values, best, attainers
 
 
@@ -179,8 +186,8 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     mod p, dilation classes with a translate scan otherwise); method="raw"
     re-derives the same answer from all C(p,a) subsets.  Every emitted
     attainer is re-counted before the report is returned: by the full power
-    in the orbit search, by the half-power s_k_count in the translate scan
-    (whose rows use the full power) and in the raw search.
+    in the orbit and raw searches (which count by the half-power s_k_count),
+    by s_k_count in the translate scan (whose rows use the full power).
     """
     prime_context(p)
     if not 1 <= a <= p - 1:
@@ -200,9 +207,11 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
             classes = {s.canonical() for s in found}
         else:
             classes = {s.dilation_class_canonical() for s in found}
+        attainers = tuple(sorted(classes))
+        _recount(attainers, best, k, _full_power_count)
         checked = comb(p, a)
     elif orbit_level:  # _orbit_sweep recounts its attainers by the full power
-        values, best, classes = _orbit_sweep(p, a, k)
+        values, best, attainers = _orbit_sweep(p, a, k)
         checked = len(values)
     else:
         # one key per representative (its best translate) keeps the kernel's
@@ -211,16 +220,14 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
         reps = orbit_catalog(p, a).reps
         scans = ((rep, _translate_row(rep, k)) for rep in reps)
         best, winners, _ = _argmin((scan, min(scan[1])) for scan in scans)
-        classes = {
+        attainers = tuple(sorted({
             rep.translate(t).dilation_class_canonical()
             for rep, row in winners
             for t, val in enumerate(row)
             if val == best
-        }
-        checked = len(reps) * p
-    attainers = tuple(sorted(classes))
-    if resolved == EXHAUSTIVE_RAW or not orbit_level:
+        }))
         _recount(attainers, best, k, s_k_count)
+        checked = len(reps) * p
     return SearchReport(
         p=p,
         sizes=(a,),
@@ -362,25 +369,29 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
 def _verdict(
     theorem_id: str,
     params: dict,
-    raw_points: Sequence[tuple[int, bool, dict]],
+    xs: Sequence[int],
+    point: Callable[[int], tuple[bool, dict]],
     start: float,
     *,
     k_limit: float = inf,
     window: float = inf,
 ) -> TheoremVerdict:
-    """Label (x, holds, details) points, ascending in x, and build the verdict.
+    """Evaluate point(x) -> (holds, details) at each x of xs (ascending),
+    label the points and build the verdict.
 
     The threshold is the least x <= k_limit such that every point in
     [x, x + window] holds; failing points before it are "below-threshold",
     the rest "fails".  The default limits give the least x from which the
     claim holds through the end of the range.  A range with no point, or
-    with no point at or below k_limit, tested no threshold candidate, so it
-    is a usage error, never a failed claim."""
-    if not raw_points:
+    with no point at or below k_limit, has no threshold candidate to test,
+    so it is a usage error, raised before any point is evaluated, never a
+    failed claim."""
+    if not xs:
         raise ValueError(f"{theorem_id}: the range holds no point to test")
-    if raw_points[0][0] > k_limit:
+    if xs[0] > k_limit:
         raise ValueError(f"{theorem_id}: no point of the range lies at or below "
                          f"k_limit={k_limit}")
+    raw_points = [(x, *point(x)) for x in xs]
     threshold = None
     for i, (x, _, _) in enumerate(raw_points):
         if x > k_limit:
@@ -472,18 +483,19 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     ks = sorted(set(k_range))
     if any(k % p == 1 or k < 2 for k in ks):
         raise ValueError("k values must be >= 2 and != 1 mod p")
-    raw_points = []
-    for k in ks:
+
+    def point(k: int) -> tuple[bool, dict]:
         report, predicted, phases = _knot1_point(p, a, k)
-        raw_points.append((k, report.extremal_orbits == (predicted,), {
+        return report.extremal_orbits == (predicted,), {
             "min_value": str(report.min_value),
             "extremal": [s.members() for s in report.extremal_orbits],
             "predicted": predicted.members(),
             "phase_indices": phases,
-        }))
+        }
+
     return _verdict(
         "thm3", {"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
-        raw_points, start,
+        ks, point, start,
     )
 
 
@@ -500,8 +512,8 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
         raise ValueError("s values must be >= 1")
     interval_orbit = Subset.interval(p, a).canonical()
     punctured_orbit = Subset.punctured_interval(p, a).canonical()
-    raw_points = []
-    for s in ss:
+
+    def point(s: int) -> tuple[bool, dict]:
         k = s * p + 1
         values, min_value, attainers = _orbit_sweep(p, a, k)
         interval_value = values[interval_orbit]
@@ -530,10 +542,11 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
             details["part"] = "2"
             details["bucket"] = bucket
             details["interval_is_max"] = interval_is_max
-        raw_points.append((s, holds, details))
+        return holds, details
+
     return _verdict(
         "thm5", {"p": p, "a": a, "s_range": [ss[0], ss[-1]] if ss else []},
-        raw_points, start,
+        ss, point, start,
     )
 
 
@@ -578,8 +591,8 @@ def scan_k0(
         raise ValueError(f"unknown mode {mode!r}")
 
     interval_orbit = Subset.interval(p, a).canonical()
-    raw_points = []
-    for k in family:
+
+    def point(k: int) -> tuple[bool, dict]:
         details = {}
         if mode == "knot1":
             report, predicted, _ = _knot1_point(p, a, k)
@@ -597,9 +610,10 @@ def scan_k0(
         details["n_attainers"] = len(attainers)
         if not holds:
             details["extremal"] = [s.members() for s in attainers]
-        raw_points.append((k, holds, details))
+        return holds, details
+
     return _verdict(
         f"scan-{mode}",
         {"p": p, "a": a, "mode": mode, "k_limit": k_limit, "window": window},
-        raw_points, start, k_limit=k_limit, window=window,
+        family, point, start, k_limit=k_limit, window=window,
     )

@@ -19,6 +19,14 @@ exact conjugate (r, 2*pi - theta), or (r, 0) when theta = 0, and mirrored
 magnitudes are equal.  _coeff_error derives why the bound it returns covers
 the table, isqrt, rounding and atan2 steps.
 
+_clusters is the one certified ranking kernel: it sorts values, ties those
+within TIE_MARGIN errors of each other, needs a gap over SEPARATION_MARGIN
+errors between groups, and can stop after the top groups.  The peak
+frequencies of spectral_levels and primary_image and the rho ladder of
+spectral_levels all go through it; projection_scores orders residues by one
+exact integer key and checks that order against the same two margins, which
+also bound every lattice clearance (primary_image, the angle check).
+
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
 by floating-point proximity alone; _lattice_reading is the one place that
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -48,6 +56,11 @@ from .core import (  # PrecisionError is re-exported from here
 DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 GUARD_BITS = 32
+# Certified comparisons, in units of the error bound at hand: values within
+# TIE_MARGIN of each other are tied, and a gap must exceed SEPARATION_MARGIN
+# to count as a strict order or a clearance.
+TIE_MARGIN = 4
+SEPARATION_MARGIN = 10
 
 
 _T = TypeVar("_T")
@@ -179,39 +192,30 @@ def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfi
     return FourierProfile(a, precision, w, err, coeffs)
 
 
-def _top_cluster(pairs: Sequence[tuple[mp.mpf, object]], err: mp.mpf) -> list | None:
-    """Keys tied (within 4*err) for the maximum, or None when the boundary
-    gap does not clear 10*err."""
+def _clusters(
+    pairs: Sequence[tuple[mp.mpf, object]], err: mp.mpf, depth: int | None = None
+) -> list[list[tuple[mp.mpf, object]]] | None:
+    """The one certified ranking: (value, key) pairs sorted by value,
+    largest first, and cut into groups.  Adjacent values within
+    TIE_MARGIN*err share a group, a gap over SEPARATION_MARGIN*err starts the
+    next one, and a gap in between, or a group spread wider than
+    TIE_MARGIN*err, returns None.  Ranking stops once depth groups are
+    closed, so values below them are never resolved."""
     ranked = sorted(pairs, key=lambda kv: kv[0], reverse=True)
-    top_val = ranked[0][0]
-    cluster = []
-    for val, key in ranked:
-        if top_val - val <= 4 * err:
-            cluster.append(key)
-        elif top_val - val > 10 * err:
-            break
-        else:
-            return None
-    return cluster
-
-
-def _descending_clusters(pairs: Sequence[tuple[mp.mpf, object]], err: mp.mpf) -> list | None:
-    """Group equal values (within 4*err) separated by gaps > 10*err; None if
-    any adjacent difference falls in the ambiguous band."""
-    ranked = sorted(pairs, key=lambda kv: kv[0], reverse=True)
-    clusters: list[list] = [[ranked[0]]]
+    groups = [[ranked[0]]]
     for prev, cur in zip(ranked, ranked[1:]):
         diff = prev[0] - cur[0]
-        if diff <= 4 * err:
-            clusters[-1].append(cur)
-        elif diff > 10 * err:
-            clusters.append([cur])
+        if diff <= TIE_MARGIN * err:
+            groups[-1].append(cur)
+        elif diff <= SEPARATION_MARGIN * err:
+            return None
+        elif len(groups) == depth:
+            break
         else:
-            return None
-    for cl in clusters:
-        if cl[0][0] - cl[-1][0] > 4 * err:
-            return None
-    return clusters
+            groups.append([cur])
+    if any(g[0][0] - g[-1][0] > TIE_MARGIN * err for g in groups):
+        return None
+    return groups
 
 
 @dataclass(frozen=True)
@@ -264,13 +268,12 @@ def spectral_levels(
         attain = []
         with mp.workprec(profiles[0].work_prec):
             for idx, prof in enumerate(profiles):
-                mags = [(prof.magnitude(g), g) for g in range(1, p)]
-                top = _top_cluster(mags, err)
-                if top is None:
+                peak = _clusters([(prof.magnitude(g), g) for g in range(1, p)], err, depth=1)
+                if peak is None:
                     return None
-                attain.append(tuple(sorted(top)))
-                rho_pairs.append((max(m for m, _ in mags), idx))
-            clusters = _descending_clusters(rho_pairs, err)
+                attain.append(tuple(sorted(g for _, g in peak[0])))
+                rho_pairs.append((peak[0][0][0], idx))  # rho: the top group's head
+            clusters = _clusters(rho_pairs, err)
             if clusters is None:
                 return None
             keep = clusters[:depth]
@@ -284,14 +287,6 @@ def spectral_levels(
         return SpectralLevels(p, a, levels, attainers, err, prec, ratio)
 
     return _escalate(f"spectral_levels(p={p}, a={a})", precision, attempt)
-
-
-def interval_secondary_peak(p: int, a: int, precision: int = DEFAULT_PRECISION) -> mp.mpf:
-    """max_{g in [2, p-2]} |hat1_{[a]}(g)|: the interval's runner-up magnitude."""
-    if p < 5:
-        raise ValueError(f"need p >= 5 for frequencies 2..p-2 to exist, got p={p}")
-    prof = dft_indicator(Subset.interval(p, a), precision)
-    return max(prof.magnitude(g) for g in range(2, p - 1))
 
 
 # --- exact lattice-angle certification --------------------------------------
@@ -375,16 +370,16 @@ def primary_image(
         prof = dft_indicator(d, prec)
         err = prof.err
         with mp.workprec(prof.work_prec):
-            top = _top_cluster([(prof.magnitude(g), g) for g in range(1, p)], err)
-            if top is None:
+            peak = _clusters([(prof.magnitude(g), g) for g in range(1, p)], err, depth=1)
+            if peak is None:
                 return None
-            gamma = min(top)
+            gamma = min(g for _, g in peak[0])
             reading = _lattice_reading(prof, gamma)
             if reading is None:
                 return None
             if reading.exact:
                 ell = reading.index // 2
-            elif reading.distance > 10 * prof.argument_error(gamma):
+            elif reading.distance > SEPARATION_MARGIN * prof.argument_error(gamma):
                 ell = int(mp.nint(prof.argument(gamma) * p / (2 * mp.pi))) % p
             else:
                 return None
@@ -442,7 +437,6 @@ def projection_scores(
     a = d_pri.size
     if not 2 <= a <= p - 2:
         raise ValueError("projection scores need 2 <= |D| <= p-2")
-    half = (p - 1) // 2
 
     def attempt(prec: int):
         prof = dft_indicator(d_pri, prec)
@@ -456,30 +450,19 @@ def projection_scores(
                 raise ValueError("set is not primary: argument outside (-pi/p, pi/p]")
             if n is not None and n not in (0, 1, 2 * p - 1):
                 raise ValueError("set is not primary: lattice argument beyond +-pi/p")
-            if n == 0:
-                groups = [(0,)] + [(m, p - m) for m in range(1, half + 1)]
-            elif n == 1:
-                groups = [((j) % p, (-j - 1) % p) for j in range(0, half)]
-                groups.append((half,))
-            elif n is not None:  # theta = -pi/p
-                groups = [((j) % p, (1 - j) % p) for j in range(0, -half, -1)]
-                groups.append(((half + 1) % p,))
-            elif th > 0:
-                seq = [0]
-                for m in range(1, half + 1):
-                    seq.extend([-m % p, m])
-                groups = [(j,) for j in seq]
-            else:
-                seq = [0]
-                for m in range(1, half + 1):
-                    seq.extend([m, -m % p])
-                groups = [(j,) for j in seq]
+            # theta in units of pi/(2p): 0, +-2 on the lattice, +-1 strictly
+            # inside (0, pi/p) or (-pi/p, 0); pos[j] is 2*pi*j/p + theta in the
+            # same units, folded to (-2p, 2p], so cos falls as |pos| grows
+            c = {0: 0, 1: 2, 2 * p - 1: -2}[n] if n is not None else (1 if th > 0 else -1)
+            pos = {j: (4 * j + c + 2 * p - 1) % (4 * p) - 2 * p + 1 for j in range(p)}
+            order = sorted(range(p), key=lambda j: (abs(pos[j]), -pos[j] if c >= 0 else pos[j]))
+            groups = [tuple(g) for _, g in groupby(order, key=lambda j: abs(pos[j]))]
             scores = {j: mp.cos(2 * mp.pi * j / p + th) for j in range(p)}
             # verify the claimed pattern at this precision
             h_err = prof.argument_error(1) + mp.ldexp(mp.mpf(8), -prof.work_prec)
-            tied = all(abs(scores[u] - scores[v]) <= 4 * h_err
+            tied = all(abs(scores[u] - scores[v]) <= TIE_MARGIN * h_err
                        for g in groups for u, v in zip(g, g[1:]))
-            apart = all(scores[g[-1]] - scores[h[0]] > 10 * h_err
+            apart = all(scores[g[-1]] - scores[h[0]] > SEPARATION_MARGIN * h_err
                         for g, h in zip(groups, groups[1:]))
         if not (tied and apart):
             return None
@@ -505,7 +488,7 @@ def projection_scores(
     cand1 = Subset.from_residues(p, flat[: a - 1] + [flat[a + 1]])
     cand2 = Subset.from_residues(p, flat[: a - 2] + flat[a - 1 : a + 1])
     return ProjectionRanking(
-        d_pri, th, n, tuple(tuple(g) for g in groups), scores,
+        d_pri, th, n, tuple(groups), scores,
         tuple(top_sets), (cand1, cand2), err, prec,
     )
 
@@ -649,7 +632,7 @@ def _punctured_avoidance(
                              f"coefficient too small to place at {precision} bits")
     with mp.workprec(prof.work_prec):
         angle_err = prof.argument_error(1)
-        passed = not reading.exact and reading.distance > 10 * angle_err
+        passed = not reading.exact and reading.distance > SEPARATION_MARGIN * angle_err
     return prof, reading, angle_err, bool(passed)
 
 
@@ -665,24 +648,17 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
     """
     prof, reading, angle_err, passed = _punctured_avoidance(p, a, precision)
     b = min(a, p - a)
-    if b % 2 == 1:
-        m = (b - 1) // 2
-        branch_set = Subset.from_residues(p, [-m - 1] + list(range(-m + 1, m + 1)))
-        parity = "odd"
-    else:
-        m = (b - 2) // 2
-        branch_set = Subset.from_residues(p, [-m - 1] + list(range(-m + 1, m + 2)))
-        parity = "even"
+    m = (b - 1) // 2
+    branch_set = Subset.from_residues(p, [-m - 1] + list(range(-m + 1, b - m)))
     if branch_set.size != b:
         raise InvariantError(f"branch set for p={p}, a={a} has {branch_set.size} points, not {b}")
+    parity = "odd" if b % 2 else "even"
     branch_prof = dft_indicator(branch_set, precision)
     with mp.workprec(prof.work_prec):
         th_b = _fold(branch_prof.argument(1))
-        margin = 10 * branch_prof.argument_error(1)
-        if parity == "odd":
-            branch_ok = bool(th_b > margin and th_b < mp.pi / p - margin)
-        else:
-            branch_ok = bool(th_b < -margin and th_b > -mp.pi / p + margin)
+        margin = SEPARATION_MARGIN * branch_prof.argument_error(1)
+        lo = 0 if b % 2 else -mp.pi / p
+        branch_ok = bool(lo + margin < th_b < lo + mp.pi / p - margin)
     return AngleCheck(
         p, a, reading.distance, angle_err, reading.index, not reading.exact,
         passed, b, parity, th_b, branch_ok, precision,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import zpcount
-from zpcount import Subset, s_count, s_k_count
+from zpcount import Subset, extremal, s_count, s_k_count
 from zpcount.cli import (
     _NOT_PARAMS, _params_from_args, _parse_residues, _parse_sizes, _strip_elapsed,
     build_parser, main,
@@ -231,9 +231,14 @@ def test_empty_claim_range_is_exit_1(capsys, argv):
     ("scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "0"),
     ("scan-k0", "--p", "7", "--a", "4", "--mode", "k1-even", "--k-limit", "3"),
 ], ids=["knot1", "k1-even"])
-def test_scan_k0_k_limit_below_every_point_is_exit_1(capsys, argv):
-    # every point may hold, but no threshold candidate was tested: not exit 2
+def test_scan_k0_k_limit_below_every_point_is_exit_1(capsys, monkeypatch, argv):
+    # every point may hold, but no threshold candidate was tested: not exit 2,
+    # and no point is evaluated before the limit is checked
+    calls = []
+    for name in ("minimize_sk", "_orbit_sweep"):
+        monkeypatch.setattr(extremal, name, lambda *args, name=name: calls.append(name))
     code, out, err = run(capsys, *argv)
+    assert calls == []
     assert code == 1 and out == ""
     assert err == (f"error: scan-{argv[6]}: no point of the range lies at or below "
                    f"k_limit={argv[8]}\n")
@@ -462,6 +467,15 @@ def test_recheck_validates_stored_precision(capsys, tmp_path):
 _BROKEN = {
     "s_k_count": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                   ["minimize", "--p", "7", "--a", "3", "--k", "4"]),
+    # the raw search counts every subset by the half power and recounts its
+    # attainers by the full power, on both lanes
+    "s_k_count_minimize_raw": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
+                               ["minimize", "--p", "7", "--a", "3", "--k", "4",
+                                "--method", "raw"]),
+    "s_k_count_minimize_raw_k1": ("zpcount.extremal", "s_k_count",
+                                  "lambda *args: real(*args) + 1",
+                                  ["minimize", "--p", "7", "--a", "3", "--k", "8",
+                                   "--method", "raw"]),
     # k = 1 mod p: the orbit sweep recounts by the full power, so a half
     # power that is off by one everywhere is caught on every command using it
     "s_k_count_minimize_k1": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",

@@ -198,6 +198,18 @@ def test_k1_attainers_are_recounted_by_the_full_power(monkeypatch, p, a, call):
         call()
 
 
+@pytest.mark.parametrize("k", [3, 8], ids=["k-not-1", "k-1"])
+def test_raw_attainers_are_recounted_by_the_full_power(monkeypatch, k):
+    # the raw search scores every subset with s_k_count; a count that lies
+    # about {0, 1, 2} makes it the unique minimizer, and only a recount by
+    # another route catches it
+    real = extremal.s_k_count
+    lie = Subset.from_residues(7, [0, 1, 2])
+    monkeypatch.setattr(extremal, "s_k_count", lambda s, k: 0 if s == lie else real(s, k))
+    with pytest.raises(InvariantError, match=rf"s_{k} recount of attainer .* search found 0"):
+        minimize_sk(7, 3, k, method="raw")
+
+
 def test_scan_k0_modes():
     sc = scan_k0(7, 3, "knot1", k_limit=60)
     assert sc.passed and sc.threshold == 2
@@ -219,7 +231,7 @@ def test_scan_k0_modes():
     lambda: verify_thm_knot1(7, 3, range(10, 5)),
     lambda: verify_thm_k1(7, 3, []),
     lambda: scan_k0(7, 3, "knot1", k_limit=1, window=0),
-    lambda: _verdict("t", {}, [], time.perf_counter()),
+    lambda: _verdict("t", {}, [], lambda x: (True, {}), time.perf_counter()),
 ], ids=["thm3-empty", "thm3-descending", "thm5-empty", "scan-k0-empty", "verdict"])
 def test_empty_range_is_a_usage_error(call):
     # no point was tested, so there is no verdict to report, passing or failing
@@ -230,12 +242,19 @@ def test_empty_range_is_a_usage_error(call):
 @pytest.mark.parametrize("call", [
     lambda: scan_k0(7, 3, "knot1", k_limit=0),
     lambda: scan_k0(7, 4, "k1-even", k_limit=3),
-    lambda: _verdict("t", {}, [(2, True, {})], time.perf_counter(), k_limit=1),
-], ids=["scan-knot1", "scan-k1-even", "verdict"])
-def test_k_limit_below_every_point_is_a_usage_error(call):
-    # every point may hold, but no threshold candidate was tested
+    lambda: scan_k0(7, 3, "k1-part2", k_limit=7),
+    lambda: _verdict("t", {}, [2], lambda k: extremal.minimize_sk(7, 3, k),
+                     time.perf_counter(), k_limit=1),
+], ids=["scan-knot1", "scan-k1-even", "scan-k1-part2", "verdict"])
+def test_k_limit_below_every_point_is_a_usage_error(monkeypatch, call):
+    # every point may hold, but no threshold candidate was tested; the limit
+    # is checked before any point is evaluated
+    calls = []
+    for name in ("minimize_sk", "_orbit_sweep"):
+        monkeypatch.setattr(extremal, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(ValueError, match="no point of the range lies at or below k_limit"):
         call()
+    assert calls == []
 
 
 @pytest.mark.parametrize("p, a", [(5, 2), (7, 2), (7, 5), (11, 9)])
@@ -297,9 +316,10 @@ H, F = True, False
     ([F, H, H, H], {"k_limit": 1}, None, ["fails", "holds", "holds", "holds"]),
 ], ids=["below-threshold", "last-fails", "window", "k-limit"])
 def test_verdict_labels(holds, limits, threshold, statuses):
-    raw = [(x, h, {"x": x}) for x, h in enumerate(holds, start=1)]
-    v = _verdict("t", {"q": 1}, raw, time.perf_counter(), **limits)
+    xs = list(range(1, len(holds) + 1))
+    v = _verdict("t", {"q": 1}, xs, lambda x: (holds[x - 1], {"x": x}), time.perf_counter(),
+                 **limits)
     assert (v.theorem_id, v.params) == ("t", {"q": 1})
     assert v.threshold == threshold and v.passed == (threshold is not None)
     assert [pt.status for pt in v.points] == statuses
-    assert [pt.details for pt in v.points] == [{"x": x} for x, _, _ in raw]
+    assert [pt.details for pt in v.points] == [{"x": x} for x in xs]

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from zpcount import (
     F_value, Subset, angle_check_punctured, dft_indicator,
-    exact_arg_lattice_index, interval_secondary_peak, is_odd_prime, optimal_t,
+    exact_arg_lattice_index, is_odd_prime, optimal_t,
     orbit_catalog, primary_image, projection_scores, s_k_count, spectral_levels,
     t_good_scan, translate_phase_index,
 )
 from zpcount import fourier
-from zpcount.fourier import PrecisionError
+from zpcount.fourier import PrecisionError, _clusters
 
 from conftest import brute_dft
 
@@ -182,6 +182,49 @@ def test_projection_scores_lattice_ties():
     assert len(rank5.top_sets) == 1 and rank5.top_sets[0].is_interval()
 
 
+_SINGLES_NEG = tuple((j,) for j in (0, 1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7))
+_SINGLES_POS = tuple((j,) for j in (0, 12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7, 6))
+_PAIRS_ZERO = ((0,), (1, 12), (2, 11), (3, 10), (4, 9), (5, 8), (6, 7))
+
+
+# One set per place theta can sit at p = 13: (members, lattice index, sign of
+# theta, groups, top_sets masks, punctured_candidates masks), each frozen from
+# the five-branch ordering the integer key replaced.
+@pytest.mark.parametrize("members, index, sign, groups, tops, cands", [
+    ((0, 1, 2, 11, 12), 0, 0, _PAIRS_ZERO, [6151], [5127, 6155]),
+    ((1, 2, 11, 12), 0, 0, _PAIRS_ZERO, [4103, 6147], [4107, 2055]),
+    ((0, 1, 11, 12), 1, 1,
+     ((0, 12), (1, 11), (2, 10), (3, 9), (4, 8), (5, 7), (6,)), [6147], [5123, 6149]),
+    ((0, 1, 2, 12), 25, -1,
+     ((0, 1), (12, 2), (11, 3), (10, 4), (9, 5), (8, 6), (7,)), [4103], [4107, 2055]),
+    ((0, 1, 11), None, 1, _SINGLES_POS, [4099], [4101, 2051]),
+    ((0, 2, 12), None, -1, _SINGLES_NEG, [4099], [2051, 4101]),
+], ids=["theta-0", "theta-0-split-group", "theta-pi/p", "theta--pi/p",
+        "theta-inside-(0,pi/p)", "theta-inside-(-pi/p,0)"])
+def test_projection_scores_pinned_orderings(members, index, sign, groups, tops, cands):
+    rank = projection_scores(Subset.from_residues(13, members))
+    assert rank.lattice_index == index and mp.sign(rank.theta) == sign
+    assert rank.groups == groups
+    assert [s.mask for s in rank.top_sets] == tops
+    assert [s.mask for s in rank.punctured_candidates] == cands
+
+
+def test_clusters_ties_separates_and_stops_at_depth():
+    # with err = 1: gaps <= 4 tie, gaps > 10 separate, anything between is
+    # unresolved; depth stops the ranking before the unresolved 50 / 44 gap
+    pairs = [(mp.mpf(v), key) for v, key in ((80, "c"), (100, "a"), (44, "e"), (97, "b"),
+                                             (50, "d"))]
+    one = mp.mpf(1)
+    assert _clusters(pairs, one, depth=1) == [[pairs[1], pairs[3]]]
+    assert _clusters(pairs, one, depth=2) == [[pairs[1], pairs[3]], [pairs[0]]]
+    assert _clusters(pairs, one, depth=3) is None
+    assert _clusters(pairs, one) is None
+    assert _clusters(pairs[:4], one) == [[pairs[1], pairs[3]], [pairs[0]], [pairs[2]]]
+    # adjacent ties that drift wider than the tie margin are unresolved
+    drift = [(mp.mpf(v), v) for v in (100, 97, 94)]
+    assert _clusters(drift, one, depth=1) is None
+
+
 @pytest.mark.parametrize("p, a", [(7, 1), (7, 6), (11, 10)])
 def test_projection_scores_rejects_sizes_without_runner_ups(p, a):
     img, _ = primary_image(Subset.interval(p, a))
@@ -190,35 +233,59 @@ def test_projection_scores_rejects_sizes_without_runner_ups(p, a):
 
 
 # Each precision-ladder exit, forced by a private helper: (site, helper to
-# patch, the patched helper's result in place of the real one, the call).
+# patch, which of its calls to force, the patched helper's result in place of
+# the real one, the call).  The three _clusters exits are told apart by depth:
+# the peak frequencies rank one group, the rho ladder ranks them all.
 _PUNCT = Subset.punctured_interval(13, 3)
 _PRIMARY = primary_image(Subset.interval(13, 4))[0]
+
+
+def _any_call(*args, **kwargs):
+    return True
+
+
+def _peak(*args, depth=None):
+    return depth == 1
+
+
+def _rho_ladder(*args, depth=None):
+    return depth is None
+
+
+def _unresolved(real, *args, **kwargs):
+    return None
+
+
 _LADDER = {
-    "levels-clusters": ("spectral_levels", "_descending_clusters", lambda real, *a: None,
+    "levels-clusters": ("spectral_levels", "_clusters", _rho_ladder, _unresolved,
                         lambda prec: spectral_levels(11, 4, precision=prec)),
-    "levels-top": ("spectral_levels", "_top_cluster", lambda real, *a: None,
+    "levels-top": ("spectral_levels", "_clusters", _peak, _unresolved,
                    lambda prec: spectral_levels(11, 4, precision=prec)),
-    "lattice-index": ("exact_arg_lattice_index", "_lattice_reading", lambda real, *a: None,
+    "lattice-index": ("exact_arg_lattice_index", "_lattice_reading", _any_call, _unresolved,
                       lambda prec: exact_arg_lattice_index(Subset.interval(13, 4), 1, prec)),
-    "primary-top": ("primary_image", "_top_cluster", lambda real, *a: None,
+    "primary-top": ("primary_image", "_clusters", _peak, _unresolved,
                     lambda prec: primary_image(_PUNCT, prec)),
-    "primary-distance": ("primary_image", "_lattice_reading",
+    "primary-distance": ("primary_image", "_lattice_reading", _any_call,
                          lambda real, *a: real(*a)._replace(exact=False, distance=mp.mpf(0)),
                          lambda prec: primary_image(_PUNCT, prec)),
-    "projection-reading": ("projection_scores", "_lattice_reading", lambda real, *a: None,
+    "projection-reading": ("projection_scores", "_lattice_reading", _any_call, _unresolved,
                            lambda prec: projection_scores(_PRIMARY, prec)),
 }
 
 
-def _force(monkeypatch, helper, replacement, times):
-    """Replace fourier.<helper> by replacement for its first `times` calls;
-    return the precisions that dft_indicator is asked for."""
+def _force(monkeypatch, helper, when, replacement, times):
+    """Replace fourier.<helper> by replacement for its first `times` calls
+    that `when` selects; return the precisions that dft_indicator is asked
+    for."""
     real = getattr(fourier, helper)
     calls = []
 
-    def patched(*args):
-        calls.append(args)
-        return replacement(real, *args) if len(calls) <= times else real(*args)
+    def patched(*args, **kwargs):
+        if when(*args, **kwargs):
+            calls.append(args)
+            if len(calls) <= times:
+                return replacement(real, *args, **kwargs)
+        return real(*args, **kwargs)
 
     precisions = []
     real_dft = fourier.dft_indicator
@@ -234,17 +301,17 @@ def _force(monkeypatch, helper, replacement, times):
 
 @pytest.mark.parametrize("case", sorted(_LADDER))
 def test_ladder_resolves_at_the_next_rung(monkeypatch, case):
-    site, helper, replacement, call = _LADDER[case]
+    site, helper, when, replacement, call = _LADDER[case]
     unforced = call(128)
-    precisions = _force(monkeypatch, helper, replacement, times=1)
+    precisions = _force(monkeypatch, helper, when, replacement, times=1)
     assert call(64) == unforced
     assert min(precisions) == 64 and max(precisions) == 128
 
 
 @pytest.mark.parametrize("case", sorted(_LADDER))
 def test_ladder_raises_past_the_cap(monkeypatch, case):
-    site, helper, replacement, call = _LADDER[case]
-    precisions = _force(monkeypatch, helper, replacement, times=10**9)
+    site, helper, when, replacement, call = _LADDER[case]
+    precisions = _force(monkeypatch, helper, when, replacement, times=10**9)
     with pytest.raises(PrecisionError, match=f"^{site}.*at 4096 bits"):
         call(64)
     assert sorted(set(precisions)) == [64, 128, 256, 512, 1024, 2048, 4096]
@@ -391,18 +458,3 @@ def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
     t_good_scan(13, 3, range(-8, 9), precision=128)
     punct = (Subset.punctured_interval(13, 3).mask, 128)
     assert sorted(calls) == sorted(level_calls + [punct])
-
-
-def test_interval_secondary_peak_needs_p_at_least_5():
-    with pytest.raises(ValueError, match="p >= 5"):
-        interval_secondary_peak(3, 1)
-
-
-def test_t_good_scan_interval_secondary():
-    with mp.workprec(128):
-        m2 = interval_secondary_peak(13, 3)
-        lv = spectral_levels(13, 3)
-        direct = dft_indicator(Subset.interval(13, 3), 128)
-        second = sorted((direct.magnitude(g) for g in range(1, 13)), reverse=True)[2]
-        assert abs(m2 - second) <= 4 * direct.err
-        assert m2 < lv.levels[0]
