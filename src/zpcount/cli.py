@@ -68,10 +68,11 @@ def _parse_residues(text: str, p: int) -> list[int]:
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    sizes = tuple(int(tok) for tok in text.split(","))
-    if not sizes:
-        raise ValueError("empty size list")
-    return sizes
+    """Comma-separated set sizes."""
+    tokens = [token.strip() for token in text.split(",")]
+    if not all(tokens):
+        raise ValueError("empty entry in size list")
+    return tuple(int(token) for token in tokens)
 
 
 # --- handlers: params dict in, result dict out ---------------------------------

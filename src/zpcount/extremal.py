@@ -8,13 +8,16 @@ s_k(R + t) = sum_{y in R} sigma_R^(k)(y - (k-1)t).  minimize_s_general covers
 the mixed-size count s(A_0; A_1, ..., A_k), either brute-force over all
 configurations (tiny p) or along the interval family.
 
-Each k-lane has one point evaluator that every claim on it shares:
-_orbit_sweep for k = 1 mod p, _knot1_point for k != 1 mod p.  Each reported
-attainer is recounted before it is emitted, and a disagreement raises
-InvariantError: orbit-sweep and raw-search attainers by the full power
-sigma^(k) (both searches count by s_k_count's half power), translate-scan
-attainers by s_k_count (the scan's rows use the full power), mixed-size
-witnesses by s_count.
+Each k-lane has one search that every claim on it shares: _orbit_sweep for
+k = 1 mod p, one point at a time, and _class_minima for k != 1 mod p, one
+sweep over the whole k-range whose kernel _translate_rows keeps each
+representative's correlation packed in one bigint and steps it k -> k+1 by
+a shift-add instead of recomputing sigma^(k) at every k (minimize_sk runs the
+same sweep at a single k).  Each reported attainer is recounted before it is
+emitted, and a disagreement raises InvariantError: orbit-sweep and
+raw-search attainers by the full power sigma^(k) (both searches count by
+s_k_count's half power), translate-scan attainers by s_k_count (the scan's
+rows come from the full power), mixed-size witnesses by s_count.
 
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
@@ -31,19 +34,23 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, inf
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (  # InvariantError is re-exported from here
     InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
     prime_context, subset_masks_of_size,
 )
-from .counting import power_sigma, s_count, s_k_count, sigma_vector
+from .counting import _pack, _unpack, power_sigma, s_count, s_k_count, sigma_vector
 
 EXHAUSTIVE_ORBITS = "EXHAUSTIVE_ORBITS"
 EXHAUSTIVE_RAW = "EXHAUSTIVE_RAW"
 INTERVAL_SCAN = "INTERVAL_SCAN"
 
 GENERAL_TUPLE_GUARD = 4 * 10**6  # full-mode configuration budget
+# a sweep restarts from power_sigma rather than step across a gap of more k
+# values than this: a restart measured as 17-235 steps for p <= 23, k <= 3000
+SWEEP_RESTART_GAP = 16
 WITNESS_CAP = 24  # stored attainer configurations per general report
 
 
@@ -140,15 +147,6 @@ def _argmin(pairs: Iterable[tuple[object, int]], cap: float = inf) -> tuple[int,
     return best, keys, count
 
 
-def _translate_row(rep: Subset, k: int) -> list[int]:
-    """s_k(rep + t) for t = 0, ..., p-1."""
-    p = rep.p
-    sig = power_sigma(rep, k)
-    members = rep.members()
-    step = (k - 1) % p
-    return [sum(sig[(y - step * t) % p] for y in members) for t in range(p)]
-
-
 def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
     """Raise InvariantError unless count(rep, k) == best for every attainer."""
     for rep in attainers:
@@ -161,9 +159,67 @@ def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
 
 
 def _full_power_count(rep: Subset, k: int) -> int:
-    """s_k(rep) from the full power sigma^(k): the t = 0 entry of its translate
-    row, a route that shares no code with s_k_count's half power."""
-    return _translate_row(rep, k)[0]
+    """s_k(rep) as the sum of the full power sigma^(k) over rep's members, a
+    route that uses neither s_k_count's half-power rho sum nor the packed
+    shift-adds of _translate_rows."""
+    sig = power_sigma(rep, k)
+    return sum(sig[y] for y in rep.members())
+
+
+def _rotate_sum(packed: int, shifts: Iterable[int], width: int, bits: int) -> int:
+    """Sum of the cyclic rotations of a packed vector (slots of width bits,
+    bits = p * width in all) up by each shift s in [0, p): entry z of the
+    result is the sum over the shifts of entry z - s.  The caller sizes the slots so that no
+    such sum carries; the non-cyclic shifts are then folded once."""
+    total = sum([packed << (s * width) for s in shifts])
+    return (total & ((1 << bits) - 1)) + (total >> bits)
+
+
+def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[tuple]]:
+    """The k != 1 mod p kernel: for each k of ks (ascending, none = 1 mod
+    p), the rows (s_k(R + t) for t = 0, ..., p-1) of every representative R
+    in reps, in order.
+
+    By s_k(R + t) = sum_{y in R} sigma^(k)(y - (k-1)t), row[t] is entry
+    -(k-1)t of the correlation C^(k) = sum_{y in R} rot(sigma^(k), -y).
+    Rotations commute, so C^(k+1) = sum_{x in R} rot(C^(k), x): the state
+    per representative is C itself, packed in one bigint with one slot per
+    residue (as in counting's Kronecker kernel), started from
+    power_sigma(R, ks[0]) (and again past a gap wider than
+    SWEEP_RESTART_GAP) and stepped k -> k+1 by an a-term shift-add.  C's
+    entries sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots
+    start at the bytes the first k needs and double (up to the bytes of the
+    last k) whenever the next step would overflow them."""
+    p = reps[0].p
+    a_bits = reps[0].size.bit_length()
+
+    def slot_bytes(k: int) -> int:
+        return ((k + 1) * a_bits + 7) // 8
+
+    ups = [rep.members() for rep in reps]
+
+    def start(k: int) -> tuple[int, list[int]]:
+        nb = slot_bytes(k)
+        return nb, [
+            _rotate_sum(_pack(power_sigma(rep, k), nb), [-y % p for y in up], 8 * nb, 8 * nb * p)
+            for rep, up in zip(reps, ups)
+        ]
+
+    k = ks[0]
+    nb, states = start(k)
+    for target in ks:
+        if target - k > SWEEP_RESTART_GAP:
+            k = target
+            nb, states = start(k)
+        while k < target:
+            if slot_bytes(k + 1) > nb:
+                grown = min(max(slot_bytes(k + 1), 2 * nb), slot_bytes(ks[-1]))
+                states = [_pack(_unpack(c, p, nb), grown) for c in states]
+                nb = grown
+            states = [_rotate_sum(c, up, 8 * nb, 8 * nb * p) for c, up in zip(states, ups)]
+            k += 1
+        read = itemgetter(*[-(k - 1) * t % p for t in range(p)])
+        yield [read(_unpack(c, p, nb)) for c in states]
 
 
 def _orbit_sweep(p: int, a: int, k: int) -> tuple[dict[Subset, int], int, tuple[Subset, ...]]:
@@ -178,6 +234,27 @@ def _orbit_sweep(p: int, a: int, k: int) -> tuple[dict[Subset, int], int, tuple[
     return values, best, attainers
 
 
+def _class_minima(p: int, a: int, ks: Sequence[int]) -> Iterator[tuple[int, tuple[Subset, ...]]]:
+    """The one k != 1 mod p search: for each k of ks (ascending, none = 1 mod
+    p), the least s_k over every translate of every orbit representative and
+    its attaining dilation classes in ascending order.  Each attainer is
+    recounted by s_k_count (the rows come from the full power)."""
+    reps = orbit_catalog(p, a).reps
+    for k, rows in zip(ks, _translate_rows(reps, ks)):
+        # one key per representative (its best translate) keeps _argmin's
+        # input at len(reps), not p times that; the attaining translates are
+        # expanded for the winning representatives only
+        best, winners, _ = _argmin(((rep, row), min(row)) for rep, row in zip(reps, rows))
+        attainers = tuple(sorted({
+            rep.translate(t).dilation_class_canonical()
+            for rep, row in winners
+            for t, val in enumerate(row)
+            if val == best
+        }))
+        _recount(attainers, best, k, s_k_count)
+        yield best, attainers
+
+
 def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport:
     """Exact minimum of s_k over all a-subsets of Z_p, with every attaining
     class.
@@ -187,7 +264,7 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     re-derives the same answer from all C(p,a) subsets.  Every emitted
     attainer is re-counted before the report is returned: by the full power
     in the orbit and raw searches (which count by the half-power s_k_count),
-    by s_k_count in the translate scan (whose rows use the full power).
+    by s_k_count in the translate scan (whose rows come from the full power).
     """
     prime_context(p)
     if not 1 <= a <= p - 1:
@@ -213,21 +290,9 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     elif orbit_level:  # _orbit_sweep recounts its attainers by the full power
         values, best, attainers = _orbit_sweep(p, a, k)
         checked = len(values)
-    else:
-        # one key per representative (its best translate) keeps the kernel's
-        # input at len(reps), not p times that; the attaining translates are
-        # expanded for the winning representatives only
-        reps = orbit_catalog(p, a).reps
-        scans = ((rep, _translate_row(rep, k)) for rep in reps)
-        best, winners, _ = _argmin((scan, min(scan[1])) for scan in scans)
-        attainers = tuple(sorted({
-            rep.translate(t).dilation_class_canonical()
-            for rep, row in winners
-            for t, val in enumerate(row)
-            if val == best
-        }))
-        _recount(attainers, best, k, s_k_count)
-        checked = len(reps) * p
+    else:  # _class_minima recounts its attainers by s_k_count
+        best, attainers = next(_class_minima(p, a, [k]))
+        checked = len(orbit_catalog(p, a).reps) * p
     return SearchReport(
         p=p,
         sizes=(a,),
@@ -459,18 +524,22 @@ def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _knot1_point(p: int, a: int, k: int) -> tuple[SearchReport, Subset, list[int]]:
-    """The one k != 1 mod p point: the search report, the dilation class of
-    the optimal interval translates, and their phase indices."""
-    report = minimize_sk(p, a, k)
-    ts = optimal_t(p, a, k)
-    classes = {Subset.interval(p, a).translate(t).dilation_class_canonical() for t in ts}
-    if len(classes) != 1:  # the two even-case translates are reflections
-        raise InvariantError(
-            f"optimal translates of [{a}] in Z_{p} at k={k} span {len(classes)} "
-            "dilation classes"
-        )
-    return report, classes.pop(), sorted(translate_phase_index(p, a, k, t) for t in ts)
+def _knot1_points(
+    p: int, a: int, ks: Sequence[int]
+) -> Iterator[tuple[int, tuple[Subset, ...], Subset, list[int]]]:
+    """The one k != 1 mod p sweep: for each k of ks (ascending), the least
+    s_k, its attaining dilation classes, the dilation class of the optimal
+    interval translates and their phase indices.  A generator: nothing is
+    evaluated before the first point is asked for."""
+    for k, (best, attainers) in zip(ks, _class_minima(p, a, ks)):
+        ts = optimal_t(p, a, k)
+        classes = {Subset.interval(p, a).translate(t).dilation_class_canonical() for t in ts}
+        if len(classes) != 1:  # the two even-case translates are reflections
+            raise InvariantError(
+                f"optimal translates of [{a}] in Z_{p} at k={k} span {len(classes)} "
+                "dilation classes"
+            )
+        yield best, attainers, classes.pop(), sorted(translate_phase_index(p, a, k, t) for t in ts)
 
 
 def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
@@ -484,11 +553,13 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     if any(k % p == 1 or k < 2 for k in ks):
         raise ValueError("k values must be >= 2 and != 1 mod p")
 
-    def point(k: int) -> tuple[bool, dict]:
-        report, predicted, phases = _knot1_point(p, a, k)
-        return report.extremal_orbits == (predicted,), {
-            "min_value": str(report.min_value),
-            "extremal": [s.members() for s in report.extremal_orbits],
+    points = _knot1_points(p, a, ks)
+
+    def point(k: int) -> tuple[bool, dict]:  # _verdict asks for every k of ks in order
+        min_value, attainers, predicted, phases = next(points)
+        return attainers == (predicted,), {
+            "min_value": str(min_value),
+            "extremal": [s.members() for s in attainers],
             "predicted": predicted.members(),
             "phase_indices": phases,
         }
@@ -591,12 +662,12 @@ def scan_k0(
         raise ValueError(f"unknown mode {mode!r}")
 
     interval_orbit = Subset.interval(p, a).canonical()
+    points = _knot1_points(p, a, family) if mode == "knot1" else None
 
-    def point(k: int) -> tuple[bool, dict]:
+    def point(k: int) -> tuple[bool, dict]:  # _verdict asks for every k of family in order
         details = {}
         if mode == "knot1":
-            report, predicted, _ = _knot1_point(p, a, k)
-            min_value, attainers = report.min_value, report.extremal_orbits
+            min_value, attainers, predicted, _ = next(points)
             holds = attainers == (predicted,)
             details["predicted"] = predicted.members()
         else:

@@ -157,6 +157,12 @@ def test_minimize_sizes_mode(capsys):
     assert doc["result"]["min_value"] == "0"
 
 
+@pytest.mark.parametrize("sizes", ["3,,4", "3,4,", " ,3", "3, ,4"])
+def test_sizes_empty_entry_is_exit_1(capsys, sizes):
+    code, out, err = run(capsys, "minimize", "--p", "7", "--sizes", sizes)
+    assert (code, out, err) == (1, "", "error: empty entry in size list\n")
+
+
 def test_verify_thm1_all_sizes(capsys):
     doc = run_json(capsys, "verify", "thm1", "--p", "5", "--k", "2", "--all-sizes")
     assert doc["result"]["all_passed"] is True
@@ -235,7 +241,7 @@ def test_scan_k0_k_limit_below_every_point_is_exit_1(capsys, monkeypatch, argv):
     # every point may hold, but no threshold candidate was tested: not exit 2,
     # and no point is evaluated before the limit is checked
     calls = []
-    for name in ("minimize_sk", "_orbit_sweep"):
+    for name in ("minimize_sk", "_orbit_sweep", "_translate_rows"):
         monkeypatch.setattr(extremal, name, lambda *args, name=name: calls.append(name))
     code, out, err = run(capsys, *argv)
     assert calls == []
@@ -488,6 +494,12 @@ _BROKEN = {
     "s_k_count_scan_k1_part2": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                                 ["scan-k0", "--p", "7", "--a", "3", "--mode", "k1-part2",
                                  "--k-limit", "20"]),
+    # k != 1 mod p: a packed sweep step that zeroes the interval's state
+    # makes it the minimizer, and the s_k_count recount catches it
+    "rotate_sum_thm3": ("zpcount.extremal", "_rotate_sum",
+                        "lambda c, shifts, *rest: 0 if sorted(s % 7 for s in shifts) in "
+                        "([0, 1, 2], [0, 5, 6]) else real(c, shifts, *rest)",
+                        ["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "12"]),
     "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
                 ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
     "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",

@@ -10,7 +10,7 @@ from zpcount import (
 )
 
 from zpcount import extremal
-from zpcount.extremal import _argmin, _verdict
+from zpcount.extremal import _argmin, _class_minima, _translate_rows, _verdict
 
 from conftest import brute_s_k
 
@@ -44,6 +44,64 @@ def test_minimize_sk_methods_agree():
         r2 = minimize_sk(p, a, k, method="raw")
         assert r1.min_value == r2.min_value
         assert r1.extremal_orbits == r2.extremal_orbits
+
+
+# the raw search scores every a-subset at every k (about 39 s for all k <= 60
+# at p <= 13), so above p = 7 it judges the sweep at a few k, and the
+# per-point search (one power_sigma start per k) judges every other k
+_RAW_KS = {7: range(2, 61), 11: (2, 3, 10, 35, 60), 13: (2, 12, 60)}
+
+
+@pytest.mark.parametrize("p", sorted(_RAW_KS))
+def test_sweep_matches_raw_and_per_point_search(p):
+    for a in range(3, p - 2):
+        ks = [k for k in range(2, 61) if k % p != 1]
+        for k, (best, attainers) in zip(ks, _class_minima(p, a, ks)):
+            point = minimize_sk(p, a, k)
+            assert (best, attainers) == (point.min_value, point.extremal_orbits), (a, k)
+            if k in _RAW_KS[p]:
+                raw = minimize_sk(p, a, k, method="raw")
+                assert (best, attainers) == (raw.min_value, raw.extremal_orbits), (a, k)
+
+
+@pytest.mark.parametrize("a, ks", [(3, [2, 3, 4, 6, 9]), (4, [2, 3, 5])])
+def test_sweep_rows_vs_brute(a, ks):
+    # the gaps step the sweep through k values it does not report, k = 8 = 1
+    # mod 7 among them
+    reps = orbit_catalog(7, a).reps
+    for k, rows in zip(ks, _translate_rows(reps, ks)):
+        for rep, row in zip(reps, rows):
+            assert list(row) == [brute_s_k(rep.translate(t), k) for t in range(7)], (k, rep)
+
+
+def test_sweep_restarts_across_wide_gaps():
+    # gaps of 37 and 159 exceed SWEEP_RESTART_GAP, the gap of 16 does not
+    ks = [2, 3, 40, 44, 60, 219]
+    assert [k1 - k0 > extremal.SWEEP_RESTART_GAP for k0, k1 in zip(ks, ks[1:])] == [
+        False, True, False, False, True]
+    for k, (best, attainers) in zip(ks, _class_minima(7, 3, ks)):
+        raw = minimize_sk(7, 3, k, method="raw")
+        assert (best, attainers) == (raw.min_value, raw.extremal_orbits), k
+
+
+@pytest.mark.parametrize("call, sign, k", [
+    (lambda: minimize_sk(13, 5, 4), -1, 4),
+    (lambda: verify_thm_knot1(13, 5, [4, 5]), 1, 5),
+    (lambda: scan_k0(13, 5, "knot1", k_limit=4, window=0), 1, 3),
+], ids=["minimize-start", "thm3-step", "scan-knot1-step"])
+def test_sweep_attainers_are_recounted_by_the_half_power(monkeypatch, call, sign, k):
+    # a shift-add that zeroes the interval's packed state, at its start (by
+    # -R) or at a step (by +R), makes all its translates count 0; only the
+    # s_k_count recount of the attainers sees it
+    real = extremal._rotate_sum
+    lie = {sign * y % 13 for y in Subset.interval(13, 5).members()}
+
+    def lying(packed, shifts, width, bits):
+        return 0 if set(shifts) == lie else real(packed, shifts, width, bits)
+
+    monkeypatch.setattr(extremal, "_rotate_sum", lying)
+    with pytest.raises(InvariantError, match=rf"s_{k} recount of attainer .* search found 0"):
+        call()
 
 
 def test_minimize_sk_flagship_value():
@@ -250,7 +308,7 @@ def test_k_limit_below_every_point_is_a_usage_error(monkeypatch, call):
     # every point may hold, but no threshold candidate was tested; the limit
     # is checked before any point is evaluated
     calls = []
-    for name in ("minimize_sk", "_orbit_sweep"):
+    for name in ("minimize_sk", "_orbit_sweep", "_translate_rows"):
         monkeypatch.setattr(extremal, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(ValueError, match="no point of the range lies at or below k_limit"):
         call()
