@@ -36,7 +36,9 @@ from .core import (
     VERSION, InvariantError, PrecisionError, Subset, enumeration_guard, is_odd_prime,
     orbit_catalog, prime_context,
 )
-from .counting import count_vector_to_json, power_sigma, s_count, s_k_count, sigma_vector
+from .counting import (
+    count_vector_to_json, decimal_str, power_sigma, s_count, s_k_count, sigma_vector,
+)
 from .extremal import (
     minimize_s_general, minimize_sk, optimal_t, scan_k0, translate_phase_index,
     verify_thm_interval_extremal, verify_thm_k1, verify_thm_knot1,
@@ -92,7 +94,7 @@ def _run_count(params: dict) -> dict:
         k = len(sets) - 1
         value = s_count(sets[0], sets[1:])
     return {"p": p, "k": k, "sets": [list(s.members()) for s in sets],
-            "count": str(value)}
+            "count": decimal_str(value)}
 
 
 def _run_sigma(params: dict) -> dict:

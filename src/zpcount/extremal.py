@@ -17,7 +17,15 @@ same sweep at a single k).  Each reported attainer is recounted before it is
 emitted, and a disagreement raises InvariantError: orbit-sweep and
 raw-search attainers by the full power sigma^(k) (both searches count by
 s_k_count's half power), translate-scan attainers by s_k_count (the scan's
-rows come from the full power), mixed-size witnesses by s_count.
+rows come from the stepped correlation), mixed-size witnesses by s_count.
+The s_k routes share counting's kernels, not their schedules: power_sigma's
+square-and-shift-add chain (run to k // 2 by s_k_count, to k by the full
+power, to the first k by the sweep's start) and its shift-add _rotate_sum
+(also s_k_count's weighted rho sum and the sweep's step).  A recount
+therefore catches a search that misreads, misranks or mis-steps its
+values, and power_sigma's own check (entries summing to |A|^k) catches a
+slot too narrow in the chain on every route but the sweep's start, which
+takes the packed power unsplit and so unchecked.
 
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
@@ -41,7 +49,10 @@ from .core import (  # InvariantError is re-exported from here
     InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
     prime_context, subset_masks_of_size,
 )
-from .counting import _pack, _unpack, power_sigma, s_count, s_k_count, sigma_vector
+from .counting import (
+    _power_packed, _reslot, _rotate_sum, _unpack, decimal_str, power_sigma, s_count, s_k_count,
+    sigma_vector,
+)
 
 EXHAUSTIVE_ORBITS = "EXHAUSTIVE_ORBITS"
 EXHAUSTIVE_RAW = "EXHAUSTIVE_RAW"
@@ -81,7 +92,7 @@ class SearchReport:
             "p": self.p,
             "sizes": list(self.sizes),
             "k": self.k,
-            "min_value": str(self.min_value),
+            "min_value": decimal_str(self.min_value),
             "extremal_orbits": [list(s.members()) for s in self.extremal_orbits],
             "extremal_kind": self.extremal_kind,
             "method": self.method,
@@ -159,20 +170,14 @@ def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
 
 
 def _full_power_count(rep: Subset, k: int) -> int:
-    """s_k(rep) as the sum of the full power sigma^(k) over rep's members, a
-    route that uses neither s_k_count's half-power rho sum nor the packed
-    shift-adds of _translate_rows."""
+    """s_k(rep) as the sum of the full power sigma^(k) over rep's members.
+
+    It runs counting's square-and-shift-add chain to k, where s_k_count runs
+    it to k // 2 and finishes with a weighted rho shift-add: the two share
+    the chain's kernels (squaring, _rotate_sum, re-slot) but neither the
+    exponent nor the last step, and neither reads the sweep's correlation."""
     sig = power_sigma(rep, k)
     return sum(sig[y] for y in rep.members())
-
-
-def _rotate_sum(packed: int, shifts: Iterable[int], width: int, bits: int) -> int:
-    """Sum of the cyclic rotations of a packed vector (slots of width bits,
-    bits = p * width in all) up by each shift s in [0, p): entry z of the
-    result is the sum over the shifts of entry z - s.  The caller sizes the slots so that no
-    such sum carries; the non-cyclic shifts are then folded once."""
-    total = sum([packed << (s * width) for s in shifts])
-    return (total & ((1 << bits) - 1)) + (total >> bits)
 
 
 def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[tuple]]:
@@ -184,9 +189,10 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
     -(k-1)t of the correlation C^(k) = sum_{y in R} rot(sigma^(k), -y).
     Rotations commute, so C^(k+1) = sum_{x in R} rot(C^(k), x): the state
     per representative is C itself, packed in one bigint with one slot per
-    residue (as in counting's Kronecker kernel), started from
-    power_sigma(R, ks[0]) (and again past a gap wider than
-    SWEEP_RESTART_GAP) and stepped k -> k+1 by an a-term shift-add.  C's
+    residue (as in counting's Kronecker kernel), started from the packed
+    power sigma^(ks[0]) of counting's chain, re-slotted (and again past a gap
+    wider than SWEEP_RESTART_GAP), and stepped k -> k+1 by an a-term
+    shift-add (counting's _rotate_sum, called through this module).  C's
     entries sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots
     start at the bytes the first k needs and double (up to the bytes of the
     last k) whenever the next step would overflow them."""
@@ -200,10 +206,12 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
 
     def start(k: int) -> tuple[int, list[int]]:
         nb = slot_bytes(k)
-        return nb, [
-            _rotate_sum(_pack(power_sigma(rep, k), nb), [-y % p for y in up], 8 * nb, 8 * nb * p)
-            for rep, up in zip(reps, ups)
-        ]
+        states = []
+        for rep, up in zip(reps, ups):
+            power, power_nb = _power_packed(rep, k)
+            states.append(_rotate_sum(_reslot(power, p, power_nb, nb), [-y % p for y in up],
+                                      8 * nb, 8 * nb * p))
+        return nb, states
 
     k = ks[0]
     nb, states = start(k)
@@ -214,7 +222,7 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
         while k < target:
             if slot_bytes(k + 1) > nb:
                 grown = min(max(slot_bytes(k + 1), 2 * nb), slot_bytes(ks[-1]))
-                states = [_pack(_unpack(c, p, nb), grown) for c in states]
+                states = [_reslot(c, p, nb, grown) for c in states]
                 nb = grown
             states = [_rotate_sum(c, up, 8 * nb, 8 * nb * p) for c, up in zip(states, ups)]
             k += 1
@@ -238,7 +246,7 @@ def _class_minima(p: int, a: int, ks: Sequence[int]) -> Iterator[tuple[int, tupl
     """The one k != 1 mod p search: for each k of ks (ascending, none = 1 mod
     p), the least s_k over every translate of every orbit representative and
     its attaining dilation classes in ascending order.  Each attainer is
-    recounted by s_k_count (the rows come from the full power)."""
+    recounted by s_k_count (the rows come from the stepped correlation)."""
     reps = orbit_catalog(p, a).reps
     for k, rows in zip(ks, _translate_rows(reps, ks)):
         # one key per representative (its best translate) keeps _argmin's
@@ -264,7 +272,8 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     re-derives the same answer from all C(p,a) subsets.  Every emitted
     attainer is re-counted before the report is returned: by the full power
     in the orbit and raw searches (which count by the half-power s_k_count),
-    by s_k_count in the translate scan (whose rows come from the full power).
+    by s_k_count in the translate scan (whose rows come from the stepped
+    correlation).
     """
     prime_context(p)
     if not 1 <= a <= p - 1:
@@ -400,8 +409,8 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
     ivl = minimize_s_general(p, sizes, mode="interval")
     ok = full.min_value == ivl.min_value
     details = {
-        "brute_min": str(full.min_value),
-        "interval_min": str(ivl.min_value),
+        "brute_min": decimal_str(full.min_value),
+        "interval_min": decimal_str(ivl.min_value),
         "interval_head": list(ivl.extremal_configs[0][0].members()),
     }
     k = len(sizes) - 1
@@ -415,7 +424,7 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
         common = Subset.interval(p, a).translate(eta)
         common_val = s_count(common, [common] * k)
         details["common_set"] = common.members()
-        details["common_value"] = str(common_val)
+        details["common_value"] = decimal_str(common_val)
         ok = ok and common_val == full.min_value
     elif uniform:
         details["common_set"] = None
@@ -558,7 +567,7 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     def point(k: int) -> tuple[bool, dict]:  # _verdict asks for every k of ks in order
         min_value, attainers, predicted, phases = next(points)
         return attainers == (predicted,), {
-            "min_value": str(min_value),
+            "min_value": decimal_str(min_value),
             "extremal": [s.members() for s in attainers],
             "predicted": predicted.members(),
             "phase_indices": phases,
@@ -590,8 +599,8 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
         interval_value = values[interval_orbit]
         details = {
             "k": k,
-            "values": {str(rep.members()): str(v) for rep, v in values.items()},
-            "min_value": str(min_value),
+            "values": {str(rep.members()): decimal_str(v) for rep, v in values.items()},
+            "min_value": decimal_str(min_value),
         }
         if a % 2 == 0 and k % 2 == 0:
             holds = attainers == (interval_orbit,)
@@ -675,9 +684,9 @@ def scan_k0(
             if mode == "k1-even":
                 holds = attainers == (interval_orbit,)
             else:
-                details["interval_value"] = str(values[interval_orbit])
+                details["interval_value"] = decimal_str(values[interval_orbit])
                 holds = min_value < values[interval_orbit]
-        details["min_value"] = str(min_value)
+        details["min_value"] = decimal_str(min_value)
         details["n_attainers"] = len(attainers)
         if not holds:
             details["extremal"] = [s.members() for s in attainers]

@@ -3,6 +3,7 @@ import ast
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,28 @@ def test_recheck_roundtrip(capsys, tmp_path):
         assert json.loads(out2)["result"]["match"] is True
 
 
+def test_counts_beyond_the_int_string_limit(capsys, tmp_path):
+    # s_k and the power's entries here run past 4300 digits, where str(int)
+    # stops by default; the reports carry every digit and recheck them
+    a = Subset.from_residues(61, range(30))
+    count = s_k_count(a, 3000)
+    assert len(str(Decimal(count))) > sys.get_int_max_str_digits()
+    for command in ("count", "sigma"):
+        code, out, err = run(capsys, command, "--p", "61", "--set", "0..29", "--k", "3000")
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        # int(Decimal(text)) parses exactly at any length; int(text) stops at the limit
+        if command == "count":
+            assert int(Decimal(result["count"])) == count
+        else:
+            assert sum(int(Decimal(result["sigma"][x])) for x in a.members()) == count
+        f = tmp_path / f"{command}.json"
+        f.write_text(out)
+        code, out2, _ = run(capsys, "recheck", str(f))
+        assert code == 0, out2
+        assert json.loads(out2)["result"]["match"] is True
+
+
 def test_recheck_detects_tampering(capsys, tmp_path):
     _, out, _ = run(capsys, "count", "--p", "7", "--set", "0..2", "--k", "2")
     doc = json.loads(out)
@@ -500,6 +523,10 @@ _BROKEN = {
                         "lambda c, shifts, *rest: 0 if sorted(s % 7 for s in shifts) in "
                         "([0, 1, 2], [0, 5, 6]) else real(c, shifts, *rest)",
                         ["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "12"]),
+    # a slot one byte too narrow in power_sigma's packed chain carries into
+    # its neighbour, and the entries no longer sum to |A|^k
+    "narrow_slot_sigma": ("zpcount.counting", "_slot_bytes", "lambda bound: max(1, real(bound) - 1)",
+                          ["sigma", "--p", "7", "--set", "0,1,2", "--k", "20"]),
     "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
                 ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
     "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",

@@ -6,7 +6,8 @@ from zpcount import (
     Subset, cyclic_convolve, indicator, power_sigma, s_count, s_k_count,
     sigma_vector,
 )
-from zpcount.counting import count_vector_to_json
+from zpcount import InvariantError, counting
+from zpcount.counting import _pack, _reslot, _rotate_sum, _unpack, count_vector_to_json
 
 from conftest import brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
 
@@ -49,6 +50,16 @@ def sets_of_all_sizes(draw):
     members = draw(st.lists(st.integers(0, p - 1), min_size=size,
                             max_size=size, unique=True))
     return Subset.from_residues(p, members)
+
+
+@st.composite
+def packed_vectors(draw):
+    """(p, a vector whose entries fit nb-byte slots, nb)."""
+    p = draw(st.sampled_from(PRIMES))
+    nb = draw(st.integers(1, 40))
+    top = 256**nb - 1
+    entry = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    return p, draw(st.lists(entry, min_size=p, max_size=p).map(tuple)), nb
 
 
 def random_subset(rng, p, lo=1):
@@ -211,3 +222,60 @@ def test_s_k_count_edge_sizes_both_parities():
             a = Subset.from_residues(p, range(1, p))
             sigma = schoolbook_power(indicator(a), k)
             assert s_k_count(a, k) == sum(sigma[x] for x in a.members())
+
+
+# --- the packed square-and-shift-add chain ------------------------------------
+
+
+@CASES
+@given(sets_of_all_sizes(), st.integers(1, 7).map(lambda j: 2**j - 1))
+def test_power_sigma_all_ones_exponents_match_schoolbook(a, k):
+    # every bit of 2^j - 1 is a squaring followed by a step by A; the sets
+    # include |A| in {0, 1, p - 1}, whose slots stay one byte or grow fastest
+    assert power_sigma(a, k) == schoolbook_power(indicator(a), k)
+
+
+@CASES
+@given(packed_vectors(), st.integers(0, 40))
+def test_reslot_matches_pack_of_unpack(case, extra):
+    p, v, nb = case
+    n = _pack(v, nb)
+    assert _reslot(n, p, nb, nb + extra) == _pack(_unpack(n, p, nb), nb + extra)
+    assert _unpack(_reslot(n, p, nb, nb + extra), p, nb + extra) == v
+
+
+@CASES
+@given(packed_vectors(), st.data())
+def test_weighted_rotate_sum_matches_schoolbook(case, data):
+    p, v, nb = case
+    shifts = data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True))
+    weights = data.draw(st.lists(st.integers(0, 2**70), min_size=len(shifts),
+                                 max_size=len(shifts)))
+    # slots wide enough for the weighted sums, which the kernel leaves to its caller
+    wide = nb + (sum(weights).bit_length() + 7) // 8
+    packed = _pack(v, wide)
+    expect = tuple(sum(w * v[(z - s) % p] for s, w in zip(shifts, weights)) for z in range(p))
+    assert _unpack(_rotate_sum(packed, shifts, 8 * wide, 8 * wide * p, weights), p, wide) == expect
+    plain = tuple(sum(v[(z - s) % p] for s in shifts) for z in range(p))
+    wide = nb + 1
+    assert _unpack(_rotate_sum(_pack(v, wide), shifts, 8 * wide, 8 * wide * p), p, wide) == plain
+
+
+@pytest.mark.parametrize("k", [1023, 2047])
+def test_power_sigma_at_p61_all_ones_exponents(k):
+    rng = __import__("random").Random(k)
+    for a in (Subset.interval(61, 30), Subset.from_residues(61, rng.sample(range(61), 17))):
+        sigma = power_sigma(a, k)
+        assert sum(sigma) == a.size**k
+        assert s_k_count(a, k) == sum(sigma[x] for x in a.members())
+
+
+def test_narrow_slot_is_an_invariant_error(monkeypatch):
+    # a slot one byte short carries into its neighbour: the entries then
+    # fall short of |A|^k, and power_sigma raises rather than return them
+    real = counting._slot_bytes
+    monkeypatch.setattr(counting, "_slot_bytes", lambda bound: max(1, real(bound) - 1))
+    a = Subset.interval(61, 30)
+    for call in (lambda: power_sigma(a, 1023), lambda: s_k_count(a, 2047)):
+        with pytest.raises(InvariantError, match=r"does not sum to \|A\|\^"):
+            call()

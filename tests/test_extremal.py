@@ -176,12 +176,19 @@ def test_verify_thm1_reads_the_head_translate_off_the_interval_search(monkeypatc
         eta = -t * pow(k - 1, -1, p) % p
         det = verify_thm_interval_extremal(p, sizes).points[0].details
         assert det["common_set"] == Subset.interval(p, a).translate(eta).members()
-    full = minimize_s_general(11, (4, 4, 4), mode="full")
-    ivl = minimize_s_general(11, (4, 4, 4), mode="interval")
+    # the reports of the two searches the verdict runs are captured, not rerun
+    real_search, reports = extremal.minimize_s_general, {}
+
+    def search(p, sizes, *, mode):
+        reports[mode] = real_search(p, sizes, mode=mode)
+        return reports[mode]
+
     real = extremal.s_count
     calls = []
+    monkeypatch.setattr(extremal, "minimize_s_general", search)
     monkeypatch.setattr(extremal, "s_count", lambda *args: calls.append(1) or real(*args))
     verify_thm_interval_extremal(11, (4, 4, 4))
+    full, ivl = reports["full"], reports["interval"]
     # one recount per stored witness of each search, plus the common set
     assert len(calls) == len(full.extremal_configs) + len(ivl.extremal_configs) + 1 == 26
 
