@@ -4,9 +4,13 @@ Subsets are p-bit membership words packed into a Python int (bit x set iff
 residue x is a member), so translation is a bit rotation and set algebra is
 word arithmetic.  The affine group {x -> xi*x + eta : xi != 0} acts on
 subsets.  One kernel, _translate_min (a set's smallest translate), serves
-Subset.canonical, Subset.is_interval and build_orbit_catalog.  The catalog
-visits only the necklaces (sets that are their own smallest translate),
-which _necklaces generates from their gap words, largest gap first.
+Subset.canonical and build_orbit_catalog.  The catalog visits only the
+necklaces (sets that are their own smallest translate), which _necklaces
+generates from their gap words, largest gap first.  One run-count kernel,
+_run_count, decides progressions: a set with 0 < |A| < p is an arithmetic
+progression of difference d exactly when it is a single run along
+x -> x + d, one word operation, so Subset.is_interval is its d = 1 case and
+Subset.arith_prog_differences tries every d.
 """
 
 from __future__ import annotations
@@ -95,6 +99,11 @@ def _rotate(mask: int, t: int, p: int, full: int) -> int:
     if t == 0:
         return mask
     return ((mask << t) | (mask >> (p - t))) & full
+
+
+def _run_count(mask: int, d: int, p: int, full: int) -> int:
+    """Maximal runs of mask along x -> x + d: its members x with x + d outside."""
+    return (_rotate(mask, d, p, full) & ~mask).bit_count()
 
 
 def _translate_min(mask: int, p: int, full: int) -> int:
@@ -248,19 +257,18 @@ class Subset:
 
     def is_interval(self) -> bool:
         """Cyclically contiguous (empty, full, and singletons count)."""
-        a = self.size
-        if a in (0, self.p):
-            return True
-        return _translate_min(self.mask, self.p, prime_context(self.p).full_mask) == (1 << a) - 1
+        p, mask = self.p, self.mask
+        full = prime_context(p).full_mask
+        return mask in (0, full) or _run_count(mask, 1, p, full) == 1
 
     def arith_prog_differences(self) -> tuple[int, ...]:
-        """All d != 0 such that the set is {x, x+d, ..., x+(size-1)d}."""
-        ctx = prime_context(self.p)
-        out = []
-        for d in range(1, self.p):
-            if Subset(self.p, _dilate_mask(self.mask, ctx.inv[d], self.p)).is_interval():
-                out.append(d)
-        return tuple(out)
+        """All d != 0 such that the set is {x, x+d, ..., x+(size-1)d}
+        (every d for the empty and full sets)."""
+        p, mask = self.p, self.mask
+        full = prime_context(p).full_mask
+        if mask in (0, full):
+            return tuple(range(1, p))
+        return tuple(d for d in range(1, p) if _run_count(mask, d, p, full) == 1)
 
     # --- canonical forms ------------------------------------------------------
 

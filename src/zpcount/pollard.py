@@ -5,6 +5,11 @@ For sets A_1, ..., A_k the level set N_r = {x : sigma(x) >= r} is nested in r;
 n_r = |N_r| starts at n_0 = p and hits 0 at r_max.  Partial sums of n_r over
 interval configurations of the same sizes are the exact lower bound against
 which arbitrary configurations are compared.
+
+Each repeated question is answered once: one cached profile per tail (and per
+tuple of interval sizes), and one cached extremality record per (head size,
+tail), holding N_{r0+1}, N_{r0} and the tie at r0, so a head is checked by
+two word operations.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InvariantError, Subset, prime_context
+from .core import InvariantError, Subset, _rotate, prime_context
 from .counting import CountVector, sigma_vector
 
 
@@ -91,9 +96,15 @@ def threshold_set(sets: Sequence[Subset], r: int) -> Subset:
     return Subset(prof.p, prof.mask(r))
 
 
+@lru_cache(maxsize=256)
 def interval_profile(p: int, sizes: tuple[int, ...]) -> ThresholdProfile:
-    """Threshold profile of the initial intervals [0, a_i - 1]."""
-    return threshold_profile([Subset.interval(p, a) for a in sizes])
+    """Threshold profile of the initial intervals [0, a_i - 1], cached per (p, sizes)."""
+    if not sizes:
+        raise ValueError("need at least one factor set, all with the same modulus")
+    for a in sizes:
+        if not 0 <= a <= p:
+            raise ValueError(f"interval length {a} out of range for p={p}")
+    return _tail_profile(p, tuple((1 << a) - 1 for a in sizes))
 
 
 def critical_r0(a_sizes: Sequence[int], p: int) -> int:
@@ -158,9 +169,10 @@ class EqualityCase:
 
 def _reflection_point(a1: Subset, a2: Subset) -> int | None:
     """g such that A_2 = g - A_1, unique if it exists (p prime)."""
-    neg = a1.reflect()
-    for g in range(a1.p):
-        if neg.translate(g).mask == a2.mask:
+    p, full = a1.p, prime_context(a1.p).full_mask
+    neg = a1.reflect().mask
+    for g in range(p):
+        if _rotate(neg, g, p, full) == a2.mask:
             return g
     return None
 
@@ -209,6 +221,19 @@ def classify_equality_k2(a1: Subset, a2: Subset, r0: int) -> EqualityCase:
                         complement_point=gc, common_difference=d)
 
 
+@lru_cache(maxsize=256)  # a sweep checks every head size against one tail before the next
+def _extremality_record(p: int, a0: int, masks: tuple[int, ...]) -> tuple[int, int, bool]:
+    """(N_{r0+1}, N_{r0}, partial sums tie at r0) for heads of size a0 against
+    the tail masks; the tie holds trivially at r0 = 0."""
+    sizes = (a0,) + tuple(m.bit_count() for m in masks)
+    if any(not 1 <= a <= p - 1 for a in sizes):
+        raise ValueError("extremality conditions need all sizes in [1, p-1]")
+    r0 = critical_r0(sizes, p)
+    prof = _tail_profile(p, masks)
+    tie = r0 == 0 or prof.partial_sum(r0) == interval_profile(p, sizes[1:]).partial_sum(r0)
+    return prof.mask(r0 + 1), prof.mask(r0), tie
+
+
 def check_extremality_conditions(a0: Subset, sets: Sequence[Subset]) -> tuple[bool, bool, bool]:
     """(A_0 misses N_{r0+1}, A_0 covers the complement of N_{r0}, partial sums tie at r0).
 
@@ -216,19 +241,11 @@ def check_extremality_conditions(a0: Subset, sets: Sequence[Subset]) -> tuple[bo
     tuple count among configurations of its sizes.  Sizes must lie in [1, p-1].
     """
     p = a0.p
-    sizes = (a0.size,) + tuple(s.size for s in sets)
-    if any(not 1 <= a <= p - 1 for a in sizes):
-        raise ValueError("extremality conditions need all sizes in [1, p-1]")
-    r0 = critical_r0(sizes, p)
-    prof = threshold_profile(sets)
-    empty_ok = (a0.mask & prof.mask(r0 + 1)) == 0
-    whole_ok = (a0.mask | prof.mask(r0)) == prof.mask(0)
-    if r0 == 0:
-        tie_ok = True
-    else:
-        lhs, rhs = pollard_lhs_rhs(sets, r0)
-        tie_ok = lhs == rhs
-    return empty_ok, whole_ok, tie_ok
+    if any(s.p != p for s in sets):
+        raise ValueError("mismatched moduli")
+    above, level, tie = _extremality_record(p, a0.size, tuple(s.mask for s in sets))
+    head = a0.mask
+    return head & above == 0, head | level == (1 << p) - 1, tie
 
 
 def optimal_interval_translate(a_sizes: Sequence[int], p: int) -> int:

@@ -479,6 +479,22 @@ def test_older_spectral_reports_recheck(capsys, name):
     assert json.loads(out)["result"]["match"] is True
 
 
+# Pollard reports frozen before the cached extremality records and the
+# run-count progression kernel: --sizes mode, and --set mode with and without
+# a classification (each equality tag that needs a reflection point or a
+# progression step included).  A pollard report has no elapsed field, so
+# stdout must match byte for byte.
+_POLLARD_REPORTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "pollard_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", _POLLARD_REPORTS, ids=lambda c: " ".join(c["argv"][1:]))
+def test_pollard_reports_are_byte_identical(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == 0, err
+    assert out == case["stdout"]
+
+
 def test_recheck_validates_stored_precision(capsys, tmp_path):
     doc = run_json(capsys, "spectrum", "--p", "7", "--a", "3", "--precision", "64")
     assert doc["params"]["precision"] == 64 and doc["result"]["precision"] == 64

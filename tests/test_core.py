@@ -5,7 +5,10 @@ from zpcount import (
     AffineMap, SizeGuardError, Subset, build_orbit_catalog, is_odd_prime,
     orbit_catalog, subset_masks_of_size,
 )
-from zpcount.core import _gosper_masks, _necklaces, _translate_min, prime_context
+from zpcount.core import (
+    _dilate_mask, _gosper_masks, _necklaces, _translate_min, prime_context,
+)
+from zpcount.pollard import _reflection_point
 
 
 def test_is_odd_prime():
@@ -94,6 +97,42 @@ def test_is_interval_and_ap_differences():
     assert diffs == (2, 9)
     # a pair {x, x+d} is an AP only for d and -d
     assert Subset.from_residues(11, [3, 8]).arith_prog_differences() == (5, 6)
+
+
+def test_run_count_kernel_matches_the_dilated_interval_definition():
+    # d is a progression step exactly when the dilation by 1/d is an interval,
+    # i.e. its smallest translate is [0, a-1]; the empty and full sets take every d
+    for p in (3, 5, 7, 11, 13):
+        ctx = prime_context(p)
+        for mask in range(1 << p):
+            s = Subset(p, mask)
+            a = s.size
+            if a in (0, p):
+                expected = tuple(range(1, p))
+            else:
+                expected = tuple(
+                    d for d in range(1, p)
+                    if _translate_min(_dilate_mask(mask, ctx.inv[d], p), p, ctx.full_mask)
+                    == (1 << a) - 1)
+            assert s.arith_prog_differences() == expected, (p, mask)
+            assert s.is_interval() == (1 in expected), (p, mask)
+        # the edge sizes, spelled out
+        assert Subset(p, 0).arith_prog_differences() == tuple(range(1, p))
+        assert Subset(p, ctx.full_mask).arith_prog_differences() == tuple(range(1, p))
+        assert Subset(p, 0).is_interval() and Subset(p, ctx.full_mask).is_interval()
+        assert Subset(p, 1 << 2).arith_prog_differences() == tuple(range(1, p))
+        assert Subset(p, ctx.full_mask ^ 1 << 2).arith_prog_differences() == tuple(range(1, p))
+
+
+def test_reflection_point_matches_a_scan_over_g():
+    p = 7
+    for m1 in range(1 << p):
+        a1 = Subset(p, m1)
+        for m2 in range(1 << p):
+            a2 = Subset(p, m2)
+            hits = [g for g in range(p)
+                    if Subset.from_residues(p, ((g - x) % p for x in a1.members())) == a2]
+            assert _reflection_point(a1, a2) == (hits[0] if hits else None), (m1, m2)
 
 
 def test_canonical_is_orbit_invariant():

@@ -5,7 +5,8 @@ from zpcount import (
     interval_profile, minimize_s_general, optimal_interval_translate,
     pollard_lhs_rhs, sigma_vector, threshold_profile, threshold_set,
 )
-from zpcount.pollard import EqualityTag
+from zpcount import pollard
+from zpcount.pollard import EqualityTag, profile_from_sigma
 
 from conftest import brute_sigma
 
@@ -193,6 +194,47 @@ def test_extremality_conditions_track_the_global_minimum(rng):
 def test_extremality_guards():
     with pytest.raises(ValueError):
         check_extremality_conditions(Subset(7, (1 << 7) - 1), [Subset.interval(7, 3)] * 2)
+
+
+def test_extremality_rejects_mixed_moduli():
+    caches = (pollard._extremality_record, pollard._tail_profile, pollard.interval_profile)
+    before = [c.cache_info() for c in caches]
+    for head, tail in ((Subset(7, 0b111), [Subset(11, 0b1111), Subset(11, 0b11111)]),
+                       (Subset(11, 0b111), [Subset(11, 0b1111), Subset(7, 0b11111)])):
+        with pytest.raises(ValueError, match="^mismatched moduli$"):
+            check_extremality_conditions(head, tail)
+    assert [c.cache_info() for c in caches] == before  # raised before any lookup
+
+
+def _extremality_from_scratch(a0, sets):
+    """The three conditions from brute-force sigmas: r0 by a linear scan over
+    the interval profile, the tie read off both partial sums at r0."""
+    p = a0.p
+    prof = profile_from_sigma(p, brute_sigma(sets))
+    iprof = profile_from_sigma(p, brute_sigma([Subset.interval(p, s.size) for s in sets]))
+    r0 = 0
+    while iprof.n_r(r0 + 1) > p - a0.size:
+        r0 += 1
+    return (a0.mask & prof.mask(r0 + 1) == 0,
+            a0.mask | prof.mask(r0) == (1 << p) - 1,
+            prof.partial_sum(r0) == iprof.partial_sum(r0))
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (11, 3), (13, 2), (13, 3)])
+def test_extremality_record_is_keyed_on_head_size_and_tail(rng, p, k):
+    # heads of several sizes interleaved against one tail: a record keyed
+    # without |A_0| hands one size's r0 to the next
+    for _ in range(4):
+        for cache in (pollard._extremality_record, pollard._tail_profile,
+                      pollard.interval_profile):
+            cache.cache_clear()
+        tail = [random_subset(rng, p) for _ in range(k)]
+        sizes = rng.sample(range(1, p), 5)
+        heads = [random_subset(rng, p, lo=a, hi=a) for _ in range(3) for a in sizes]
+        for head in heads:
+            assert check_extremality_conditions(head, tail) == \
+                _extremality_from_scratch(head, tail), (head, tail)
+        assert pollard._extremality_record.cache_info().misses == len(sizes)
 
 
 def test_optimal_interval_translate_identity(rng):
