@@ -16,7 +16,9 @@ escalation that hit its cap, a claim range that holds no point to test (for
 scan-k0, also a --k-limit below the first eligible k), and a recheck file
 that is missing, unreadable, not a zpcount report or malformed (stored
 params missing or of the wrong type); 2 a verification verdict failed or a
-recheck mismatch; 3 an internal invariant check failed.
+recheck mismatch; 3 an internal invariant check failed, such as an
+attainer whose recount (s_k_count for the one sweep behind minimize, verify
+thm3/thm5 and scan-k0, the full power for minimize --method raw) misses the minimum.
 
 Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,

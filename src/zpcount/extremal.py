@@ -1,23 +1,23 @@
 """Exact minimization of tuple counts over subsets of Z_p, with verdicts.
 
-minimize_sk finds the true minimum of s_k over all a-subsets: for k = 1 mod p
-the count is constant on affine orbits, so one evaluation per orbit
-representative suffices; otherwise it is constant on dilation classes only
-and every translate of every representative is scanned via the identity
-s_k(R + t) = sum_{y in R} sigma_R^(k)(y - (k-1)t).  minimize_s_general covers
-the mixed-size count s(A_0; A_1, ..., A_k), either brute-force over all
+minimize_sk finds the true minimum of s_k over all a-subsets: s_k is
+constant on dilation classes, so every translate of every affine-orbit
+representative is scanned via the identity
+s_k(R + t) = sum_{y in R} sigma_R^(k)(y - (k-1)t).  For k = 1 mod p every
+translate reads the same entry, so s_k is constant on whole affine orbits and
+the attainers are orbit representatives.  minimize_s_general covers the
+mixed-size count s(A_0; A_1, ..., A_k), either brute-force over all
 configurations (tiny p) or along the interval family.
 
-Each k-lane has one search that every claim on it shares: _orbit_sweep for
-k = 1 mod p, one point at a time, and _class_minima for k != 1 mod p, one
-sweep over the whole k-range whose kernel _translate_rows keeps each
-representative's correlation packed in one bigint and steps it k -> k+1 by
-a shift-add instead of recomputing sigma^(k) at every k (minimize_sk runs the
-same sweep at a single k).  Each reported attainer is recounted before it is
-emitted, and a disagreement raises InvariantError: orbit-sweep and
-raw-search attainers by the full power sigma^(k) (both searches count by
-s_k_count's half power), translate-scan attainers by s_k_count (the scan's
-rows come from the stepped correlation), mixed-size witnesses by s_count.
+One search serves every k and every claim: _class_minima, one sweep over an
+ascending k-range, whose kernel _translate_rows keeps each representative's
+correlation packed in one bigint and steps it k -> k+1 by a shift-add
+instead of recomputing sigma^(k) at every k (minimize_sk runs the same sweep
+at a single k).  Each reported attainer is recounted before it is emitted,
+and a disagreement raises InvariantError.  Each search has one recount
+route: sweep attainers by s_k_count (the sweep's rows come from the stepped
+correlation), raw-search attainers by the full power sigma^(k) (the raw
+search counts by s_k_count's half power), mixed-size witnesses by s_count.
 The s_k routes share counting's kernels, not their schedules: power_sigma's
 square-and-shift-add chain (run to k // 2 by s_k_count, to k by the full
 power, to the first k by the sweep's start) and its shift-add _rotate_sum
@@ -170,7 +170,8 @@ def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
 
 
 def _full_power_count(rep: Subset, k: int) -> int:
-    """s_k(rep) as the sum of the full power sigma^(k) over rep's members.
+    """s_k(rep) as the sum of the full power sigma^(k) over rep's members:
+    the raw search's recount (that search counts by s_k_count).
 
     It runs counting's square-and-shift-add chain to k, where s_k_count runs
     it to k // 2 and finishes with a weighted rho shift-add: the two share
@@ -181,12 +182,13 @@ def _full_power_count(rep: Subset, k: int) -> int:
 
 
 def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[tuple]]:
-    """The k != 1 mod p kernel: for each k of ks (ascending, none = 1 mod
-    p), the rows (s_k(R + t) for t = 0, ..., p-1) of every representative R
-    in reps, in order.
+    """The sweep's kernel: for each k of ks (ascending), the rows
+    (s_k(R + t) for t = 0, ..., p-1) of every representative R in reps, in
+    order.
 
     By s_k(R + t) = sum_{y in R} sigma^(k)(y - (k-1)t), row[t] is entry
-    -(k-1)t of the correlation C^(k) = sum_{y in R} rot(sigma^(k), -y).
+    -(k-1)t of the correlation C^(k) = sum_{y in R} rot(sigma^(k), -y); for
+    k = 1 mod p that entry is 0 at every t, so the row is constant.
     Rotations commute, so C^(k+1) = sum_{x in R} rot(C^(k), x): the state
     per representative is C itself, packed in one bigint with one slot per
     residue (as in counting's Kronecker kernel), started from the packed
@@ -230,50 +232,46 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
         yield [read(_unpack(c, p, nb)) for c in states]
 
 
-def _orbit_sweep(p: int, a: int, k: int) -> tuple[dict[Subset, int], int, tuple[Subset, ...]]:
-    """The one k = 1 mod p search: s_k is constant on affine orbits, so one
-    s_k_count per orbit representative gives (values by representative, the
-    least value, its attainers in ascending order).  Each attainer is recounted
-    from the full power."""
-    values = {rep: s_k_count(rep, k) for rep in orbit_catalog(p, a).reps}
-    best, found, _ = _argmin(values.items())
-    attainers = tuple(sorted(found))
-    _recount(attainers, best, k, _full_power_count)
-    return values, best, attainers
-
-
-def _class_minima(p: int, a: int, ks: Sequence[int]) -> Iterator[tuple[int, tuple[Subset, ...]]]:
-    """The one k != 1 mod p search: for each k of ks (ascending, none = 1 mod
-    p), the least s_k over every translate of every orbit representative and
-    its attaining dilation classes in ascending order.  Each attainer is
-    recounted by s_k_count (the rows come from the stepped correlation)."""
+def _class_minima(
+    p: int, a: int, ks: Sequence[int]
+) -> Iterator[tuple[list[tuple], int, tuple[Subset, ...]]]:
+    """The one exact search: for each k of ks (ascending), the rows of every
+    orbit representative (in catalog order, as _translate_rows gives them),
+    the least s_k over every translate of every representative, and its
+    attainers in ascending order: the winning orbit representatives for k = 1
+    mod p (each row is constant), the attaining dilation classes otherwise.
+    Each attainer is recounted by s_k_count (the rows come from the stepped
+    correlation)."""
     reps = orbit_catalog(p, a).reps
     for k, rows in zip(ks, _translate_rows(reps, ks)):
         # one key per representative (its best translate) keeps _argmin's
         # input at len(reps), not p times that; the attaining translates are
         # expanded for the winning representatives only
         best, winners, _ = _argmin(((rep, row), min(row)) for rep, row in zip(reps, rows))
-        attainers = tuple(sorted({
-            rep.translate(t).dilation_class_canonical()
-            for rep, row in winners
-            for t, val in enumerate(row)
-            if val == best
-        }))
+        if k % p == 1:  # catalog order is ascending and each rep canonical
+            attainers = tuple(rep for rep, _ in winners)
+        else:
+            attainers = tuple(sorted({
+                rep.translate(t).dilation_class_canonical()
+                for rep, row in winners
+                for t, val in enumerate(row)
+                if val == best
+            }))
         _recount(attainers, best, k, s_k_count)
-        yield best, attainers
+        yield rows, best, attainers
 
 
 def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport:
     """Exact minimum of s_k over all a-subsets of Z_p, with every attaining
     class.
 
-    The default method searches class representatives (orbits for k = 1
-    mod p, dilation classes with a translate scan otherwise); method="raw"
-    re-derives the same answer from all C(p,a) subsets.  Every emitted
-    attainer is re-counted before the report is returned: by the full power
-    in the orbit and raw searches (which count by the half-power s_k_count),
-    by s_k_count in the translate scan (whose rows come from the stepped
-    correlation).
+    The default method is the one sweep, _class_minima, at k: a translate
+    scan of the orbit representatives, whose attainers are orbits for k = 1
+    mod p and dilation classes otherwise; method="raw" re-derives the same
+    answer from all C(p,a) subsets.  Every emitted attainer is re-counted
+    before the report is returned, once per search: by s_k_count in the
+    sweep (whose rows come from the stepped correlation), by the full power
+    in the raw search (which counts by the half-power s_k_count).
     """
     prime_context(p)
     if not 1 <= a <= p - 1:
@@ -296,12 +294,9 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
         attainers = tuple(sorted(classes))
         _recount(attainers, best, k, _full_power_count)
         checked = comb(p, a)
-    elif orbit_level:  # _orbit_sweep recounts its attainers by the full power
-        values, best, attainers = _orbit_sweep(p, a, k)
-        checked = len(values)
     else:  # _class_minima recounts its attainers by s_k_count
-        best, attainers = next(_class_minima(p, a, [k]))
-        checked = len(orbit_catalog(p, a).reps) * p
+        _, best, attainers = next(_class_minima(p, a, [k]))
+        checked = len(orbit_catalog(p, a).reps) * (1 if orbit_level else p)
     return SearchReport(
         p=p,
         sizes=(a,),
@@ -533,22 +528,17 @@ def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _knot1_points(
-    p: int, a: int, ks: Sequence[int]
-) -> Iterator[tuple[int, tuple[Subset, ...], Subset, list[int]]]:
-    """The one k != 1 mod p sweep: for each k of ks (ascending), the least
-    s_k, its attaining dilation classes, the dilation class of the optimal
-    interval translates and their phase indices.  A generator: nothing is
-    evaluated before the first point is asked for."""
-    for k, (best, attainers) in zip(ks, _class_minima(p, a, ks)):
-        ts = optimal_t(p, a, k)
-        classes = {Subset.interval(p, a).translate(t).dilation_class_canonical() for t in ts}
-        if len(classes) != 1:  # the two even-case translates are reflections
-            raise InvariantError(
-                f"optimal translates of [{a}] in Z_{p} at k={k} span {len(classes)} "
-                "dilation classes"
-            )
-        yield best, attainers, classes.pop(), sorted(translate_phase_index(p, a, k, t) for t in ts)
+def _optimal_class(p: int, a: int, k: int) -> tuple[Subset, list[int]]:
+    """The knot1 prediction at k != 1 mod p: the dilation class of the optimal
+    interval translates and their phase indices."""
+    ts = optimal_t(p, a, k)
+    classes = {Subset.interval(p, a).translate(t).dilation_class_canonical() for t in ts}
+    if len(classes) != 1:  # the two even-case translates are reflections
+        raise InvariantError(
+            f"optimal translates of [{a}] in Z_{p} at k={k} span {len(classes)} "
+            "dilation classes"
+        )
+    return classes.pop(), sorted(translate_phase_index(p, a, k, t) for t in ts)
 
 
 def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
@@ -562,20 +552,20 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     if any(k % p == 1 or k < 2 for k in ks):
         raise ValueError("k values must be >= 2 and != 1 mod p")
 
-    points = _knot1_points(p, a, ks)
+    def judged() -> Iterator[tuple[bool, dict]]:  # starts when _verdict asks for a point
+        for k, (_, min_value, attainers) in zip(ks, _class_minima(p, a, ks)):
+            predicted, phases = _optimal_class(p, a, k)
+            yield attainers == (predicted,), {
+                "min_value": decimal_str(min_value),
+                "extremal": [s.members() for s in attainers],
+                "predicted": predicted.members(),
+                "phase_indices": phases,
+            }
 
-    def point(k: int) -> tuple[bool, dict]:  # _verdict asks for every k of ks in order
-        min_value, attainers, predicted, phases = next(points)
-        return attainers == (predicted,), {
-            "min_value": decimal_str(min_value),
-            "extremal": [s.members() for s in attainers],
-            "predicted": predicted.members(),
-            "phase_indices": phases,
-        }
-
+    points = judged()
     return _verdict(
         "thm3", {"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
-        ks, point, start,
+        ks, lambda k: next(points), start,  # _verdict asks for every k of ks in order
     )
 
 
@@ -593,40 +583,43 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     interval_orbit = Subset.interval(p, a).canonical()
     punctured_orbit = Subset.punctured_interval(p, a).canonical()
 
-    def point(s: int) -> tuple[bool, dict]:
-        k = s * p + 1
-        values, min_value, attainers = _orbit_sweep(p, a, k)
-        interval_value = values[interval_orbit]
-        details = {
-            "k": k,
-            "values": {str(rep.members()): decimal_str(v) for rep, v in values.items()},
-            "min_value": decimal_str(min_value),
-        }
-        if a % 2 == 0 and k % 2 == 0:
-            holds = attainers == (interval_orbit,)
-            details["part"] = "1"
-        else:
-            below = min_value < interval_value
-            others_max = max(
-                (v for rep, v in values.items() if rep != interval_orbit),
-                default=None,
-            )
-            interval_is_max = others_max is None or interval_value > others_max
-            if attainers == (punctured_orbit,):
-                bucket = "2b"
-            elif interval_orbit not in attainers and punctured_orbit not in attainers:
-                bucket = "2c"
+    def judged() -> Iterator[tuple[bool, dict]]:  # starts when _verdict asks for a point
+        ks = [s * p + 1 for s in ss]
+        reps = orbit_catalog(p, a).reps
+        for k, (rows, min_value, attainers) in zip(ks, _class_minima(p, a, ks)):
+            values = {rep: row[0] for rep, row in zip(reps, rows)}  # each row is constant
+            interval_value = values[interval_orbit]
+            details = {
+                "k": k,
+                "values": {str(rep.members()): decimal_str(v) for rep, v in values.items()},
+                "min_value": decimal_str(min_value),
+            }
+            if a % 2 == 0 and k % 2 == 0:
+                holds = attainers == (interval_orbit,)
+                details["part"] = "1"
             else:
-                bucket = "mixed"
-            holds = below and interval_is_max
-            details["part"] = "2"
-            details["bucket"] = bucket
-            details["interval_is_max"] = interval_is_max
-        return holds, details
+                below = min_value < interval_value
+                others_max = max(
+                    (v for rep, v in values.items() if rep != interval_orbit),
+                    default=None,
+                )
+                interval_is_max = others_max is None or interval_value > others_max
+                if attainers == (punctured_orbit,):
+                    bucket = "2b"
+                elif interval_orbit not in attainers and punctured_orbit not in attainers:
+                    bucket = "2c"
+                else:
+                    bucket = "mixed"
+                holds = below and interval_is_max
+                details["part"] = "2"
+                details["bucket"] = bucket
+                details["interval_is_max"] = interval_is_max
+            yield holds, details
 
+    points = judged()
     return _verdict(
         "thm5", {"p": p, "a": a, "s_range": [ss[0], ss[-1]] if ss else []},
-        ss, point, start,
+        ss, lambda s: next(points), start,  # _verdict asks for every s of ss in order
     )
 
 
@@ -671,29 +664,31 @@ def scan_k0(
         raise ValueError(f"unknown mode {mode!r}")
 
     interval_orbit = Subset.interval(p, a).canonical()
-    points = _knot1_points(p, a, family) if mode == "knot1" else None
 
-    def point(k: int) -> tuple[bool, dict]:  # _verdict asks for every k of family in order
-        details = {}
-        if mode == "knot1":
-            min_value, attainers, predicted, _ = next(points)
-            holds = attainers == (predicted,)
-            details["predicted"] = predicted.members()
-        else:
-            values, min_value, attainers = _orbit_sweep(p, a, k)
-            if mode == "k1-even":
+    def judged() -> Iterator[tuple[bool, dict]]:  # starts when _verdict asks for a point
+        interval_index = orbit_catalog(p, a).reps.index(interval_orbit)
+        for k, (rows, min_value, attainers) in zip(family, _class_minima(p, a, family)):
+            details = {}
+            if mode == "knot1":
+                predicted, _ = _optimal_class(p, a, k)
+                holds = attainers == (predicted,)
+                details["predicted"] = predicted.members()
+            elif mode == "k1-even":
                 holds = attainers == (interval_orbit,)
             else:
-                details["interval_value"] = decimal_str(values[interval_orbit])
-                holds = min_value < values[interval_orbit]
-        details["min_value"] = decimal_str(min_value)
-        details["n_attainers"] = len(attainers)
-        if not holds:
-            details["extremal"] = [s.members() for s in attainers]
-        return holds, details
+                interval_value = rows[interval_index][0]  # each k = 1 mod p row is constant
+                details["interval_value"] = decimal_str(interval_value)
+                holds = min_value < interval_value
+            details["min_value"] = decimal_str(min_value)
+            details["n_attainers"] = len(attainers)
+            if not holds:
+                details["extremal"] = [s.members() for s in attainers]
+            yield holds, details
 
+    points = judged()
     return _verdict(
         f"scan-{mode}",
         {"p": p, "a": a, "mode": mode, "k_limit": k_limit, "window": window},
-        family, point, start, k_limit=k_limit, window=window,
+        family, lambda k: next(points), start,  # _verdict asks for every k of family in order
+        k_limit=k_limit, window=window,
     )

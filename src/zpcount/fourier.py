@@ -746,14 +746,9 @@ def t_good_scan(
                 continue
             lo = (t - mp.mpf(1) / 2) * mp.pi + eps
             hi = (t + mp.mpf(1) / 2) * mp.pi - eps
-            if c > 0:
-                s = int(mp.floor(lo / c)) + 1
-                good = s >= 1 and s * c < hi
-            else:
-                s = int(mp.floor(hi / c)) + 1
-                good = s >= 1 and s * c > lo
-            if not good:
-                continue
+            # the least s >= 1 with s*c past the window's near edge; the window
+            # is pi - 2*eps > |c| wide, so s*c lands inside it
+            s = int(mp.floor((lo if c > 0 else hi) / c)) + 1
             if s_max is not None and s > s_max:
                 continue
             k = s * p + 1

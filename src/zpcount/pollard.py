@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InvariantError, Subset, _rotate, prime_context
+from .core import InvariantError, Subset, _rotate, _run_count, prime_context
 from .counting import CountVector, sigma_vector
 
 
@@ -199,7 +199,6 @@ def classify_equality_k2(a1: Subset, a2: Subset, r0: int) -> EqualityCase:
     matches: list[EqualityTag] = []
     g: int | None = None
     gc: int | None = None
-    d: int | None = None
     if r0 == s1:
         matches.append(EqualityTag.R0_EQUALS_A1)
     if s1 + s2 >= p + r0:
@@ -212,9 +211,12 @@ def classify_equality_k2(a1: Subset, a2: Subset, r0: int) -> EqualityCase:
         gc = _reflection_point(a1.complement(), a2)
         if gc is not None:
             matches.append(EqualityTag.COMPLEMENT_REFLECTION_PAIR)
-    common = sorted(set(a1.arith_prog_differences()) & set(a2.arith_prog_differences()))
-    if common:
-        d = common[0]
+    # the least common difference: both sets are proper and nonempty here, so
+    # each is an arithmetic progression of difference d iff it is one run along d
+    full = prime_context(p).full_mask
+    d = next((x for x in range(1, p)
+              if _run_count(a1.mask, x, p, full) == 1 == _run_count(a2.mask, x, p, full)), None)
+    if d is not None:
         matches.append(EqualityTag.COMMON_DIFFERENCE_APS)
     tag = matches[0] if matches else EqualityTag.NONE
     return EqualityCase(tag, tuple(matches), reflection_point=g,

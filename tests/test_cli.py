@@ -242,7 +242,7 @@ def test_scan_k0_k_limit_below_every_point_is_exit_1(capsys, monkeypatch, argv):
     # every point may hold, but no threshold candidate was tested: not exit 2,
     # and no point is evaluated before the limit is checked
     calls = []
-    for name in ("minimize_sk", "_orbit_sweep", "_translate_rows"):
+    for name in ("minimize_sk", "_class_minima", "_translate_rows"):
         monkeypatch.setattr(extremal, name, lambda *args, name=name: calls.append(name))
     code, out, err = run(capsys, *argv)
     assert calls == []
@@ -495,6 +495,30 @@ def test_pollard_reports_are_byte_identical(capsys, case):
     assert out == case["stdout"]
 
 
+def _cli_menu():
+    """perfbench/cli_menu.py, imported (never written) for the frozen
+    extremal_cli references and the digest they were taken with."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import cli_menu
+
+    return cli_menu
+
+
+_CLI_REFERENCE = _cli_menu().load_reference()
+
+
+@pytest.mark.parametrize("key", sorted(_CLI_REFERENCE))
+def test_cli_reference_digests_reproduce(capsys, key):
+    # every benchmark menu command, run in process: same exit code, and the
+    # same stdout apart from elapsed
+    entry = _CLI_REFERENCE[key]
+    code, out, err = run(capsys, *entry["args"])
+    assert code == entry["exit"], err
+    assert _cli_menu().digest(out.encode()) == entry["sha256"]
+
+
 def test_recheck_validates_stored_precision(capsys, tmp_path):
     doc = run_json(capsys, "spectrum", "--p", "7", "--a", "3", "--precision", "64")
     assert doc["params"]["precision"] == 64 and doc["result"]["precision"] == 64
@@ -521,8 +545,9 @@ _BROKEN = {
                                   "lambda *args: real(*args) + 1",
                                   ["minimize", "--p", "7", "--a", "3", "--k", "8",
                                    "--method", "raw"]),
-    # k = 1 mod p: the orbit sweep recounts by the full power, so a half
-    # power that is off by one everywhere is caught on every command using it
+    # k = 1 mod p: the sweep reads its rows off the stepped correlation and
+    # recounts by the half power, so an s_k_count that is off by one
+    # everywhere is caught on every command using it
     "s_k_count_minimize_k1": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                               ["minimize", "--p", "7", "--a", "3", "--k", "15"]),
     "s_k_count_thm5": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
@@ -533,12 +558,16 @@ _BROKEN = {
     "s_k_count_scan_k1_part2": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                                 ["scan-k0", "--p", "7", "--a", "3", "--mode", "k1-part2",
                                  "--k-limit", "20"]),
-    # k != 1 mod p: a packed sweep step that zeroes the interval's state
-    # makes it the minimizer, and the s_k_count recount catches it
+    # a packed sweep start or step that zeroes the interval's state makes it
+    # the minimizer, and the s_k_count recount catches it, on both lanes
     "rotate_sum_thm3": ("zpcount.extremal", "_rotate_sum",
                         "lambda c, shifts, *rest: 0 if sorted(s % 7 for s in shifts) in "
                         "([0, 1, 2], [0, 5, 6]) else real(c, shifts, *rest)",
                         ["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "12"]),
+    "rotate_sum_thm5": ("zpcount.extremal", "_rotate_sum",
+                        "lambda c, shifts, *rest: 0 if sorted(s % 7 for s in shifts) in "
+                        "([0, 1, 2], [0, 5, 6]) else real(c, shifts, *rest)",
+                        ["verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2"]),
     # a slot one byte too narrow in power_sigma's packed chain carries into
     # its neighbour, and the entries no longer sum to |A|^k
     "narrow_slot_sigma": ("zpcount.counting", "_slot_bytes", "lambda bound: max(1, real(bound) - 1)",

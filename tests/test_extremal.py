@@ -55,8 +55,8 @@ _RAW_KS = {7: range(2, 61), 11: (2, 3, 10, 35, 60), 13: (2, 12, 60)}
 @pytest.mark.parametrize("p", sorted(_RAW_KS))
 def test_sweep_matches_raw_and_per_point_search(p):
     for a in range(3, p - 2):
-        ks = [k for k in range(2, 61) if k % p != 1]
-        for k, (best, attainers) in zip(ks, _class_minima(p, a, ks)):
+        ks = list(range(2, 61))
+        for k, (_, best, attainers) in zip(ks, _class_minima(p, a, ks)):
             point = minimize_sk(p, a, k)
             assert (best, attainers) == (point.min_value, point.extremal_orbits), (a, k)
             if k in _RAW_KS[p]:
@@ -64,14 +64,18 @@ def test_sweep_matches_raw_and_per_point_search(p):
                 assert (best, attainers) == (raw.min_value, raw.extremal_orbits), (a, k)
 
 
-@pytest.mark.parametrize("a, ks", [(3, [2, 3, 4, 6, 9]), (4, [2, 3, 5])])
+# brute_s_k enumerates a^k tuples (3^15 is about 6 s per set), so k = 15 is
+# reported at a = 2 only
+@pytest.mark.parametrize("a, ks", [(3, [2, 3, 4, 6, 8, 9]), (4, [2, 3, 5, 8]), (2, [2, 8, 15])])
 def test_sweep_rows_vs_brute(a, ks):
-    # the gaps step the sweep through k values it does not report, k = 8 = 1
-    # mod 7 among them
+    # the gaps step the sweep through k values it does not report; at k = 8
+    # and 15 = 1 mod 7 every translate reads entry 0, so each row is constant
     reps = orbit_catalog(7, a).reps
     for k, rows in zip(ks, _translate_rows(reps, ks)):
         for rep, row in zip(reps, rows):
             assert list(row) == [brute_s_k(rep.translate(t), k) for t in range(7)], (k, rep)
+            if k % 7 == 1:
+                assert len(set(row)) == 1, (k, rep)
 
 
 def test_sweep_restarts_across_wide_gaps():
@@ -79,22 +83,28 @@ def test_sweep_restarts_across_wide_gaps():
     ks = [2, 3, 40, 44, 60, 219]
     assert [k1 - k0 > extremal.SWEEP_RESTART_GAP for k0, k1 in zip(ks, ks[1:])] == [
         False, True, False, False, True]
-    for k, (best, attainers) in zip(ks, _class_minima(7, 3, ks)):
+    for k, (_, best, attainers) in zip(ks, _class_minima(7, 3, ks)):
         raw = minimize_sk(7, 3, k, method="raw")
         assert (best, attainers) == (raw.min_value, raw.extremal_orbits), k
 
 
-@pytest.mark.parametrize("call, sign, k", [
-    (lambda: minimize_sk(13, 5, 4), -1, 4),
-    (lambda: verify_thm_knot1(13, 5, [4, 5]), 1, 5),
-    (lambda: scan_k0(13, 5, "knot1", k_limit=4, window=0), 1, 3),
-], ids=["minimize-start", "thm3-step", "scan-knot1-step"])
-def test_sweep_attainers_are_recounted_by_the_half_power(monkeypatch, call, sign, k):
+@pytest.mark.parametrize("call, a, sign, k", [
+    (lambda: minimize_sk(13, 5, 4), 5, -1, 4),
+    (lambda: verify_thm_knot1(13, 5, [4, 5]), 5, 1, 5),
+    (lambda: scan_k0(13, 5, "knot1", k_limit=4, window=0), 5, 1, 3),
+    # k = 14 = 1 mod 13: the same sweep serves the orbit-level lane
+    (lambda: minimize_sk(13, 5, 14), 5, -1, 14),
+    (lambda: verify_thm_k1(13, 5, [1]), 5, -1, 14),
+    (lambda: scan_k0(13, 5, "k1-part2", k_limit=14, window=0), 5, -1, 14),
+    (lambda: scan_k0(13, 4, "k1-even", k_limit=14, window=0), 4, -1, 14),
+], ids=["minimize-start", "thm3-step", "scan-knot1-step", "minimize-k1-start", "thm5-start",
+        "scan-k1-part2-start", "scan-k1-even-start"])
+def test_sweep_attainers_are_recounted_by_the_half_power(monkeypatch, call, a, sign, k):
     # a shift-add that zeroes the interval's packed state, at its start (by
     # -R) or at a step (by +R), makes all its translates count 0; only the
     # s_k_count recount of the attainers sees it
     real = extremal._rotate_sum
-    lie = {sign * y % 13 for y in Subset.interval(13, 5).members()}
+    lie = {sign * y % 13 for y in Subset.interval(13, a).members()}
 
     def lying(packed, shifts, width, bits):
         return 0 if set(shifts) == lie else real(packed, shifts, width, bits)
@@ -225,42 +235,34 @@ def test_verify_thm_k1_part2_buckets():
 
 
 def test_verify_thm_k1_counts_each_orbit_once(monkeypatch):
-    # k = s*p + 1 makes s_k constant on affine orbits: one count per
-    # representative and s decides the point, minimum and attainers included.
-    real = extremal.s_k_count
-    calls = Counter()
+    # k = s*p + 1 makes s_k constant on affine orbits: each command makes one
+    # sweep, over the catalog representatives and exactly its family's ks,
+    # and counts by s_k_count only to recount the attainers; k1-part2 reads
+    # the interval's count off the sweep instead of counting it again
+    reps = orbit_catalog(11, 4).reps
+    commands = [(lambda: verify_thm_k1(11, 4, range(1, 4)), (12, 23, 34)),
+                (lambda: scan_k0(11, 4, "k1-even", k_limit=40, window=0), (12, 34)),
+                (lambda: scan_k0(11, 4, "k1-part2", k_limit=40, window=0), (23,))]
+    attainers = {k: minimize_sk(11, 4, k, method="raw").extremal_orbits for k in (12, 23, 34)}
+    real_rows, real_count = extremal._translate_rows, extremal.s_k_count
+    sweeps, counts = [], Counter()
+
+    def rows(reps, ks):
+        sweeps.append((tuple(reps), tuple(ks)))
+        return real_rows(reps, ks)
 
     def counted(a, k):
-        calls[a.mask, k] += 1
-        return real(a, k)
+        counts[a.mask, k] += 1
+        return real_count(a, k)
 
+    monkeypatch.setattr(extremal, "_translate_rows", rows)
     monkeypatch.setattr(extremal, "s_k_count", counted)
-    verify_thm_k1(11, 4, range(1, 4))
-    reps = orbit_catalog(11, 4).reps
-    assert calls == Counter({(rep.mask, s * 11 + 1): 1 for rep in reps for s in (1, 2, 3)})
-    # scan-k0's k1 modes share the sweep: k1-part2 reads the interval's count
-    # off it instead of counting the interval again
-    for mode, ks in (("k1-even", (12, 34)), ("k1-part2", (23,))):
-        calls.clear()
-        scan_k0(11, 4, mode, k_limit=40, window=0)
-        assert calls == Counter({(rep.mask, k): 1 for rep in reps for k in ks}), mode
-
-
-@pytest.mark.parametrize("p, a, call", [
-    (13, 5, lambda: minimize_sk(13, 5, 14)),
-    (13, 5, lambda: verify_thm_k1(13, 5, [1])),
-    (13, 5, lambda: scan_k0(13, 5, "k1-part2", k_limit=14, window=0)),
-    (13, 4, lambda: scan_k0(13, 4, "k1-even", k_limit=14, window=0)),
-], ids=["minimize", "thm5", "scan-k1-part2", "scan-k1-even"])
-def test_k1_attainers_are_recounted_by_the_full_power(monkeypatch, p, a, call):
-    # a half-power count that lies about the interval orbit makes it the
-    # unique minimizer; the full-power recount of that attainer catches it
-    real = extremal.s_k_count
-    interval = Subset.interval(p, a).canonical()
-    monkeypatch.setattr(extremal, "s_k_count",
-                        lambda s, k: 1 if s == interval else real(s, k))
-    with pytest.raises(InvariantError, match=r"s_14 recount of attainer .* search found 1"):
+    for call, ks in commands:
+        sweeps.clear()
+        counts.clear()
         call()
+        assert sweeps == [(reps, ks)], ks
+        assert counts == Counter({(s.mask, k): 1 for k in ks for s in attainers[k]}), ks
 
 
 @pytest.mark.parametrize("k", [3, 8], ids=["k-not-1", "k-1"])
@@ -315,7 +317,7 @@ def test_k_limit_below_every_point_is_a_usage_error(monkeypatch, call):
     # every point may hold, but no threshold candidate was tested; the limit
     # is checked before any point is evaluated
     calls = []
-    for name in ("minimize_sk", "_orbit_sweep", "_translate_rows"):
+    for name in ("minimize_sk", "_class_minima", "_translate_rows"):
         monkeypatch.setattr(extremal, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(ValueError, match="no point of the range lies at or below k_limit"):
         call()

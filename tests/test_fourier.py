@@ -441,6 +441,17 @@ def test_t_good_scan_13_3():
             assert (fv.value > 0) == (pt.cos_sign > 0)
 
 
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_t_good_scan_has_one_point_per_eligible_t(p):
+    # the window is pi - 2*eps > |c| wide, so every t with sign(t) = sign(c)
+    # gets its least s >= 1; none is dropped
+    for a in range(3, p - 2):
+        scan = t_good_scan(p, a, range(-40, 41))
+        eligible = [t for t in range(-40, 41) if t != 0 and (t > 0) == (scan.c > 0)]
+        assert [pt.t for pt in scan.points] == eligible, a
+        assert all(pt.s >= 1 and pt.k == pt.s * p + 1 for pt in scan.points), a
+
+
 def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
     # Beyond the spectral levels it reads, the scan transforms the punctured
     # interval once: the lattice-avoidance guard and the profile share it.

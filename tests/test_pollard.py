@@ -105,6 +105,18 @@ def test_classifier_interval_pair():
     assert case.common_difference == 1
 
 
+def test_classifier_common_difference_is_the_least_shared_step():
+    # every pair in the classifier's domain at p = 7 (the difference does not
+    # depend on r0): the least d making both sets progressions, if any
+    sets = [Subset(7, m) for m in range(1, (1 << 7) - 1)]
+    steps = {s: set(s.arith_prog_differences()) for s in sets}
+    for a1 in sets:
+        for a2 in sets:
+            if a1.size <= a2.size:
+                expect = min(steps[a1] & steps[a2], default=None)
+                assert classify_equality_k2(a1, a2, 1).common_difference == expect, (a1, a2)
+
+
 def test_classifier_r0_equals_a1():
     a1 = Subset.from_residues(11, [0, 2, 7])
     a2 = Subset.from_residues(11, [1, 3, 4, 8, 9])
