@@ -3,13 +3,19 @@
 Subsets are p-bit membership words packed into a Python int (bit x set iff
 residue x is a member), so translation is a bit rotation and set algebra is
 word arithmetic.  The affine group {x -> xi*x + eta : xi != 0} acts on
-subsets.  One kernel, _translate_min (a set's smallest translate), serves
-Subset.canonical and build_orbit_catalog.  The catalog visits only the
-necklaces (sets that are their own smallest translate), which _necklaces
-generates from their gap words, largest gap first.  One run-count kernel,
-_run_count, decides progressions: a set with 0 < |A| < p is an arithmetic
-progression of difference d exactly when it is a single run along
-x -> x + d, one word operation, so Subset.is_interval is its d = 1 case and
+subsets.  One dilation kernel, _dilation_orbit, steps a word through its
+p-1 dilations by a primitive root g of p, one lookup per byte in per-p
+tables built on first use; it serves Subset.canonical,
+Subset.dilation_class_canonical and build_orbit_catalog (_dilate_mask, the
+member loop for one multiplier, serves Subset.dilate).  One translation
+kernel, _translate_min, finds a set's smallest translate among the members
+that follow a longest run of non-members; it serves Subset.canonical and
+build_orbit_catalog.  The catalog visits only the necklaces (sets that are
+their own smallest translate), which _necklaces generates from their gap
+words, largest gap first.  One run-count kernel, _run_count, decides
+progressions: a set with 0 < |A| < p is an arithmetic progression of
+difference d exactly when it is a single run along x -> x + d, one word
+operation, so Subset.is_interval is its d = 1 case and
 Subset.arith_prog_differences tries every d.
 """
 
@@ -109,17 +115,32 @@ def _run_count(mask: int, d: int, p: int, full: int) -> int:
 def _translate_min(mask: int, p: int, full: int) -> int:
     """Smallest membership word among the p translates of mask.
 
-    A smallest translate of a nonempty set has bit 0 set (otherwise the
-    shift by -1 halves it), so only the shifts moving a member to 0 are tried."""
-    best = mask
-    m = mask
-    while m:
-        low = m & -m
+    Read from bit p-1 down, the translate that moves member x to 0 opens
+    with the run of non-members below x, so a smallest translate of a set
+    with 0 < |A| < p moves to 0 a member that follows a longest gap.  The
+    members x with x-1, ..., x-k all outside are mask AND k rotations of the
+    complement; k grows until none is left, and only the members that
+    survived the last step are rotated to 0 and compared."""
+    gap = full ^ mask
+    if not mask or not gap:
+        return mask
+    ring = gap | gap << p  # bit x of ring >> (p - k): x - k is outside
+    cand = mask
+    shift = p - 1
+    while True:
+        longer = cand & ring >> shift
+        if not longer:
+            break
+        cand = longer
+        shift -= 1
+    best = full
+    while cand:
+        low = cand & -cand
         x = low.bit_length() - 1
         r = (mask >> x) | ((mask << (p - x)) & full)
         if r < best:
             best = r
-        m ^= low
+        cand ^= low
     return best
 
 
@@ -172,6 +193,49 @@ def _dilate_mask(mask: int, xi: int, p: int) -> int:
         out |= 1 << (xi * x % p)
         m ^= low
     return out
+
+
+def _primitive_root(p: int) -> int:
+    """The smallest g with g^((p-1)/q) != 1 mod p for every prime q | p-1."""
+    qs = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % d for d in range(2, q))]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+
+@lru_cache(maxsize=None)
+def _dilation_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """Byte tables for the dilation by g = _primitive_root(p): table j maps
+    byte j of a membership word (residues 8j..8j+7) to the word of the
+    images g*x of its members.  Built on first use, once per p.
+
+    g must have order p-1: orbits under a smaller subgroup still partition
+    the subsets, so a catalog's coverage sum would not notice."""
+    g = _primitive_root(p)
+    order = next(j for j in range(1, p) if pow(g, j, p) == 1)
+    if order != p - 1:
+        raise InvariantError(f"dilation multiplier {g} has order {order} mod {p}, not {p - 1}")
+    tables = []
+    for lo in range(0, p, 8):
+        table = [0] * (1 << min(8, p - lo))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | 1 << (g * (lo + low.bit_length() - 1) % p)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _dilation_orbit(mask: int, p: int) -> list[int]:
+    """The p-1 dilations of mask, g^j * mask for j = 0..p-2 with g the
+    multiplier of _dilation_tables, each read off the last by table lookups."""
+    tables = _dilation_tables(p)
+    words = [mask]
+    for _ in range(p - 2):
+        word = 0
+        for table in tables:
+            word |= table[mask & 255]
+            mask >>= 8
+        mask = word
+        words.append(mask)
+    return words
 
 
 @dataclass(frozen=True, order=True)
@@ -275,13 +339,11 @@ class Subset:
     def canonical(self) -> "Subset":
         """Smallest membership word over the p(p-1) affine images."""
         p, full = self.p, prime_context(self.p).full_mask
-        return Subset(p, min(_translate_min(_dilate_mask(self.mask, xi, p), p, full)
-                             for xi in range(1, p)))
+        return Subset(p, min(_translate_min(m, p, full) for m in _dilation_orbit(self.mask, p)))
 
     def dilation_class_canonical(self) -> "Subset":
         """Smallest membership word among the p-1 dilations (no translation)."""
-        best = min(_dilate_mask(self.mask, xi, self.p) for xi in range(1, self.p))
-        return Subset(self.p, best)
+        return Subset(self.p, min(_dilation_orbit(self.mask, self.p)))
 
     # --- serialization ------------------------------------------------------
 
@@ -363,8 +425,11 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     order from their gap words, C(p, a)/p of them, without testing the other
     masks; a necklace is kept unless seen, which holds the smallest
     translates of each kept orbit's dilations: one entry per translation
-    class, at most C(p, a)/p.  For 0 < a < p translation acts freely, so an
-    orbit holds p sets per translation class.
+    class, at most C(p, a)/p.  A kept necklace's dilations are the p-1
+    words of the primitive-root chain _dilation_orbit, and each one's
+    smallest translate is taken by _translate_min's longest-gap rule.  For
+    0 < a < p translation acts freely, so an orbit holds p sets per
+    translation class.
     """
     ctx = prime_context(p)
     if not 0 <= a <= p:
@@ -379,7 +444,7 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     for mask in _necklaces(p, a):
         if mask in seen:
             continue
-        forms = {_translate_min(_dilate_mask(mask, xi, p), p, full) for xi in range(1, p)}
+        forms = {_translate_min(m, p, full) for m in _dilation_orbit(mask, p)}
         reps.append(Subset(p, mask))
         sizes.append(p * len(forms))
         seen |= forms

@@ -1,4 +1,5 @@
-"""Shared oracles and the acceptance-line reporter.
+"""Shared oracles, the acceptance-line reporter, and the environment for
+test subprocesses.
 
 The brute-force counters here are deliberately naive (nested loops over
 itertools.product); they are the reference the fast implementations are
@@ -6,10 +7,12 @@ judged against, so they must stay obviously correct.
 """
 
 from itertools import combinations, product
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import zpcount
 from zpcount import Subset
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -27,6 +30,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in sorted(_ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a test's fresh interpreter: zpcount from this
+    checkout's src/, and no bytecode written there, so the tests leave no
+    compiled modules behind for a later run in the same checkout to load."""
+    return {"PYTHONPATH": str(Path(zpcount.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def brute_s_count(a0: Subset, sets) -> int:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import zpcount
+from conftest import subprocess_env
 from zpcount import Subset, extremal, s_count, s_k_count
 from zpcount.cli import (
     _NOT_PARAMS, _params_from_args, _parse_residues, _parse_sizes, _strip_elapsed,
@@ -495,6 +496,22 @@ def test_pollard_reports_are_byte_identical(capsys, case):
     assert out == case["stdout"]
 
 
+# `zpcount orbits` reports frozen before the primitive-root dilation chain
+# and the longest-gap translate kernel: SHA-256 of the report with elapsed
+# removed (the benchmark menu's digest).  The brute catalog oracle stops at
+# p = 17 and the benchmark menu runs no `orbits`.
+_ORBIT_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "orbit_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", _ORBIT_DIGESTS, ids=lambda c: " ".join(c["argv"][1:]))
+def test_orbit_reports_match_frozen_digests(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["orbit_count"] == case["orbit_count"]
+    assert _cli_menu().digest(out.encode()) == case["sha256"]
+
+
 def _cli_menu():
     """perfbench/cli_menu.py, imported (never written) for the frozen
     extremal_cli references and the digest they were taken with."""
@@ -574,6 +591,11 @@ _BROKEN = {
                           ["sigma", "--p", "7", "--set", "0,1,2", "--k", "20"]),
     "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
                 ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
+    # a dilation multiplier of order (p-1)/2 still passes the catalog's
+    # coverage sum (subgroup orbits partition the subsets too), so the
+    # table builder checks the order itself
+    "subgroup_multiplier": ("zpcount.core", "_primitive_root", "lambda p: real(p) ** 2 % p",
+                            ["orbits", "--p", "13", "--a", "5"]),
     "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",
                            "lambda p, sigma: M.ThresholdProfile(p, ((1 << p) - 1, 1, 2, 0))",
                            ["pollard", "--p", "7", "--sizes", "3,2,2"]),
@@ -591,10 +613,9 @@ def test_invariant_error_exit_3_under_optimize(name):
         "from zpcount.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    src = str(Path(zpcount.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True,
-        env={"PYTHONPATH": src}, timeout=120,
+        env=subprocess_env(), timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
@@ -636,9 +657,8 @@ def _loaded_after(commands: list[list[str]]) -> tuple[list[int], list[str]]:
         f"    codes = [main(argv) for argv in {commands!r}]\n"
         f"print(json.dumps([codes, [m for m in {_LAYERS!r} if m in sys.modules]]))\n"
     )
-    src = str(Path(zpcount.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+                          env=subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout)
     return codes, loaded

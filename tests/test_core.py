@@ -2,11 +2,12 @@ import pytest
 
 from conftest import brute_affine_orbit, brute_orbit_catalog
 from zpcount import (
-    AffineMap, SizeGuardError, Subset, build_orbit_catalog, is_odd_prime,
-    orbit_catalog, subset_masks_of_size,
+    AffineMap, InvariantError, SizeGuardError, Subset, build_orbit_catalog, core,
+    is_odd_prime, orbit_catalog, subset_masks_of_size,
 )
 from zpcount.core import (
-    _dilate_mask, _gosper_masks, _necklaces, _translate_min, prime_context,
+    _dilate_mask, _dilation_orbit, _gosper_masks, _necklaces, _primitive_root, _rotate,
+    _translate_min, prime_context,
 )
 from zpcount.pollard import _reflection_point
 
@@ -135,6 +136,64 @@ def test_reflection_point_matches_a_scan_over_g():
             assert _reflection_point(a1, a2) == (hits[0] if hits else None), (m1, m2)
 
 
+PRIMES_BELOW_64 = tuple(n for n in range(64) if is_odd_prime(n))
+
+
+def _tied_gap_mask(rng, p: int) -> int:
+    """A random mask (p >= 5) whose longest gap, of length L >= 1, occurs at
+    least twice: gaps of at most L between members, placed round the cycle."""
+    longest = rng.randint(1, p // 2 - 1)
+    ties = rng.randint(2, p // (longest + 1))
+    gaps = [longest] * ties
+    used = ties * (longest + 1)
+    while used < p:
+        g = rng.randint(0, min(longest, p - used - 1))
+        gaps.append(g)
+        used += g + 1
+    rng.shuffle(gaps)
+    mask, x = 0, rng.randrange(p)
+    for g in gaps:
+        x = (x + g + 1) % p  # g non-members, then a member
+        mask |= 1 << x
+    return mask
+
+
+def test_translate_min_is_the_least_rotation(rng):
+    for p in PRIMES_BELOW_64:
+        full = (1 << p) - 1
+        masks = [0, full] + [rng.getrandbits(p) for _ in range(200)]
+        if p >= 5:
+            masks += [_tied_gap_mask(rng, p) for _ in range(100)]
+        for mask in masks:
+            expected = min(_rotate(mask, t, p, full) for t in range(p))
+            assert _translate_min(mask, p, full) == expected, (p, mask)
+
+
+def test_dilation_orbit_is_every_dilation(rng):
+    for p in PRIMES_BELOW_64:
+        g = _primitive_root(p)
+        for mask in (0, (1 << p) - 1, 0b10, rng.getrandbits(p), rng.getrandbits(p)):
+            words = _dilation_orbit(mask, p)
+            assert words == [_dilate_mask(mask, pow(g, j, p), p) for j in range(p - 1)], p
+            assert set(words) == {_dilate_mask(mask, xi, p) for xi in range(1, p)}, p
+
+
+def test_dilation_tables_refuse_a_multiplier_of_smaller_order(monkeypatch):
+    # orbits under the subgroup of squares still partition the subsets, so
+    # only the table builder's own order check can catch this multiplier
+    real = _primitive_root
+    monkeypatch.setattr(core, "_primitive_root", lambda p: real(p) ** 2 % p)
+    core._dilation_tables.cache_clear()
+    try:
+        for p in PRIMES_BELOW_64:
+            with pytest.raises(InvariantError, match=f"has order {(p - 1) // 2} mod {p},"):
+                core._dilation_tables(p)
+        with pytest.raises(InvariantError):
+            build_orbit_catalog(13, 5)
+    finally:
+        core._dilation_tables.cache_clear()
+
+
 def test_canonical_is_orbit_invariant():
     s = Subset.from_residues(13, [0, 1, 3, 9])
     canon = s.canonical()
@@ -155,6 +214,8 @@ def test_canonical_and_is_interval_match_pointwise(rng):
             for residues in (rng.sample(range(p), a), interval, near):
                 s = Subset.from_residues(p, residues)
                 assert s.canonical().mask == min(brute_affine_orbit(p, residues))
+                assert s.dilation_class_canonical().mask == min(
+                    sum(1 << (xi * x % p) for x in set(residues)) for xi in range(1, p))
                 assert s.is_interval() == any(
                     s == Subset.from_residues(p, ((t + i) % p for i in range(a)))
                     for t in range(p)

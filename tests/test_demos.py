@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import zpcount
+from conftest import subprocess_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -19,8 +19,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script):
-    src = str(Path(zpcount.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=300)
+                          env=subprocess_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -2,6 +2,7 @@
 (PEP 562) from zpcount.fourier and zpcount.pollard."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zpcount
+from conftest import subprocess_env
 from zpcount import core, fourier
 
 
@@ -50,8 +52,21 @@ def test_lazy_name_loads_its_layer_once():
         "         vars(zpcount).get('F_value') is value]\n"
         "print(json.dumps([before, after]))\n"
     )
-    src = str(Path(zpcount.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+                          env=subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[False, False, False], [True, False, True]]
+
+
+def test_subprocess_env_writes_no_bytecode(tmp_path):
+    # a fresh copy of the package with no __pycache__, so bytecode left by
+    # an earlier run in this checkout cannot hide a write
+    shutil.copytree(Path(zpcount.__file__).resolve().parent, tmp_path / "zpcount",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = ("import sys, zpcount.cli, zpcount.fourier, zpcount.pollard\n"
+              "print(sys.flags.dont_write_bytecode)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**subprocess_env(), "PYTHONPATH": str(tmp_path)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+    assert not list(tmp_path.rglob("__pycache__"))
