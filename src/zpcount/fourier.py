@@ -9,23 +9,28 @@ translate a set so its peak coefficient sits at frequency 1 with argument in
 count, and the lattice-avoidance check for punctured intervals all live
 here.
 
-dft_indicator is the one DFT kernel, and its sums are exact integer
-arithmetic: _unit_table holds round(2^w*cos(2*pi*j/p)) and
-round(2^w*sin(2*pi*j/p)) as Python ints (w = precision + GUARD_BITS), each
-coefficient for g = 1..(p-1)/2 is an exact sum of table entries, its
-magnitude is isqrt(re^2 + im^2)*2^-w and its argument one mp.atan2.  An
-indicator is real, so hat1_A(p-g) = conj(hat1_A(g)): frequency p-g gets the
-exact conjugate (r, 2*pi - theta), or (r, 0) when theta = 0, and mirrored
-magnitudes are equal.  _coeff_error derives why the bound it returns covers
-the table, isqrt, rounding and atan2 steps.
+dft_indicator is the one DFT kernel, and it is integer-first: _unit_table
+holds round(2^w*cos(2*pi*j/p)) and round(2^w*sin(2*pi*j/p)) as Python ints
+(w = precision + GUARD_BITS), and each coefficient for g = 1..(p-1)/2 is kept
+as its exact integer sums (re, im) with the integer magnitude key
+isqrt(re^2 + im^2), both in units u = 2^-w.  Its loop makes no mpmath call:
+a profile's magnitude is its key times u (ldexp of an int does not round),
+and an argument is computed the first time a caller reads it, one mp.atan2
+at w bits, and kept.  An indicator is real, so
+hat1_A(p-g) = conj(hat1_A(g)): frequency p-g gets the key of g and the exact
+conjugate argument 2*pi - theta, or 0 when theta = 0.  _coeff_error derives
+why the bound it returns covers the table, isqrt, rounding and atan2 steps.
 
 _clusters is the one certified ranking kernel: it sorts values, ties those
 within TIE_MARGIN errors of each other, needs a gap over SEPARATION_MARGIN
 errors between groups, and can stop after the top groups.  The peak
 frequencies of spectral_levels and primary_image and the rho ladder of
-spectral_levels all go through it; projection_scores orders residues by one
-exact integer key and checks that order against the same two margins, which
-also bound every lattice clearance (primary_image, the angle check).
+spectral_levels all go through it, ranking integer keys against the integer
+error bound, so every margin comparison is exact and no argument is read;
+mpf values are built only for what is reported.  projection_scores orders
+residues by one exact integer key and checks that order against the same
+two margins, which also bound every lattice clearance (primary_image, the
+angle check).
 
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
@@ -40,10 +45,10 @@ rung would exceed MAX_PRECISION.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, groupby
-from math import isqrt
+from math import inf, isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import mpmath as mp
@@ -64,6 +69,7 @@ SEPARATION_MARGIN = 10
 
 
 _T = TypeVar("_T")
+_V = TypeVar("_V", int, mp.mpf)
 
 
 def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) -> _T:
@@ -108,16 +114,25 @@ def _unit_table(p: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(sin + [-sin[p - j] for j in range(half + 1, p)]))
 
 
-def _coeff_error(a: int, work_prec: int) -> mp.mpf:
-    # Distance bound, in units u = 2^-w (w = work_prec), between a stored
-    # r*e^(i*theta) and the true coefficient z of an a-point set:
+@lru_cache(maxsize=64)
+def _two_pi(w: int) -> mp.mpf:
+    """2*pi at w bits: the shift into [0, 2*pi) and the conjugate mirror."""
+    with mp.workprec(w):
+        return 2 * mp.pi
+
+
+def _coeff_error(a: int) -> int:
+    # Distance bound, in units u = 2^-w, between a stored r*e^(i*theta) and
+    # the true coefficient z of an a-point set; dft_indicator's err is this
+    # int times u, and the rankings compare integer keys against it directly.
     # - Table: 2*pi*j/p and its cos and sin are good to 2^-(w+12) at w+16
     #   bits, and one rounding to an int adds 1/2, so each entry is within
     #   1/2 + 2^-12 < 0.51 u of 2^w*cos and of 2^w*sin.  A term is then off by
     #   < 0.73 u, and the exact integer sum z' = (re + i*im)*u lies within
     #   0.73*a u of z; |z'| <= 1.01*a.
-    # - Magnitude: isqrt truncates |z'| by < 1 u, and ldexp keeps that int
-    #   exactly, so |r - |z'|| < 1 u.
+    # - Magnitude: r is read from the integer key isqrt(re^2 + im^2), which
+    #   truncates |z'| by < 1 u, and ldexp keeps that int exactly, so
+    #   |r - |z'|| < 1 u.
     # - Argument: atan2 of the exact ints is within 1 ulp of arg z' in
     #   [-pi, pi] (<= 4 u).  Adding 2*pi, or taking 2*pi - theta for the
     #   mirror, adds <= 4 u for 2*pi at w bits and <= 4 u for rounding a value
@@ -126,34 +141,75 @@ def _coeff_error(a: int, work_prec: int) -> mp.mpf:
     # - Total: 0.73*a + 1 + 12.2*a < 13*a + 1 <= 3*a^2 + 16*a + 16.  The slack
     #   (3*a^2 + 3*a + 15 u) also covers an atan2 a few ulps worse.  The zero
     #   frequency (a, 0) is exact.
-    return mp.ldexp(mp.mpf(3 * a * a + 16 * a + 16), -work_prec)
+    return 3 * a * a + 16 * a + 16
 
 
 @dataclass(frozen=True)
 class FourierProfile:
-    """All p indicator coefficients of one subset, in polar form.
+    """All p indicator coefficients of one subset.
 
-    coeffs[g] = (magnitude, argument) with the argument normalized to
-    [0, 2*pi); err bounds the complex-plane distance of every entry from the
-    true coefficient.  precision is the requested target; work_prec is the
-    actual mpmath precision used.
+    sums[g-1] = (re, im) are the exact integer sums of frequency
+    g = 1..(p-1)/2, and keys[g] the integer magnitude key of every frequency
+    (keys[0] = |A|*2^w, keys[p-g] = keys[g] = isqrt(re^2 + im^2)), both in
+    units u = 2^-w, w = work_prec.  magnitude(g) is keys[g]*u; argument(g),
+    normalized to [0, 2*pi), is computed on its first read and kept, and
+    coeffs lists every (magnitude, argument) pair.  err bounds the
+    complex-plane distance of every entry from the true coefficient.
+    precision is the requested target; work_prec is the actual mpmath
+    precision used.
     """
 
     subset: Subset
     precision: int
     work_prec: int
     err: mp.mpf
-    coeffs: tuple[tuple[mp.mpf, mp.mpf], ...]
+    sums: tuple[tuple[int, int], ...]
+    keys: tuple[int, ...]
+    _arguments: dict[int, mp.mpf] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
         return self.subset.p
 
+    @property
+    def coeffs(self) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
+        p, w = self.p, self.work_prec
+        mags = [mp.ldexp(key, -w) for key in self.keys[: p // 2 + 1]]
+        mags += reversed(mags[1:])
+        with mp.workprec(w):
+            return tuple(zip(mags, [self._argument(g) for g in range(p)]))
+
     def magnitude(self, gamma: int) -> mp.mpf:
-        return self.coeffs[gamma % self.p][0]
+        return mp.ldexp(self.keys[gamma % self.p], -self.work_prec)
 
     def argument(self, gamma: int) -> mp.mpf:
-        return self.coeffs[gamma % self.p][1]
+        g = gamma % self.p
+        th = self._arguments.get(g)
+        if th is None:
+            with mp.workprec(self.work_prec):
+                th = self._argument(g)
+        return th
+
+    def _argument(self, g: int) -> mp.mpf:
+        """argument(g) for g in 0..p-1, at the caller's work_prec: one atan2
+        of frequency g or p-g, whichever is at most (p-1)/2, on first read."""
+        th = self._arguments.get(g)
+        if th is not None:
+            return th
+        p = self.p
+        if g == 0:
+            th = mp.mpf(0)
+        elif 2 * g < p:
+            re, im = self.sums[g - 1]
+            th = mp.atan2(im, re)
+            if th < 0:
+                th += _two_pi(self.work_prec)
+        else:  # the exact conjugate of frequency p-g
+            th = self._argument(p - g)
+            th = _two_pi(self.work_prec) - th if th else mp.mpf(0)
+        self._arguments[g] = th
+        return th
 
     def argument_error(self, gamma: int) -> mp.mpf:
         """Bound on the argument error; infinite if the coefficient is too small."""
@@ -173,34 +229,28 @@ def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfi
     w = precision + GUARD_BITS
     cos, sin = _unit_table(p, w)
     members = a.members()
-    upper: list[tuple[mp.mpf, mp.mpf]] = []  # frequencies 1..(p-1)/2
-    with mp.workprec(w):
-        zero = mp.mpf(0)
-        tau = 2 * mp.pi
-        for g in range(1, p // 2 + 1):
-            idx = [-x * g % p for x in members]
-            re = sum([cos[j] for j in idx])
-            im = sum([sin[j] for j in idx])
-            th = mp.atan2(im, re)
-            if th < 0:
-                th += tau
-            upper.append((mp.ldexp(isqrt(re * re + im * im), -w), th))
-        # frequency p-g carries the exact conjugate of frequency g
-        lower = [(r, tau - th if th else zero) for r, th in reversed(upper)]
-        err = _coeff_error(len(members), w)
-        coeffs = ((mp.mpf(len(members)), zero), *upper, *lower)
-    return FourierProfile(a, precision, w, err, coeffs)
+    sums = []  # frequencies 1..(p-1)/2
+    for g in range(1, p // 2 + 1):
+        idx = [-x * g % p for x in members]
+        sums.append((sum([cos[j] for j in idx]), sum([sin[j] for j in idx])))
+    upper = [isqrt(re * re + im * im) for re, im in sums]
+    # frequency p-g carries the key of its conjugate, frequency g
+    keys = (len(members) << w, *upper, *reversed(upper))
+    err = mp.ldexp(_coeff_error(len(members)), -w)
+    return FourierProfile(a, precision, w, err, tuple(sums), keys)
 
 
 def _clusters(
-    pairs: Sequence[tuple[mp.mpf, object]], err: mp.mpf, depth: int | None = None
-) -> list[list[tuple[mp.mpf, object]]] | None:
+    pairs: Sequence[tuple[_V, object]], err: _V, depth: int | None = None
+) -> list[list[tuple[_V, object]]] | None:
     """The one certified ranking: (value, key) pairs sorted by value,
     largest first, and cut into groups.  Adjacent values within
     TIE_MARGIN*err share a group, a gap over SEPARATION_MARGIN*err starts the
     next one, and a gap in between, or a group spread wider than
     TIE_MARGIN*err, returns None.  Ranking stops once depth groups are
-    closed, so values below them are never resolved."""
+    closed, so values below them are never resolved.  Values and err are in
+    one unit: the callers pass integer magnitude keys and _coeff_error's
+    integer bound, both in units 2^-w, so every comparison is exact."""
     ranked = sorted(pairs, key=lambda kv: kv[0], reverse=True)
     groups = [[ranked[0]]]
     for prev, cur in zip(ranked, ranked[1:]):
@@ -228,7 +278,7 @@ class SpectralLevels:
     attainers: tuple[tuple[tuple[Subset, tuple[int, ...]], ...], ...]
     err: mp.mpf
     precision: int
-    min_gap_over_err: float
+    min_gap_over_err: float  # least gap below a kept level over err; inf for one level
 
     def to_json(self) -> dict:
         digits = int(self.precision * 0.302) + 4
@@ -242,7 +292,8 @@ class SpectralLevels:
             ],
             "err": mp.nstr(self.err, 8),
             "precision": self.precision,
-            "min_gap_over_err": self.min_gap_over_err,
+            # a single level has no gap: null, since JSON has no Infinity
+            "min_gap_over_err": None if self.min_gap_over_err == inf else self.min_gap_over_err,
         }
 
 
@@ -260,27 +311,29 @@ def spectral_levels(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     catalog = orbit_catalog(p, a)
+    e = _coeff_error(a)
 
     def attempt(prec: int) -> SpectralLevels | None:
-        profiles = [dft_indicator(rep, prec) for rep in catalog.reps]
-        err = profiles[0].err
         rho_pairs = []
         attain = []
-        with mp.workprec(profiles[0].work_prec):
-            for idx, prof in enumerate(profiles):
-                peak = _clusters([(prof.magnitude(g), g) for g in range(1, p)], err, depth=1)
-                if peak is None:
-                    return None
-                attain.append(tuple(sorted(g for _, g in peak[0])))
-                rho_pairs.append((peak[0][0][0], idx))  # rho: the top group's head
-            clusters = _clusters(rho_pairs, err)
-            if clusters is None:
+        for idx, rep in enumerate(catalog.reps):  # one profile held at a time
+            prof = dft_indicator(rep, prec)
+            keys = prof.keys
+            peak = _clusters([(keys[g], g) for g in range(1, p)], e, depth=1)
+            if peak is None:
                 return None
-            keep = clusters[:depth]
-            gaps = [clusters[i][-1][0] - clusters[i + 1][0][0]
-                    for i in range(min(len(keep), len(clusters) - 1))]
-            ratio = float(min(gaps) / err) if gaps else float("inf")
-        levels = tuple(cl[0][0] for cl in keep)
+            attain.append(tuple(sorted(g for _, g in peak[0])))
+            rho_pairs.append((peak[0][0][0], idx))  # rho: the top group's head
+        clusters = _clusters(rho_pairs, e)
+        if clusters is None:
+            return None
+        keep = clusters[:depth]
+        gaps = [clusters[i][-1][0] - clusters[i + 1][0][0]
+                for i in range(min(len(keep), len(clusters) - 1))]
+        w, err = prof.work_prec, prof.err  # the same for every a-point set
+        with mp.workprec(w):  # the least gap, rounded to w bits, over err
+            ratio = float(mp.ldexp(mp.mpf(min(gaps)), -w) / err) if gaps else inf
+        levels = tuple(mp.ldexp(cl[0][0], -w) for cl in keep)
         attainers = tuple(
             tuple((catalog.reps[idx], attain[idx]) for _, idx in cl) for cl in keep
         )
@@ -322,11 +375,10 @@ def _lattice_reading(prof: FourierProfile, gamma: int) -> _LatticeReading | None
     """Where arg(hat1_A(gamma)) sits against (pi/p)*Z, read from prof; None
     while |hat1_A(gamma)| <= 32*err leaves the nearest index in doubt."""
     p = prof.p
-    r, th = prof.coeffs[gamma % p]
     with mp.workprec(prof.work_prec):
-        if not r > 32 * prof.err:
+        if not prof.magnitude(gamma) > 32 * prof.err:
             return None
-        q = th * p / mp.pi
+        q = prof.argument(gamma) * p / mp.pi
         n = mp.nint(q)
         distance = abs(q - n) * mp.pi / p
     index = int(n) % (2 * p)
@@ -366,14 +418,16 @@ def primary_image(
     if not 1 <= d.size <= p - 1:
         raise ValueError("primary image needs a nonempty proper subset")
 
+    e = _coeff_error(d.size)
+
     def attempt(prec: int) -> tuple[Subset, AffineMap] | None:
         prof = dft_indicator(d, prec)
-        err = prof.err
+        err, keys = prof.err, prof.keys
+        peak = _clusters([(keys[g], g) for g in range(1, p)], e, depth=1)
+        if peak is None:
+            return None
+        gamma = min(g for _, g in peak[0])
         with mp.workprec(prof.work_prec):
-            peak = _clusters([(prof.magnitude(g), g) for g in range(1, p)], err, depth=1)
-            if peak is None:
-                return None
-            gamma = min(g for _, g in peak[0])
             reading = _lattice_reading(prof, gamma)
             if reading is None:
                 return None
@@ -387,7 +441,7 @@ def primary_image(
         check = dft_indicator(image, prec)
         with mp.workprec(check.work_prec):
             th1 = _fold(check.argument(1))
-            if not (abs(check.magnitude(1) - prof.magnitude(gamma)) <= 6 * err
+            if not (abs(check.keys[1] - keys[gamma]) <= 6 * e
                     and -(mp.pi / p) - 10 * err < th1 <= mp.pi / p + 10 * err):
                 raise InvariantError(
                     f"primary image {list(image.members())} of {list(d.members())} "

@@ -512,6 +512,51 @@ def test_orbit_reports_match_frozen_digests(capsys, case):
     assert _cli_menu().digest(out.encode()) == case["sha256"]
 
 
+# `zpcount spectrum` reports frozen before the kernel kept integer keys and
+# computed arguments on first read: SHA-256 of the report with elapsed
+# removed, for every (p, a) with p <= 19 at --precision 8, 64 and 256 and for
+# (23, a), a = 3..20, at 256 bits.  Single-level reports (one orbit:
+# a in {1, 2, p-2, p-1}) are left out; their gap is null now, see below.
+_SPECTRUM_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "spectrum_digests.json").read_text())
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-RFC 8259 constants NaN and
+    +-Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case", _SPECTRUM_DIGESTS, ids=lambda c: " ".join(c["argv"][1:]))
+def test_spectrum_reports_match_frozen_digests(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == 0, err
+    assert len(_strict_json(out)["result"]["levels"]) == case["levels"]
+    assert _cli_menu().digest(out.encode()) == case["sha256"]
+
+
+_SINGLE_LEVEL = [(p, a) for p in (3, 5, 7, 11, 13, 17, 19)
+                 for a in sorted({1, 2, p - 2, p - 1})]
+
+
+@pytest.mark.parametrize("p, a", _SINGLE_LEVEL)
+def test_single_level_spectrum_is_json_and_rechecks(capsys, tmp_path, p, a):
+    # one level has no gap to report: null, where the report used to print
+    # the non-JSON token Infinity
+    code, out, err = run(capsys, "spectrum", "--p", str(p), "--a", str(a), "--precision", "64")
+    assert code == 0, err
+    result = _strict_json(out)["result"]
+    assert len(result["levels"]) == 1 and result["min_gap_over_err"] is None
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, out, err = run(capsys, "recheck", str(report))
+    assert code == 0, err or out
+    assert _strict_json(out)["result"]["match"] is True
+
+
 def _cli_menu():
     """perfbench/cli_menu.py, imported (never written) for the frozen
     extremal_cli references and the digest they were taken with."""

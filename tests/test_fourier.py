@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import mpmath as mp
 import pytest
@@ -91,6 +92,109 @@ def test_zero_frequency_is_size():
     with mp.workprec(prof.work_prec):
         assert abs(prof.magnitude(0) - 4) <= prof.err
         assert prof.argument(0) == 0
+
+
+def _eager_coeffs(s: Subset, precision: int) -> list:
+    """Every (magnitude, argument) of s computed at once from the kernel's
+    integer tables: an atan2 for each g = 1..(p-1)/2, shifted into
+    [0, 2*pi), and the conjugate mirror (r, 2*pi - theta), or (r, 0), at p-g."""
+    p, w = s.p, precision + fourier.GUARD_BITS
+    cos, sin = fourier._unit_table(p, w)
+    with mp.workprec(w):
+        tau = 2 * mp.pi
+        upper = []
+        for g in range(1, p // 2 + 1):
+            re = sum(cos[-x * g % p] for x in s.members())
+            im = sum(sin[-x * g % p] for x in s.members())
+            th = mp.atan2(im, re)
+            upper.append((mp.ldexp(isqrt(re * re + im * im), -w), th + tau if th < 0 else th))
+        lower = [(r, tau - th if th else mp.mpf(0)) for r, th in reversed(upper)]
+        return [(mp.mpf(s.size), mp.mpf(0)), *upper, *lower]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lazy_profile_equals_the_eager_reference(p):
+    # Arguments are computed on first read, in any order (a mirror before its
+    # frequency or after it), and must equal the eager values exactly.
+    # Symmetric sets have real coefficients, so theta is 0 or pi and the
+    # (r, 0) mirror is taken.
+    rng = random.Random(p)
+    plain = [rng.sample(range(p), rng.randint(1, p - 1)) for _ in range(3)]
+    half = [rng.sample(range(1, p // 2 + 1), rng.randint(1, p // 2)) for _ in range(3)]
+    symmetric = [[x * e for x in h for e in (1, -1)] + [0] * (i % 2) for i, h in enumerate(half)]
+    real_args = set()
+    for members in plain + symmetric:
+        s = Subset.from_residues(p, members)
+        for precision in (8, 96):
+            want = _eager_coeffs(s, precision)
+            prof = dft_indicator(s, precision)
+            order = list(range(p))
+            rng.shuffle(order)
+            for g in order:
+                assert (prof.magnitude(g), prof.argument(g)) == want[g], (members, g)
+            assert prof.coeffs == tuple(want)
+            assert dft_indicator(s, precision).coeffs == tuple(want)
+            if members in symmetric and precision == 96:
+                real_args.update(th for _, th in want[1:])
+    with mp.workprec(96 + fourier.GUARD_BITS):
+        assert real_args == {0, +mp.pi}
+
+
+def test_arguments_are_computed_only_where_read(monkeypatch):
+    atan2_calls = []
+    real_atan2 = mp.atan2
+
+    def atan2(y, x):
+        atan2_calls.append((y, x))
+        return real_atan2(y, x)
+
+    monkeypatch.setattr(mp, "atan2", atan2)
+    # the spectral levels and a bare DFT read magnitudes only
+    spectral_levels(13, 5)
+    prof = dft_indicator(Subset.punctured_interval(13, 5), 64)
+    prof.magnitude(3)
+    prof.argument_error(3)
+    assert atan2_calls == []
+    # one atan2 serves a frequency and its mirror, however often read
+    for g in (10, 3, 10):
+        prof.argument(g)
+    assert len(atan2_calls) == 1
+    # primary_image reads one argument of each profile it makes
+    profiles = []
+    real_dft = fourier.dft_indicator
+
+    def dft(a, precision=fourier.DEFAULT_PRECISION):
+        profiles.append(real_dft(a, precision))
+        return profiles[-1]
+
+    monkeypatch.setattr(fourier, "dft_indicator", dft)
+    for p, a in ((11, 3), (13, 5)):
+        for rep in orbit_catalog(p, a).reps:
+            atan2_calls.clear()
+            profiles.clear()
+            primary_image(rep)
+            assert len(atan2_calls) <= len(profiles) == 2, rep
+
+
+def test_rankings_use_the_reported_error_bound(monkeypatch):
+    # The integer error that spectral_levels and primary_image rank keys by
+    # is the profile's err, in units 2^-w.
+    errs = []
+    real = fourier._clusters
+
+    def spy(pairs, err, depth=None):
+        errs.append(err)
+        return real(pairs, err, depth)
+
+    monkeypatch.setattr(fourier, "_clusters", spy)
+    w = 64 + fourier.GUARD_BITS
+    lv = spectral_levels(13, 5, precision=64)
+    assert errs and all(isinstance(e, int) and mp.ldexp(e, -w) == lv.err for e in errs)
+    errs.clear()
+    d = Subset.punctured_interval(13, 4)
+    primary_image(d, 64)
+    err = dft_indicator(d, 64).err
+    assert errs and all(isinstance(e, int) and mp.ldexp(e, -w) == err for e in errs)
 
 
 def test_exact_lattice_index_intervals():
