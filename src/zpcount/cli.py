@@ -201,6 +201,8 @@ def _run_angle_check(params: dict) -> dict:
     a = params.get("a")
     if a is not None:
         return angle_check_punctured(p, a, prec).to_json()
+    if p < 7:  # no a in 3..p-3: an empty sweep would pass vacuously
+        raise ValueError(f"angle-check: the range holds no point to test (p={p})")
     checks = [angle_check_punctured(p, a_, prec).to_json() for a_ in range(3, p - 2)]
     return {"p": p, "checks": checks,
             "all_passed": all(c["passed"] and c["branch_ok"] for c in checks)}

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb, inf
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (  # InvariantError is re-exported from here
     InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
@@ -439,28 +439,28 @@ def _verdict(
     theorem_id: str,
     params: dict,
     xs: Sequence[int],
-    point: Callable[[int], tuple[bool, dict]],
+    judged: Iterable[tuple[bool, dict]],
     start: float,
     *,
     k_limit: float = inf,
     window: float = inf,
 ) -> TheoremVerdict:
-    """Evaluate point(x) -> (holds, details) at each x of xs (ascending),
-    label the points and build the verdict.
+    """Pair each x of xs (ascending) with the next (holds, details) that
+    judged yields, label the points and build the verdict.
 
     The threshold is the least x <= k_limit such that every point in
     [x, x + window] holds; failing points before it are "below-threshold",
     the rest "fails".  The default limits give the least x from which the
     claim holds through the end of the range.  A range with no point, or
     with no point at or below k_limit, has no threshold candidate to test,
-    so it is a usage error, raised before any point is evaluated, never a
-    failed claim."""
+    so it is a usage error, raised before judged is read, never a failed
+    claim: a generator evaluates no point until then."""
     if not xs:
         raise ValueError(f"{theorem_id}: the range holds no point to test")
     if xs[0] > k_limit:
         raise ValueError(f"{theorem_id}: no point of the range lies at or below "
                          f"k_limit={k_limit}")
-    raw_points = [(x, *point(x)) for x in xs]
+    raw_points = [(x, *pt) for x, pt in zip(xs, judged, strict=True)]
     threshold = None
     for i, (x, _, _) in enumerate(raw_points):
         if x > k_limit:
@@ -552,7 +552,7 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     if any(k % p == 1 or k < 2 for k in ks):
         raise ValueError("k values must be >= 2 and != 1 mod p")
 
-    def judged() -> Iterator[tuple[bool, dict]]:  # starts when _verdict asks for a point
+    def judged() -> Iterator[tuple[bool, dict]]:
         for k, (_, min_value, attainers) in zip(ks, _class_minima(p, a, ks)):
             predicted, phases = _optimal_class(p, a, k)
             yield attainers == (predicted,), {
@@ -562,10 +562,9 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
                 "phase_indices": phases,
             }
 
-    points = judged()
     return _verdict(
         "thm3", {"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
-        ks, lambda k: next(points), start,  # _verdict asks for every k of ks in order
+        ks, judged(), start,
     )
 
 
@@ -583,7 +582,7 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     interval_orbit = Subset.interval(p, a).canonical()
     punctured_orbit = Subset.punctured_interval(p, a).canonical()
 
-    def judged() -> Iterator[tuple[bool, dict]]:  # starts when _verdict asks for a point
+    def judged() -> Iterator[tuple[bool, dict]]:
         ks = [s * p + 1 for s in ss]
         reps = orbit_catalog(p, a).reps
         for k, (rows, min_value, attainers) in zip(ks, _class_minima(p, a, ks)):
@@ -616,10 +615,9 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
                 details["interval_is_max"] = interval_is_max
             yield holds, details
 
-    points = judged()
     return _verdict(
         "thm5", {"p": p, "a": a, "s_range": [ss[0], ss[-1]] if ss else []},
-        ss, lambda s: next(points), start,  # _verdict asks for every s of ss in order
+        ss, judged(), start,
     )
 
 
@@ -665,7 +663,7 @@ def scan_k0(
 
     interval_orbit = Subset.interval(p, a).canonical()
 
-    def judged() -> Iterator[tuple[bool, dict]]:  # starts when _verdict asks for a point
+    def judged() -> Iterator[tuple[bool, dict]]:
         interval_index = orbit_catalog(p, a).reps.index(interval_orbit)
         for k, (rows, min_value, attainers) in zip(family, _class_minima(p, a, family)):
             details = {}
@@ -685,10 +683,8 @@ def scan_k0(
                 details["extremal"] = [s.members() for s in attainers]
             yield holds, details
 
-    points = judged()
     return _verdict(
         f"scan-{mode}",
         {"p": p, "a": a, "mode": mode, "k_limit": k_limit, "window": window},
-        family, lambda k: next(points), start,  # _verdict asks for every k of family in order
-        k_limit=k_limit, window=window,
+        family, judged(), start, k_limit=k_limit, window=window,
     )

@@ -153,6 +153,31 @@ def test_angle_check_single_and_sweep(capsys):
     assert len(doc["result"]["checks"]) == len(range(3, 9))
 
 
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_angle_check_sweep_without_a_size_is_exit_1(capsys, p):
+    # p < 7 has no a in 3..p-3: an empty sweep checks nothing, so it is a
+    # usage error, never a passing report
+    code, out, err = run(capsys, "angle-check", "--p", p)
+    assert code == 1 and out == ""
+    assert err == f"error: angle-check: the range holds no point to test (p={p})\n"
+
+
+# `zpcount angle-check --p P` sweeps frozen before F_value stopped reading
+# the profile's mirror half: SHA-256 of the report with elapsed removed, for
+# every prime 7 <= P <= 31 at --precision 8, 24, 64 and 256.  The low
+# precisions are where a changed rounding path shows first.
+_ANGLE_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "angle_fvalue_digests.json").read_text())["angle_check"]
+
+
+@pytest.mark.parametrize("case", _ANGLE_DIGESTS, ids=lambda c: " ".join(c["argv"][1:]))
+def test_angle_check_sweeps_match_frozen_digests(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["exit"], err
+    assert len(json.loads(out)["result"]["checks"]) == case["checks"]
+    assert _cli_menu().digest(out.encode()) == case["sha256"]
+
+
 def test_minimize_sizes_mode(capsys):
     doc = run_json(capsys, "minimize", "--p", "11", "--sizes", "3,4,2",
                    "--mode", "interval")

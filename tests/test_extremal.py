@@ -298,7 +298,7 @@ def test_scan_k0_modes():
     lambda: verify_thm_knot1(7, 3, range(10, 5)),
     lambda: verify_thm_k1(7, 3, []),
     lambda: scan_k0(7, 3, "knot1", k_limit=1, window=0),
-    lambda: _verdict("t", {}, [], lambda x: (True, {}), time.perf_counter()),
+    lambda: _verdict("t", {}, [], [], time.perf_counter()),
 ], ids=["thm3-empty", "thm3-descending", "thm5-empty", "scan-k0-empty", "verdict"])
 def test_empty_range_is_a_usage_error(call):
     # no point was tested, so there is no verdict to report, passing or failing
@@ -310,7 +310,7 @@ def test_empty_range_is_a_usage_error(call):
     lambda: scan_k0(7, 3, "knot1", k_limit=0),
     lambda: scan_k0(7, 4, "k1-even", k_limit=3),
     lambda: scan_k0(7, 3, "k1-part2", k_limit=7),
-    lambda: _verdict("t", {}, [2], lambda k: extremal.minimize_sk(7, 3, k),
+    lambda: _verdict("t", {}, [2], (extremal.minimize_sk(7, 3, k) for k in [2]),
                      time.perf_counter(), k_limit=1),
 ], ids=["scan-knot1", "scan-k1-even", "scan-k1-part2", "verdict"])
 def test_k_limit_below_every_point_is_a_usage_error(monkeypatch, call):
@@ -384,8 +384,8 @@ H, F = True, False
 ], ids=["below-threshold", "last-fails", "window", "k-limit"])
 def test_verdict_labels(holds, limits, threshold, statuses):
     xs = list(range(1, len(holds) + 1))
-    v = _verdict("t", {"q": 1}, xs, lambda x: (holds[x - 1], {"x": x}), time.perf_counter(),
-                 **limits)
+    v = _verdict("t", {"q": 1}, xs, [(h, {"x": x}) for x, h in zip(xs, holds)],
+                 time.perf_counter(), **limits)
     assert (v.theorem_id, v.params) == ("t", {"q": 1})
     assert v.threshold == threshold and v.passed == (threshold is not None)
     assert [pt.status for pt in v.points] == statuses

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from math import isqrt
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -55,8 +58,8 @@ def test_dft_within_err_of_oracle(s, precision):
     prof = dft_indicator(s, precision)
     exact = brute_dft(s, prof.work_prec)
     with mp.workprec(4 * prof.work_prec):
-        for g, (r, th) in enumerate(prof.coeffs):
-            assert abs(r * mp.expj(th) - exact[g]) <= prof.err
+        for g in range(s.p):
+            assert abs(prof.magnitude(g) * mp.expj(prof.argument(g)) - exact[g]) <= prof.err
 
 
 def test_interval_magnitude_closed_form():
@@ -132,8 +135,9 @@ def test_lazy_profile_equals_the_eager_reference(p):
             rng.shuffle(order)
             for g in order:
                 assert (prof.magnitude(g), prof.argument(g)) == want[g], (members, g)
-            assert prof.coeffs == tuple(want)
-            assert dft_indicator(s, precision).coeffs == tuple(want)
+            # cached reads, and a fresh profile read mirror first, agree too
+            for q in (prof, dft_indicator(s, precision)):
+                assert [(q.magnitude(g), q.argument(g)) for g in reversed(range(p))] == want[::-1]
             if members in symmetric and precision == 96:
                 real_args.update(th for _, th in want[1:])
     with mp.workprec(96 + fourier.GUARD_BITS):
@@ -491,6 +495,21 @@ def test_F_value_within_err_of_full_sum(s, k, precision):
         assert abs(full.real - fv.value) <= fv.err
 
 
+# F_value reports frozen before it stopped reading the profile's mirror half:
+# SHA-256 of the sorted-key JSON, on seeded sets with p in 31..61 and
+# k in [10^3, 10^3.4], at 8, 24, 64 and 256 bits.
+_F_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "angle_fvalue_digests.json").read_text())["F_value"]
+
+
+@pytest.mark.parametrize("case", _F_DIGESTS,
+                         ids=lambda c: f"p={c['p']} k={c['k']} prec={c['precision']}")
+def test_F_value_matches_frozen_digests(case):
+    s = Subset.from_residues(case["p"], case["members"])
+    text = json.dumps(F_value(s, case["k"], case["precision"]).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
+
+
 def test_optimal_t_matches_brute_scan():
     for p, a, k in ((7, 3, 2), (7, 4, 2), (11, 3, 4), (13, 4, 3), (17, 14, 3)):
         ts = optimal_t(p, a, k)
@@ -554,6 +573,19 @@ def test_t_good_scan_has_one_point_per_eligible_t(p):
         eligible = [t for t in range(-40, 41) if t != 0 and (t > 0) == (scan.c > 0)]
         assert [pt.t for pt in scan.points] == eligible, a
         assert all(pt.s >= 1 and pt.k == pt.s * p + 1 for pt in scan.points), a
+
+
+def test_t_good_scan_dominance_is_certified(monkeypatch):
+    # At (13, 5), k = 40 the lead beats its competitors by 7.8 % at midpoint
+    # values; of all points with p <= 19 and |t| <= 40 only (11, 4) at k = 34
+    # is closer.  An error bound of 2^-10 on each coefficient takes that
+    # margin away, so the point must no longer be flagged, though its
+    # midpoints are the same.
+    before = t_good_scan(13, 5, [-1], precision=128).points
+    assert [(pt.k, pt.dominant) for pt in before] == [(40, True)]
+    monkeypatch.setattr(fourier, "_coeff_error", lambda a: 1 << (128 + fourier.GUARD_BITS - 10))
+    scan = t_good_scan(13, 5, [-1], precision=128)
+    assert [(pt.k, pt.cos_sign, pt.dominant) for pt in scan.points] == [(40, -1, False)]
 
 
 def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
