@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # ===========================================================
 # Counting warm-up: s_k(A) = #{(x0,...,xk) in A^(k+1) : x0 = x1+...+xk}
-# - exact integer counts via Kronecker-substitution convolution
+# - exact integer counts via packed shift-add convolution
 # - cross-check against a literal brute force on tiny cases
 # - growth table: interval vs punctured interval at p = 7, a = 3
 # ===========================================================

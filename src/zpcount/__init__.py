@@ -20,7 +20,6 @@ from .core import (
     subset_masks_of_size,
 )
 from .counting import (
-    cyclic_convolve,
     indicator,
     power_sigma,
     s_count,
@@ -83,7 +82,7 @@ __all__ = [
     "AffineMap", "InvariantError", "OrbitCatalog", "PrecisionError", "SizeGuardError",
     "Subset", "build_orbit_catalog", "is_odd_prime", "orbit_catalog",
     "subset_masks_of_size",
-    "cyclic_convolve", "indicator", "power_sigma", "s_count", "s_k_count", "sigma_vector",
+    "indicator", "power_sigma", "s_count", "s_k_count", "sigma_vector",
     "EXHAUSTIVE_ORBITS", "EXHAUSTIVE_RAW", "INTERVAL_SCAN", "PointVerdict", "SearchReport",
     "TheoremVerdict", "minimize_s_general", "minimize_sk", "optimal_t", "scan_k0",
     "translate_phase_index", "verify_thm_interval_extremal", "verify_thm_k1",

@@ -383,8 +383,6 @@ def _run_recheck(path: str, fmt: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    common.add_argument("--precision", type=int, default=None,
-                        help="working precision in bits for spectral commands")
     common.add_argument("--threads", type=int, choices=(1,), default=1,
                         help="always 1: every search runs in one process (recorded in params)")
     prime = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -418,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="top coefficient-magnitude levels across orbits")
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--precision", type=int, help="working precision in bits")
 
     sp = sub.add_parser("optimal-t", parents=[prime],
                         help="translates of [a] with the most negative dominant term")
@@ -427,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("angle-check", parents=[prime],
                         help="punctured-interval argument vs the pi/p lattice")
     sp.add_argument("--a", type=int)
+    sp.add_argument("--precision", type=int, help="working precision in bits")
 
     sp = sub.add_parser("minimize", parents=[prime],
                         help="exact minimum of s_k (--a/--k) or s (--sizes)")

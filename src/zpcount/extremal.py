@@ -21,7 +21,7 @@ search counts by s_k_count's half power), mixed-size witnesses by s_count.
 The s_k routes share counting's kernels, not their schedules: power_sigma's
 square-and-shift-add chain (run to k // 2 by s_k_count, to k by the full
 power, to the first k by the sweep's start) and its shift-add _rotate_sum
-(also s_k_count's weighted rho sum and the sweep's step).  A recount
+(also s_k_count's rho sum and the sweep's step).  A recount
 therefore catches a search that misreads, misranks or mis-steps its
 values, and power_sigma's own check (entries summing to |A|^k) catches a
 slot too narrow in the chain on every route but the sweep's start, which
@@ -174,9 +174,10 @@ def _full_power_count(rep: Subset, k: int) -> int:
     the raw search's recount (that search counts by s_k_count).
 
     It runs counting's square-and-shift-add chain to k, where s_k_count runs
-    it to k // 2 and finishes with a weighted rho shift-add: the two share
-    the chain's kernels (squaring, _rotate_sum, re-slot) but neither the
-    exponent nor the last step, and neither reads the sweep's correlation."""
+    it to k // 2 and finishes with a rho shift-add (by A, and for odd k then
+    by -A): the two share the chain's kernels (squaring, _rotate_sum,
+    re-slot) but neither the exponent nor the last step, and neither reads
+    the sweep's correlation."""
     sig = power_sigma(rep, k)
     return sum(sig[y] for y in rep.members())
 
@@ -191,28 +192,25 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
     k = 1 mod p that entry is 0 at every t, so the row is constant.
     Rotations commute, so C^(k+1) = sum_{x in R} rot(C^(k), x): the state
     per representative is C itself, packed in one bigint with one slot per
-    residue (as in counting's Kronecker kernel), started from the packed
-    power sigma^(ks[0]) of counting's chain, re-slotted (and again past a gap
-    wider than SWEEP_RESTART_GAP), and stepped k -> k+1 by an a-term
-    shift-add (counting's _rotate_sum, called through this module).  C's
-    entries sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots
-    start at the bytes the first k needs and double (up to the bytes of the
-    last k) whenever the next step would overflow them."""
+    residue, started from the packed power sigma^(ks[0]) of counting's
+    chain, re-slotted and shift-added by -R (and started again past a gap
+    wider than SWEEP_RESTART_GAP), and stepped k -> k+1 by the shift-add by
+    R (counting's _rotate_sum, called through this module).  C's entries
+    sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots start at
+    the bytes the first k needs and double (up to the bytes of the last k)
+    whenever the next step would overflow them."""
     p = reps[0].p
     a_bits = reps[0].size.bit_length()
 
     def slot_bytes(k: int) -> int:
         return ((k + 1) * a_bits + 7) // 8
 
-    ups = [rep.members() for rep in reps]
-
     def start(k: int) -> tuple[int, list[int]]:
         nb = slot_bytes(k)
         states = []
-        for rep, up in zip(reps, ups):
+        for rep in reps:
             power, power_nb = _power_packed(rep, k)
-            states.append(_rotate_sum(_reslot(power, p, power_nb, nb), [-y % p for y in up],
-                                      8 * nb, 8 * nb * p))
+            states.append(_rotate_sum(_reslot(power, p, power_nb, nb), rep.reflect().mask, p, nb))
         return nb, states
 
     k = ks[0]
@@ -226,7 +224,7 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
                 grown = min(max(slot_bytes(k + 1), 2 * nb), slot_bytes(ks[-1]))
                 states = [_reslot(c, p, nb, grown) for c in states]
                 nb = grown
-            states = [_rotate_sum(c, up, 8 * nb, 8 * nb * p) for c, up in zip(states, ups)]
+            states = [_rotate_sum(c, rep.mask, p, nb) for c, rep in zip(states, reps)]
             k += 1
         read = itemgetter(*[-(k - 1) * t % p for t in range(p)])
         yield [read(_unpack(c, p, nb)) for c in states]

@@ -55,8 +55,9 @@ def brute_s_k(a: Subset, k: int) -> int:
 
 
 def schoolbook_convolve(u, v) -> tuple[int, ...]:
-    """(u * v)(x) = sum_y u(y) v(x - y), indices mod p: the O(p^2) loop the
-    packed kernel in zpcount.counting replaced, kept as its reference."""
+    """(u * v)(x) = sum_y u(y) v(x - y), indices mod p: the O(p^2) loop,
+    kept as the reference for zpcount.counting's packed shift-adds and
+    squarings."""
     p = len(u)
     if len(v) != p:
         raise ValueError("convolution needs equal-length vectors")

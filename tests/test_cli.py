@@ -488,6 +488,24 @@ def test_precision_below_one_is_exit_1(capsys, argv):
     assert err.startswith("error: --precision must be a positive") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--p", "7", "--set", "0,1,2", "--k", "3"),
+    ("sigma", "--p", "7", "--set", "0,1,2", "--k", "3"),
+    ("pollard", "--p", "7", "--sizes", "3,2,2"),
+    ("optimal-t", "--p", "7", "--a", "3", "--k", "2"),
+    ("minimize", "--p", "7", "--a", "3", "--k", "2"),
+    ("verify", "thm3", "--p", "7", "--a", "3", "--k-max", "6"),
+    ("scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "20"),
+    ("orbits", "--p", "7", "--a", "3"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("bits", ["64", "-5"])
+def test_precision_on_a_non_spectral_command_is_exit_1(capsys, argv, bits):
+    # only spectrum and angle-check read --precision; elsewhere it is unknown
+    code, out, err = run(capsys, *argv, "--precision", bits)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --precision" in err
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_depth_below_one_is_exit_1(capsys, depth):
     code, out, err = run(capsys, "spectrum", "--p", "7", "--a", "3", "--depth", depth)
@@ -647,18 +665,25 @@ _BROKEN = {
                                  "--k-limit", "20"]),
     # a packed sweep start or step that zeroes the interval's state makes it
     # the minimizer, and the s_k_count recount catches it, on both lanes
+    # (shift masks 0b111 and 0b1100001: the interval {0, 1, 2} and its reflection)
     "rotate_sum_thm3": ("zpcount.extremal", "_rotate_sum",
-                        "lambda c, shifts, *rest: 0 if sorted(s % 7 for s in shifts) in "
-                        "([0, 1, 2], [0, 5, 6]) else real(c, shifts, *rest)",
+                        "lambda c, mask, *rest: 0 if mask in (0b111, 0b1100001) "
+                        "else real(c, mask, *rest)",
                         ["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "12"]),
     "rotate_sum_thm5": ("zpcount.extremal", "_rotate_sum",
-                        "lambda c, shifts, *rest: 0 if sorted(s % 7 for s in shifts) in "
-                        "([0, 1, 2], [0, 5, 6]) else real(c, shifts, *rest)",
+                        "lambda c, mask, *rest: 0 if mask in (0b111, 0b1100001) "
+                        "else real(c, mask, *rest)",
                         ["verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2"]),
     # a slot one byte too narrow in power_sigma's packed chain carries into
     # its neighbour, and the entries no longer sum to |A|^k
     "narrow_slot_sigma": ("zpcount.counting", "_slot_bytes", "lambda bound: max(1, real(bound) - 1)",
                           ["sigma", "--p", "7", "--set", "0,1,2", "--k", "20"]),
+    # the same in sigma_vector's chain: five factors of size 6 at p = 7 put
+    # entries near 6^5 / 7 > 255 in one-byte slots, and they no longer sum
+    # to the product of the sizes
+    "narrow_slot_sigma_sets": ("zpcount.counting", "_slot_bytes",
+                               "lambda bound: max(1, real(bound) - 1)",
+                               ["sigma", "--p", "7", *["--set", "0..5"] * 5]),
     "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
                 ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
     # a dilation multiplier of order (p-1)/2 still passes the catalog's

@@ -2,10 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpcount import (
-    Subset, cyclic_convolve, indicator, power_sigma, s_count, s_k_count,
-    sigma_vector,
-)
+from zpcount import Subset, indicator, power_sigma, s_count, s_k_count, sigma_vector
 from zpcount import InvariantError, counting
 from zpcount.counting import _pack, _reslot, _rotate_sum, _unpack, count_vector_to_json
 
@@ -28,17 +25,6 @@ def schoolbook_power(v, k):
         if k:
             v = schoolbook_convolve(v, v)
     return acc
-
-
-@st.composite
-def vector_pairs(draw):
-    p = draw(st.sampled_from(PRIMES))
-    entry = st.one_of(
-        st.just(0), st.integers(0, 3), st.integers(0, 2**300),
-        st.integers(2**300 - 2**20, 2**300),
-    )
-    vec = st.lists(entry, min_size=p, max_size=p).map(tuple)
-    return draw(vec), draw(vec)
 
 
 @st.composite
@@ -118,7 +104,7 @@ def test_power_sigma_equals_repeated_convolution(rng):
         vec = indicator(s)
         acc = vec
         for k in range(2, 6):
-            acc = cyclic_convolve(acc, vec)
+            acc = schoolbook_convolve(acc, vec)
             assert list(power_sigma(s, k)) == list(acc)
 
 
@@ -129,17 +115,6 @@ def test_power_sigma_large_exponent_is_exact():
     vec = power_sigma(a, k)
     assert sum(vec) == 4**60
     assert s_k_count(a, k) == sum(vec[x] for x in a.members())
-
-
-def test_convolution_commutes_and_shifts(rng):
-    p = 11
-    u = indicator(random_subset(rng, p))
-    v = indicator(random_subset(rng, p))
-    assert cyclic_convolve(u, v) == cyclic_convolve(v, u)
-    # convolving with a point mass at t translates by t
-    delta = indicator(Subset.from_residues(p, [3]))
-    w = cyclic_convolve(u, delta)
-    assert all(w[(x + 3) % p] == u[x] for x in range(p))
 
 
 def test_counting_input_guards():
@@ -162,34 +137,20 @@ def test_empty_set_counts():
     empty = Subset(7, 0)
     assert s_k_count(Subset.interval(7, 3).intersection(empty), 2) == 0
     assert list(sigma_vector([empty, Subset.interval(7, 3)])) == [0] * 7
+    # an empty factor after the slots have widened leaves them wide: all zeros
+    wide = Subset.interval(61, 30)
+    assert sigma_vector([wide] * 3 + [Subset(61, 0), wide]) == (0,) * 61
 
 
-@CASES
-@given(vector_pairs())
-def test_cyclic_convolve_matches_schoolbook(pair):
-    u, v = pair
-    assert cyclic_convolve(u, v) == schoolbook_convolve(u, v)
-    assert cyclic_convolve(u, u) == schoolbook_convolve(u, u)
-
-
-def test_cyclic_convolve_extreme_entries():
-    for p in (3, 61):
-        zero = (0,) * p
-        big = tuple(2**300 - 1 - i for i in range(p))
-        assert cyclic_convolve(zero, zero) == zero
-        assert cyclic_convolve(zero, big) == zero
-        assert cyclic_convolve(big, big) == schoolbook_convolve(big, big)
-        # every coefficient is p * 2^600: full slots, no carry between them
-        assert cyclic_convolve((2**300,) * p, (2**300,) * p) == (p * 2**600,) * p
-
-
-def test_cyclic_convolve_rejects_negative_entries():
-    with pytest.raises(ValueError, match="non-negative"):
-        cyclic_convolve((1, -1, 0), (1, 1, 1))
-    with pytest.raises(ValueError, match="non-negative"):
-        cyclic_convolve((2**100, 0, 5), (0, -(2**80), 1))
-    with pytest.raises(ValueError, match="equal-length"):
-        cyclic_convolve((1, 0, 0), (1, 0, 0, 0, 0))
+def test_full_factor_gives_the_constant_vector(rng):
+    # convolving by all of Z_p spreads the mass evenly: each entry is the
+    # product of the other sizes
+    for p in (3, 13, 61):
+        full = Subset.interval(p, p)
+        others = [random_subset(rng, p) for _ in range(3)]
+        expect = others[0].size * others[1].size * others[2].size
+        assert sigma_vector(others[:2] + [full, others[2]]) == (expect,) * p
+        assert sigma_vector([full] + others) == (expect,) * p
 
 
 @CASES
@@ -249,16 +210,12 @@ def test_reslot_matches_pack_of_unpack(case, extra):
 def test_weighted_rotate_sum_matches_schoolbook(case, data):
     p, v, nb = case
     shifts = data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True))
-    weights = data.draw(st.lists(st.integers(0, 2**70), min_size=len(shifts),
-                                 max_size=len(shifts)))
-    # slots wide enough for the weighted sums, which the kernel leaves to its caller
-    wide = nb + (sum(weights).bit_length() + 7) // 8
-    packed = _pack(v, wide)
-    expect = tuple(sum(w * v[(z - s) % p] for s, w in zip(shifts, weights)) for z in range(p))
-    assert _unpack(_rotate_sum(packed, shifts, 8 * wide, 8 * wide * p, weights), p, wide) == expect
+    mask = sum(1 << s for s in shifts)
+    # one more byte holds a sum of up to p < 256 entries: sizing the slots
+    # is left to the kernel's caller
     plain = tuple(sum(v[(z - s) % p] for s in shifts) for z in range(p))
     wide = nb + 1
-    assert _unpack(_rotate_sum(_pack(v, wide), shifts, 8 * wide, 8 * wide * p), p, wide) == plain
+    assert _unpack(_rotate_sum(_pack(v, wide), mask, p, wide), p, wide) == plain
 
 
 @pytest.mark.parametrize("k", [1023, 2047])
@@ -272,10 +229,13 @@ def test_power_sigma_at_p61_all_ones_exponents(k):
 
 def test_narrow_slot_is_an_invariant_error(monkeypatch):
     # a slot one byte short carries into its neighbour: the entries then
-    # fall short of |A|^k, and power_sigma raises rather than return them
+    # fall short of |A|^k (or of the product of the sizes), and power_sigma
+    # and sigma_vector raise rather than return them
     real = counting._slot_bytes
     monkeypatch.setattr(counting, "_slot_bytes", lambda bound: max(1, real(bound) - 1))
     a = Subset.interval(61, 30)
     for call in (lambda: power_sigma(a, 1023), lambda: s_k_count(a, 2047)):
         with pytest.raises(InvariantError, match=r"does not sum to \|A\|\^"):
             call()
+    with pytest.raises(InvariantError, match="does not sum to the product of their sizes"):
+        sigma_vector([a] * 8)

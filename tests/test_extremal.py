@@ -104,10 +104,10 @@ def test_sweep_attainers_are_recounted_by_the_half_power(monkeypatch, call, a, s
     # -R) or at a step (by +R), makes all its translates count 0; only the
     # s_k_count recount of the attainers sees it
     real = extremal._rotate_sum
-    lie = {sign * y % 13 for y in Subset.interval(13, a).members()}
+    lie = Subset.from_residues(13, [sign * y for y in Subset.interval(13, a).members()]).mask
 
-    def lying(packed, shifts, width, bits):
-        return 0 if set(shifts) == lie else real(packed, shifts, width, bits)
+    def lying(packed, shifts_mask, p, nb):
+        return 0 if shifts_mask == lie else real(packed, shifts_mask, p, nb)
 
     monkeypatch.setattr(extremal, "_rotate_sum", lying)
     with pytest.raises(InvariantError, match=rf"s_{k} recount of attainer .* search found 0"):
