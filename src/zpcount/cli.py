@@ -11,14 +11,16 @@ Every command but recheck takes --p, and the one prime guard checks it
 before any set literal is read; recheck applies the same guard to the
 stored params.
 
-Exit codes: 0 success; 1 usage or guard error, including a precision
-escalation that hit its cap, a claim range that holds no point to test (for
-scan-k0, also a --k-limit below the first eligible k), and a recheck file
-that is missing, unreadable, not a zpcount report or malformed (stored
-params missing or of the wrong type); 2 a verification verdict failed or a
-recheck mismatch; 3 an internal invariant check failed, such as an
-attainer whose recount (s_k_count for the one sweep behind minimize, verify
-thm3/thm5 and scan-k0, the full power for minimize --method raw) misses the minimum.
+Exit codes: 0 success; 1 usage or guard error, including a flag that the
+chosen lane never reads (minimize --sizes or --a/--k, each verify claim,
+pollard --sizes), a precision escalation that hit its cap, a claim range
+that holds no point to test (for scan-k0, also a --k-limit below the first
+eligible k), and a recheck file that is missing, unreadable, not a zpcount
+report or malformed (stored params missing or of the wrong type); 2 a
+verification verdict failed or a recheck mismatch; 3 an internal invariant
+check failed, such as an attainer whose recount (s_k_count for the one
+sweep behind minimize, verify thm3/thm5 and scan-k0, the sweep's
+correlation for minimize --method raw) misses the minimum.
 
 Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
@@ -227,13 +229,10 @@ def _run_verify(params: dict) -> dict:
             k = params.get("k")
             if k is None:
                 raise ValueError("--all-sizes needs --k")
-            verdicts = []
-            ok = True
-            for sizes in itertools.product(range(1, p + 1), repeat=k + 1):
-                v = verify_thm_interval_extremal(p, sizes)
-                ok = ok and v.passed
-                verdicts.append(v.to_json())
-            return {"p": p, "k": k, "all_passed": ok, "verdicts": verdicts}
+            verdicts = [verify_thm_interval_extremal(p, sizes)
+                        for sizes in itertools.product(range(1, p + 1), repeat=k + 1)]
+            return {"p": p, "k": k, "all_passed": all(v.passed for v in verdicts),
+                    "verdicts": [v.to_json() for v in verdicts]}
         if not params.get("sizes"):
             raise ValueError("verify thm1 needs --sizes or --all-sizes")
         return verify_thm_interval_extremal(p, params["sizes"]).to_json()
@@ -242,9 +241,8 @@ def _run_verify(params: dict) -> dict:
         if params.get("a") is None or params.get(bound) is None:
             raise ValueError(f"verify {which} needs --a and --{bound.replace('_', '-')}")
     if which == "thm3":
-        lo, hi = params.get("k_min", 2), params["k_max"]
-        ks = [k for k in range(max(lo, 2), hi + 1) if k % p != 1]
-        return verify_thm_knot1(p, params["a"], ks).to_json()
+        ks = range(max(params.get("k_min", 2), 2), params["k_max"] + 1)
+        return verify_thm_knot1(p, params["a"], [k for k in ks if k % p != 1]).to_json()
     if which == "thm5":
         lo, hi = params.get("s_min", 1), params["s_max"]
         return verify_thm_k1(p, params["a"], range(lo, hi + 1)).to_json()
@@ -263,18 +261,15 @@ def _verify_cor7(p_max: int) -> dict:
     for a in range(1, p_max):
         enumeration_guard(p_max, a)
     rows = []
-    ok = True
     for p in range(3, p_max + 1):
         if not is_odd_prime(p):
             continue
         for a in range(1, p):
             n = len(orbit_catalog(p, a).reps)
             expected_ge3 = (p >= 13 and 3 <= a <= p - 3) or (p >= 11 and 4 <= a <= p - 4)
-            holds = (n >= 3) == expected_ge3
-            ok = ok and holds
             rows.append({"p": p, "a": a, "orbits": n,
-                         "expected_ge3": expected_ge3, "holds": holds})
-    return {"p_max": p_max, "all_passed": ok, "rows": rows}
+                         "expected_ge3": expected_ge3, "holds": (n >= 3) == expected_ge3})
+    return {"p_max": p_max, "all_passed": all(row["holds"] for row in rows), "rows": rows}
 
 
 def _run_scan_k0(params: dict) -> dict:
@@ -380,6 +375,12 @@ def _run_recheck(path: str, fmt: str) -> int:
     return 0 if match else 2
 
 
+# Defaults of flags that only one lane of a command reads: every report of
+# that command records them whichever lane it takes, so a flag left at its
+# default is never one the lane fails to read.
+_LANE_DEFAULTS = {"method": "auto", "mode": "auto", "k_min": 2, "s_min": 1}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
@@ -433,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--sizes", metavar="A0,A1,..")
-    sp.add_argument("--method", choices=("auto", "raw"), default="auto")
-    sp.add_argument("--mode", choices=("auto", "full", "interval"), default="auto")
+    sp.add_argument("--method", choices=("auto", "raw"), default=_LANE_DEFAULTS["method"])
+    sp.add_argument("--mode", choices=("auto", "full", "interval"), default=_LANE_DEFAULTS["mode"])
 
     sp = sub.add_parser("verify", parents=[prime],
                         help="point-by-point verdicts for the structural claims")
@@ -443,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--sizes", metavar="A0,A1,..")
     sp.add_argument("--all-sizes", action="store_true")
-    sp.add_argument("--k-min", type=int, default=2)
+    sp.add_argument("--k-min", type=int, default=_LANE_DEFAULTS["k_min"])
     sp.add_argument("--k-max", type=int)
-    sp.add_argument("--s-min", type=int, default=1)
+    sp.add_argument("--s-min", type=int, default=_LANE_DEFAULTS["s_min"])
     sp.add_argument("--s-max", type=int)
 
     sp = sub.add_parser("scan-k0", parents=[prime],
@@ -474,6 +475,32 @@ def _prime_guard(params: dict) -> None:
     """The CLI's one prime guard, run on fresh and replayed params alike
     before anything reads p: every command but recheck takes --p."""
     prime_context(params.get("p"))
+
+
+# The lanes of each command or verify claim whose flags depend on the call:
+# (name, the params that choose it, the other params it reads), in order.
+_LANES = {
+    "minimize": (("minimize --sizes", "sizes", "mode"), ("minimize --a/--k", "a k", "method")),
+    "pollard": (("pollard --sizes", "sizes", "sets"),),  # the handler refuses a --set
+    "thm1": (("verify thm1 --all-sizes", "all_sizes k", ""), ("verify thm1 --sizes", "sizes", "")),
+    "thm3": (("verify thm3", "a k_max", "k_min"),),
+    "thm5": (("verify thm5", "a s_max", "s_min"),),
+    "cor7": (("verify cor7", "", ""),),
+}
+
+
+def _reject_unread_flags(command: str, params: dict) -> None:
+    """Refuse a flag given fresh that the chosen lane never reads: the first
+    lane whose choosing params are all given (with none, the handler names
+    what is missing).  recheck replays stored params without this check."""
+    for name, choose, reads in _LANES.get(params.get("claim", command), ()):
+        if all(key in params for key in choose.split()):
+            unread = [f"--{key.replace('_', '-')}" for key, val in params.items()
+                      if key not in ("threads", "p", "claim", *choose.split(), *reads.split())
+                      and val != _LANE_DEFAULTS.get(key)]
+            if unread:
+                raise ValueError(f"{name} does not read {', '.join(unread)}")
+            return
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
@@ -515,6 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "recheck":
             return _run_recheck(args.file, args.format)
         params = _params_from_args(args)
+        _reject_unread_flags(args.command, params)
         result = _HANDLERS[args.command](params)
     except (ValueError, PrecisionError) as exc:  # ValueError includes SizeGuardError
         print(f"error: {exc}", file=sys.stderr)

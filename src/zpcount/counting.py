@@ -12,21 +12,37 @@ Before each step the slots are widened byte by byte to the exact entry
 bound (the product of the set sizes so far); the entries are split out
 once, at the end.  sigma_vector steps the indicator of A_1 by A_2, ..., A_k;
 power_sigma runs a square-and-shift-add chain over the bits of k, where a
-squaring is one bigint product (CPython's Karatsuba) and a fold.  s_k_count
-needs only the power k // 2 and a shift-add rho sum, and the extremal sweep
-steps by the same kernel.  Entries grow like a^k; for p = 61 and |A| = 30
-an exact s_k takes 0.23-0.29 s at k = 10^4 and 9.5-10.7 s at k = 10^5
-(2-vCPU x86 host, CPython 3.11.7).
+squaring is one bigint product (CPython's Karatsuba) and a fold.  Entries
+grow like a^k; for p = 61 and |A| = 30 an exact s_k takes 0.23-0.29 s at
+k = 10^4 and 9.5-10.7 s at k = 10^5 (2-vCPU x86 host, CPython 3.11.7).
+
+s_k has two routes, and each search recounts its attainers by the one it
+did not search with.  s_k_count needs only the power k // 2 and a shift-add
+rho sum.  _translate_rows, the sweep behind every extremal search, gives
+for an ascending k-range the translate rows s_k(R + t), t = 0..p-1, of each
+representative R off its correlation, kept packed in one bigint and
+stepped k -> k+1 by a shift-add instead of recomputing sigma^(k) at every
+k.  The routes share the chain and the shift-add, not their schedules (the
+chain runs to k // 2 for s_k_count, to the first k for the sweep), so a
+recount catches a search that misreads, misranks or mis-steps its values.
+Every packed vector split out after a chain is checked against its exact
+total (|A|^k for power_sigma, |A|^(k+1) for the sweep's start), which
+catches a slot too narrow, and a shared kernel whose lie changes that total
+on both routes at once.
 """
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Sequence
+from operator import itemgetter, mul
+from typing import Iterator, Sequence
 
 from .core import InvariantError, Subset
 
 CountVector = tuple[int, ...]
+
+# a sweep restarts from the chain rather than step across a gap of more k
+# values than this: a restart measured as 17-235 steps for p <= 23, k <= 3000
+SWEEP_RESTART_GAP = 16
 
 
 def indicator(a: Subset) -> CountVector:
@@ -190,6 +206,61 @@ def s_k_count(a: Subset, k: int) -> int:
     if k % 2:
         rho = _rotate_sum(rho, a.reflect().mask, p, nb)
     return sum(map(mul, half, _unpack(rho, p, nb)))
+
+
+def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[tuple]]:
+    """The sweep: for each k of ks (ascending), the rows (s_k(R + t) for
+    t = 0, ..., p-1) of every representative R in reps (all of one size), in
+    order.
+
+    By s_k(R + t) = sum_{y in R} sigma^(k)(y - (k-1)t), row[t] is entry
+    -(k-1)t of the correlation C^(k) = sum_{y in R} rot(sigma^(k), -y); for
+    k = 1 mod p that entry is 0 at every t, so the row is constant, and at
+    every k row[0] is s_k(R).  Rotations commute, so C^(k+1) = sum_{x in R}
+    rot(C^(k), x): the state per representative is C itself, packed in one
+    bigint with one slot per residue, started from the packed power
+    sigma^(ks[0]) of the chain, re-slotted and shift-added by -R (and
+    started again past a gap wider than SWEEP_RESTART_GAP), and stepped
+    k -> k+1 by the shift-add by R.  C's entries sum to a^(k+1), so a slot
+    needs (k+1) * bitlen(a) bits: slots start at the bytes the first k needs
+    and double (up to the bytes of the last k) whenever the next step would
+    overflow them.  The entries read right after a start are checked against
+    that sum (the start bypasses power_sigma); steps are left to the recount."""
+    p = reps[0].p
+    a_bits = reps[0].size.bit_length()
+
+    def slot_bytes(k: int) -> int:
+        return ((k + 1) * a_bits + 7) // 8
+
+    def start(k: int) -> tuple[int, list[int]]:
+        nb = slot_bytes(k)
+        states = []
+        for rep in reps:
+            power, power_nb = _power_packed(rep, k)
+            states.append(_rotate_sum(_reslot(power, p, power_nb, nb), rep.reflect().mask, p, nb))
+        return nb, states
+
+    k = begun = ks[0]
+    nb, states = start(k)
+    for target in ks:
+        if target - k > SWEEP_RESTART_GAP:
+            k = begun = target
+            nb, states = start(k)
+        while k < target:
+            if slot_bytes(k + 1) > nb:
+                grown = min(max(slot_bytes(k + 1), 2 * nb), slot_bytes(ks[-1]))
+                states = [_reslot(c, p, nb, grown) for c in states]
+                nb = grown
+            states = [_rotate_sum(c, rep.mask, p, nb) for c, rep in zip(states, reps)]
+            k += 1
+        read = itemgetter(*[-(k - 1) * t % p for t in range(p)])
+        entries = [_unpack(c, p, nb) for c in states]
+        if k == begun:
+            for rep, c in zip(reps, entries):
+                if sum(c) != rep.size ** (k + 1):
+                    raise InvariantError(f"correlation C^({k}) of {list(rep.members())} "
+                                         f"(p={p}) does not sum to |A|^{k + 1}")
+        yield [read(c) for c in entries]
 
 
 def decimal_str(n: int) -> str:

@@ -10,22 +10,11 @@ mixed-size count s(A_0; A_1, ..., A_k), either brute-force over all
 configurations (tiny p) or along the interval family.
 
 One search serves every k and every claim: _class_minima, one sweep over an
-ascending k-range, whose kernel _translate_rows keeps each representative's
-correlation packed in one bigint and steps it k -> k+1 by a shift-add
-instead of recomputing sigma^(k) at every k (minimize_sk runs the same sweep
-at a single k).  Each reported attainer is recounted before it is emitted,
-and a disagreement raises InvariantError.  Each search has one recount
-route: sweep attainers by s_k_count (the sweep's rows come from the stepped
-correlation), raw-search attainers by the full power sigma^(k) (the raw
-search counts by s_k_count's half power), mixed-size witnesses by s_count.
-The s_k routes share counting's kernels, not their schedules: power_sigma's
-square-and-shift-add chain (run to k // 2 by s_k_count, to k by the full
-power, to the first k by the sweep's start) and its shift-add _rotate_sum
-(also s_k_count's rho sum and the sweep's step).  A recount
-therefore catches a search that misreads, misranks or mis-steps its
-values, and power_sigma's own check (entries summing to |A|^k) catches a
-slot too narrow in the chain on every route but the sweep's start, which
-takes the packed power unsplit and so unchecked.
+ascending k-range by counting's _translate_rows (minimize_sk runs it at a
+single k).  Each reported attainer is recounted before it is emitted, by
+the route its search did not use, and a disagreement raises InvariantError:
+sweep attainers by s_k_count, raw-search attainers (scored by s_k_count) by
+the sweep's row, mixed-size witnesses by s_count.
 
 The verify_* / scan_k0 functions turn the structural claims into point-by-
 point verdicts backed solely by exact bigint comparisons; spectral data is
@@ -41,27 +30,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb, inf
-from operator import itemgetter
+from math import comb, inf, prod
 from typing import Iterable, Iterator, Sequence
 
 from .core import (  # InvariantError is re-exported from here
     InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
     prime_context, subset_masks_of_size,
 )
-from .counting import (
-    _power_packed, _reslot, _rotate_sum, _unpack, decimal_str, power_sigma, s_count, s_k_count,
-    sigma_vector,
-)
+from .counting import _translate_rows, decimal_str, s_count, s_k_count, sigma_vector
 
 EXHAUSTIVE_ORBITS = "EXHAUSTIVE_ORBITS"
 EXHAUSTIVE_RAW = "EXHAUSTIVE_RAW"
 INTERVAL_SCAN = "INTERVAL_SCAN"
 
 GENERAL_TUPLE_GUARD = 4 * 10**6  # full-mode configuration budget
-# a sweep restarts from power_sigma rather than step across a gap of more k
-# values than this: a restart measured as 17-235 steps for p <= 23, k <= 3000
-SWEEP_RESTART_GAP = 16
 WITNESS_CAP = 24  # stored attainer configurations per general report
 
 
@@ -158,76 +140,15 @@ def _argmin(pairs: Iterable[tuple[object, int]], cap: float = inf) -> tuple[int,
     return best, keys, count
 
 
-def _recount(attainers: Iterable[Subset], best: int, k: int, count) -> None:
-    """Raise InvariantError unless count(rep, k) == best for every attainer."""
-    for rep in attainers:
-        recount = count(rep, k)
+def _recount(what: str, recounts: Iterable[tuple[str, int]], best: int, where: str) -> None:
+    """Raise InvariantError unless every recount equals best, the search's
+    minimum: recounts pairs each attainer, as printed, with its count by the
+    route the search did not use; what names the count, where the search."""
+    for shown, recount in recounts:
         if recount != best:
             raise InvariantError(
-                f"s_{k} recount of attainer {list(rep.members())} is {recount}, "
-                f"search found {best} (p={rep.p}, a={rep.size})"
+                f"{what} recount of {shown} is {recount}, search found {best} ({where})"
             )
-
-
-def _full_power_count(rep: Subset, k: int) -> int:
-    """s_k(rep) as the sum of the full power sigma^(k) over rep's members:
-    the raw search's recount (that search counts by s_k_count).
-
-    It runs counting's square-and-shift-add chain to k, where s_k_count runs
-    it to k // 2 and finishes with a rho shift-add (by A, and for odd k then
-    by -A): the two share the chain's kernels (squaring, _rotate_sum,
-    re-slot) but neither the exponent nor the last step, and neither reads
-    the sweep's correlation."""
-    sig = power_sigma(rep, k)
-    return sum(sig[y] for y in rep.members())
-
-
-def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[tuple]]:
-    """The sweep's kernel: for each k of ks (ascending), the rows
-    (s_k(R + t) for t = 0, ..., p-1) of every representative R in reps, in
-    order.
-
-    By s_k(R + t) = sum_{y in R} sigma^(k)(y - (k-1)t), row[t] is entry
-    -(k-1)t of the correlation C^(k) = sum_{y in R} rot(sigma^(k), -y); for
-    k = 1 mod p that entry is 0 at every t, so the row is constant.
-    Rotations commute, so C^(k+1) = sum_{x in R} rot(C^(k), x): the state
-    per representative is C itself, packed in one bigint with one slot per
-    residue, started from the packed power sigma^(ks[0]) of counting's
-    chain, re-slotted and shift-added by -R (and started again past a gap
-    wider than SWEEP_RESTART_GAP), and stepped k -> k+1 by the shift-add by
-    R (counting's _rotate_sum, called through this module).  C's entries
-    sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots start at
-    the bytes the first k needs and double (up to the bytes of the last k)
-    whenever the next step would overflow them."""
-    p = reps[0].p
-    a_bits = reps[0].size.bit_length()
-
-    def slot_bytes(k: int) -> int:
-        return ((k + 1) * a_bits + 7) // 8
-
-    def start(k: int) -> tuple[int, list[int]]:
-        nb = slot_bytes(k)
-        states = []
-        for rep in reps:
-            power, power_nb = _power_packed(rep, k)
-            states.append(_rotate_sum(_reslot(power, p, power_nb, nb), rep.reflect().mask, p, nb))
-        return nb, states
-
-    k = ks[0]
-    nb, states = start(k)
-    for target in ks:
-        if target - k > SWEEP_RESTART_GAP:
-            k = target
-            nb, states = start(k)
-        while k < target:
-            if slot_bytes(k + 1) > nb:
-                grown = min(max(slot_bytes(k + 1), 2 * nb), slot_bytes(ks[-1]))
-                states = [_reslot(c, p, nb, grown) for c in states]
-                nb = grown
-            states = [_rotate_sum(c, rep.mask, p, nb) for c, rep in zip(states, reps)]
-            k += 1
-        read = itemgetter(*[-(k - 1) * t % p for t in range(p)])
-        yield [read(_unpack(c, p, nb)) for c in states]
 
 
 def _class_minima(
@@ -255,7 +176,8 @@ def _class_minima(
                 for t, val in enumerate(row)
                 if val == best
             }))
-        _recount(attainers, best, k, s_k_count)
+        _recount(f"s_{k}", ((f"attainer {list(rep.members())}", s_k_count(rep, k))
+                            for rep in attainers), best, f"p={p}, a={a}")
         yield rows, best, attainers
 
 
@@ -267,9 +189,9 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     scan of the orbit representatives, whose attainers are orbits for k = 1
     mod p and dilation classes otherwise; method="raw" re-derives the same
     answer from all C(p,a) subsets.  Every emitted attainer is re-counted
-    before the report is returned, once per search: by s_k_count in the
-    sweep (whose rows come from the stepped correlation), by the full power
-    in the raw search (which counts by the half-power s_k_count).
+    before the report is returned, by the route its search did not use:
+    by s_k_count in the sweep, by the sweep's row at t = 0 in the raw
+    search (which scores every subset by s_k_count).
     """
     prime_context(p)
     if not 1 <= a <= p - 1:
@@ -281,18 +203,16 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     resolved = EXHAUSTIVE_RAW if method == "raw" else EXHAUSTIVE_ORBITS
     start = time.perf_counter()
     orbit_level = k % p == 1
-    kind = "orbit" if orbit_level else "dilation-class"
     if resolved == EXHAUSTIVE_RAW:
         subsets = (Subset(p, m) for m in subset_masks_of_size(p, a))
         best, found, _ = _argmin((s, s_k_count(s, k)) for s in subsets)
-        if orbit_level:
-            classes = {s.canonical() for s in found}
-        else:
-            classes = {s.dilation_class_canonical() for s in found}
-        attainers = tuple(sorted(classes))
-        _recount(attainers, best, k, _full_power_count)
+        canonical = Subset.canonical if orbit_level else Subset.dilation_class_canonical
+        attainers = tuple(sorted({canonical(s) for s in found}))
+        rows = next(_translate_rows(attainers, [k]))  # row[0] is s_k of the set itself
+        _recount(f"s_{k}", ((f"attainer {list(rep.members())}", row[0])
+                            for rep, row in zip(attainers, rows)), best, f"p={p}, a={a}")
         checked = comb(p, a)
-    else:  # _class_minima recounts its attainers by s_k_count
+    else:
         _, best, attainers = next(_class_minima(p, a, [k]))
         checked = len(orbit_catalog(p, a).reps) * (1 if orbit_level else p)
     return SearchReport(
@@ -301,7 +221,7 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
         k=k,
         min_value=best,
         extremal_orbits=attainers,
-        extremal_kind=kind,
+        extremal_kind="orbit" if orbit_level else "dilation-class",
         method=resolved,
         elapsed=time.perf_counter() - start,
         checked=checked,
@@ -341,9 +261,7 @@ def minimize_s_general(
         raise ValueError(f"sizes must lie in [1, {p}], got {sizes}")
     a0, rest = sizes[0], sizes[1:]
     k = len(rest)
-    n_tuples = 1
-    for ai in rest:
-        n_tuples *= comb(p, ai)
+    n_tuples = prod(comb(p, ai) for ai in rest)
     if mode == "auto":
         mode = "full" if n_tuples <= GENERAL_TUPLE_GUARD else "interval"
     if mode not in ("full", "interval"):
@@ -367,13 +285,8 @@ def minimize_s_general(
         configs = (_cheapest_config(tail, a0) for tail in product(*mask_pools))
         method, checked = EXHAUSTIVE_RAW, n_tuples
     best, witnesses, count = _argmin(configs, WITNESS_CAP)
-    for cfg in witnesses:  # re-check on emission
-        recount = s_count(cfg[0], list(cfg[1:]))
-        if recount != best:
-            raise InvariantError(
-                f"s recount of witness {[list(s.members()) for s in cfg]} is "
-                f"{recount}, search found {best} (p={p}, sizes={list(sizes)})"
-            )
+    _recount("s", ((f"witness {[list(s.members()) for s in cfg]}", s_count(cfg[0], list(cfg[1:])))
+                   for cfg in witnesses), best, f"p={p}, sizes={list(sizes)}")
     return SearchReport(
         p=p,
         sizes=sizes,
@@ -596,11 +509,8 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
                 details["part"] = "1"
             else:
                 below = min_value < interval_value
-                others_max = max(
-                    (v for rep, v in values.items() if rep != interval_orbit),
-                    default=None,
-                )
-                interval_is_max = others_max is None or interval_value > others_max
+                interval_is_max = all(interval_value > v for rep, v in values.items()
+                                      if rep != interval_orbit)
                 if attainers == (punctured_orbit,):
                     bucket = "2b"
                 elif interval_orbit not in attainers and punctured_orbit not in attainers:

@@ -100,7 +100,7 @@ def threshold_set(sets: Sequence[Subset], r: int) -> Subset:
 def interval_profile(p: int, sizes: tuple[int, ...]) -> ThresholdProfile:
     """Threshold profile of the initial intervals [0, a_i - 1], cached per (p, sizes)."""
     if not sizes:
-        raise ValueError("need at least one factor set, all with the same modulus")
+        raise ValueError("need at least one factor size")
     for a in sizes:
         if not 0 <= a <= p:
             raise ValueError(f"interval length {a} out of range for p={p}")

@@ -506,6 +506,50 @@ def test_precision_on_a_non_spectral_command_is_exit_1(capsys, argv, bits):
     assert "unrecognized arguments: --precision" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("minimize", "--p", "7", "--sizes", "3,2", "--a", "3"), "minimize --sizes does not read --a"),
+    (("minimize", "--p", "7", "--a", "3", "--k", "2", "--sizes", "3,3,3"),
+     "minimize --sizes does not read --a, --k"),
+    (("minimize", "--p", "7", "--a", "3", "--k", "2", "--mode", "full"),
+     "minimize --a/--k does not read --mode"),
+    (("minimize", "--p", "7", "--sizes", "3,2,2", "--method", "raw"),
+     "minimize --sizes does not read --method"),
+    (("verify", "thm1", "--p", "7", "--sizes", "3,3", "--k", "5"),
+     "verify thm1 --sizes does not read --k"),
+    (("verify", "thm1", "--p", "5", "--k", "2", "--all-sizes", "--sizes", "2,2,2"),
+     "verify thm1 --all-sizes does not read --sizes"),
+    (("verify", "thm3", "--p", "7", "--a", "3", "--k-max", "6", "--s-max", "4"),
+     "verify thm3 does not read --s-max"),
+    (("verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2", "--k-min", "3"),
+     "verify thm5 does not read --k-min"),
+    (("verify", "cor7", "--p", "7", "--a", "3"), "verify cor7 does not read --a"),
+    (("pollard", "--p", "7", "--sizes", "3,2,2", "--a0", "3"), "pollard --sizes does not read --a0"),
+], ids=["minimize-sizes-a", "minimize-sizes-a-k", "minimize-a-k-mode", "minimize-sizes-method",
+        "thm1-sizes-k", "thm1-all-sizes-sizes", "thm3-s-max", "thm5-k-min", "cor7-a",
+        "pollard-sizes-a0"])
+def test_flag_the_lane_never_reads_is_exit_1(capsys, argv, message):
+    # each would otherwise run and record a flag that nothing reads
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_recorded_defaults_are_read_by_every_lane(capsys):
+    # every report records these defaults whichever lane it takes, so giving
+    # one explicitly is no unread flag
+    doc = run_json(capsys, "minimize", "--p", "7", "--sizes", "3,2", "--method", "auto")
+    assert (doc["params"]["method"], doc["params"]["mode"]) == ("auto", "auto")
+    doc = run_json(capsys, "verify", "thm3", "--p", "7", "--a", "3", "--k-max", "6",
+                   "--s-min", "1")
+    assert (doc["params"]["k_min"], doc["params"]["s_min"]) == (2, 1)
+
+
+def test_recheck_ignores_stored_params_no_lane_reads(capsys, tmp_path):
+    doc = run_json(capsys, "minimize", "--p", "7", "--a", "3", "--k", "4")
+    doc["params"].update(mode="full", s_max=4)
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(doc))
+    assert run_json(capsys, "recheck", str(f))["result"] == {"target": "minimize", "match": True}
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_depth_below_one_is_exit_1(capsys, depth):
     code, out, err = run(capsys, "spectrum", "--p", "7", "--a", "3", "--depth", depth)
@@ -642,7 +686,7 @@ _BROKEN = {
     "s_k_count": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                   ["minimize", "--p", "7", "--a", "3", "--k", "4"]),
     # the raw search counts every subset by the half power and recounts its
-    # attainers by the full power, on both lanes
+    # attainers by the sweep's row, on both lanes
     "s_k_count_minimize_raw": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                                ["minimize", "--p", "7", "--a", "3", "--k", "4",
                                 "--method", "raw"]),
@@ -663,17 +707,33 @@ _BROKEN = {
     "s_k_count_scan_k1_part2": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                                 ["scan-k0", "--p", "7", "--a", "3", "--mode", "k1-part2",
                                  "--k-limit", "20"]),
-    # a packed sweep start or step that zeroes the interval's state makes it
-    # the minimizer, and the s_k_count recount catches it, on both lanes
-    # (shift masks 0b111 and 0b1100001: the interval {0, 1, 2} and its reflection)
-    "rotate_sum_thm3": ("zpcount.extremal", "_rotate_sum",
-                        "lambda c, mask, *rest: 0 if mask in (0b111, 0b1100001) "
-                        "else real(c, mask, *rest)",
+    # a sweep that zeroes the interval {0, 1, 2}'s row at one k, after a
+    # step from the first k, makes it the minimizer, and the s_k_count
+    # recount catches it, on both lanes (k = 3, and k = 15 = 1 mod 7)
+    "rotate_sum_thm3": ("zpcount.extremal", "_translate_rows",
+                        "lambda reps, ks: ([(0,) * len(row) if k == 3 and rep.mask == 0b111 "
+                        "else row for rep, row in zip(reps, rows)] "
+                        "for k, rows in zip(ks, real(reps, ks)))",
                         ["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "12"]),
-    "rotate_sum_thm5": ("zpcount.extremal", "_rotate_sum",
-                        "lambda c, mask, *rest: 0 if mask in (0b111, 0b1100001) "
-                        "else real(c, mask, *rest)",
+    "rotate_sum_thm5": ("zpcount.extremal", "_translate_rows",
+                        "lambda reps, ks: ([(0,) * len(row) if k == 15 and rep.mask == 0b111 "
+                        "else row for rep, row in zip(reps, rows)] "
+                        "for k, rows in zip(ks, real(reps, ks)))",
                         ["verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2"]),
+    # a shift-add that zeroes the interval {0, 1, 2}'s convolution lies in
+    # step on every route through counting's kernel, so the raw search's
+    # s_k_count agrees with its recount; the sweep's start still checks that
+    # its correlation sums to |A|^(k+1), on both lanes
+    "shared_rotate_sum_minimize_raw": ("zpcount.counting", "_rotate_sum",
+                                       "lambda c, mask, *rest: 0 if mask in (0b111, 0b1100001) "
+                                       "else real(c, mask, *rest)",
+                                       ["minimize", "--p", "7", "--a", "3", "--k", "3",
+                                        "--method", "raw"]),
+    "shared_rotate_sum_minimize_raw_k1": ("zpcount.counting", "_rotate_sum",
+                                          "lambda c, mask, *rest: 0 if mask in (0b111, 0b1100001) "
+                                          "else real(c, mask, *rest)",
+                                          ["minimize", "--p", "7", "--a", "3", "--k", "8",
+                                           "--method", "raw"]),
     # a slot one byte too narrow in power_sigma's packed chain carries into
     # its neighbour, and the entries no longer sum to |A|^k
     "narrow_slot_sigma": ("zpcount.counting", "_slot_bytes", "lambda bound: max(1, real(bound) - 1)",

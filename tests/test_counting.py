@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from zpcount import Subset, indicator, power_sigma, s_count, s_k_count, sigma_vector
 from zpcount import InvariantError, counting
-from zpcount.counting import _pack, _reslot, _rotate_sum, _unpack, count_vector_to_json
+from zpcount.counting import (
+    SWEEP_RESTART_GAP, _pack, _reslot, _rotate_sum, _translate_rows, _unpack, count_vector_to_json,
+)
 
 from conftest import brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
 
@@ -218,6 +220,22 @@ def test_weighted_rotate_sum_matches_schoolbook(case, data):
     assert _unpack(_rotate_sum(_pack(v, wide), mask, p, wide), p, wide) == plain
 
 
+@settings(CASES, max_examples=40)
+@given(st.sampled_from((5, 7, 11, 13)).flatmap(lambda p: st.tuples(
+    st.lists(st.integers(0, p - 1), min_size=1, max_size=p - 1, unique=True),
+    st.lists(st.integers(2, 3 * SWEEP_RESTART_GAP), min_size=1, max_size=4, unique=True),
+    st.just(p))))
+def test_translate_rows_match_s_k_count(case):
+    # the sweep's second s_k route against the half power, on any set (the
+    # raw search recounts dilation-class representatives by row[0]) and
+    # across steps and restarts alike
+    members, ks, p = case
+    a = Subset.from_residues(p, members)
+    ks = sorted(ks)
+    for k, (row,) in zip(ks, _translate_rows([a], ks), strict=True):
+        assert list(row) == [s_k_count(a.translate(t), k) for t in range(p)], k
+
+
 @pytest.mark.parametrize("k", [1023, 2047])
 def test_power_sigma_at_p61_all_ones_exponents(k):
     rng = __import__("random").Random(k)
@@ -234,7 +252,10 @@ def test_narrow_slot_is_an_invariant_error(monkeypatch):
     real = counting._slot_bytes
     monkeypatch.setattr(counting, "_slot_bytes", lambda bound: max(1, real(bound) - 1))
     a = Subset.interval(61, 30)
-    for call in (lambda: power_sigma(a, 1023), lambda: s_k_count(a, 2047)):
+    # the sweep starts from the packed power, never split by power_sigma, so
+    # it checks its starting correlation itself
+    for call in (lambda: power_sigma(a, 1023), lambda: s_k_count(a, 2047),
+                 lambda: next(_translate_rows([a], [1023]))):
         with pytest.raises(InvariantError, match=r"does not sum to \|A\|\^"):
             call()
     with pytest.raises(InvariantError, match="does not sum to the product of their sizes"):

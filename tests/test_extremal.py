@@ -10,7 +10,8 @@ from zpcount import (
 )
 
 from zpcount import extremal
-from zpcount.extremal import _argmin, _class_minima, _translate_rows, _verdict
+from zpcount.counting import SWEEP_RESTART_GAP, _translate_rows
+from zpcount.extremal import _argmin, _class_minima, _verdict
 
 from conftest import brute_s_k
 
@@ -81,35 +82,42 @@ def test_sweep_rows_vs_brute(a, ks):
 def test_sweep_restarts_across_wide_gaps():
     # gaps of 37 and 159 exceed SWEEP_RESTART_GAP, the gap of 16 does not
     ks = [2, 3, 40, 44, 60, 219]
-    assert [k1 - k0 > extremal.SWEEP_RESTART_GAP for k0, k1 in zip(ks, ks[1:])] == [
+    assert [k1 - k0 > SWEEP_RESTART_GAP for k0, k1 in zip(ks, ks[1:])] == [
         False, True, False, False, True]
     for k, (_, best, attainers) in zip(ks, _class_minima(7, 3, ks)):
         raw = minimize_sk(7, 3, k, method="raw")
         assert (best, attainers) == (raw.min_value, raw.extremal_orbits), k
 
 
-@pytest.mark.parametrize("call, a, sign, k", [
-    (lambda: minimize_sk(13, 5, 4), 5, -1, 4),
-    (lambda: verify_thm_knot1(13, 5, [4, 5]), 5, 1, 5),
-    (lambda: scan_k0(13, 5, "knot1", k_limit=4, window=0), 5, 1, 3),
+def _zeroing_sweep(monkeypatch, lie):
+    """Patch extremal's sweep so that the row of rep at k reads 0 at every
+    translate wherever lie(k, rep) holds."""
+    real = extremal._translate_rows
+
+    def lying(reps, ks):
+        for k, rows in zip(ks, real(reps, ks)):
+            yield [(0,) * len(row) if lie(k, rep) else row for rep, row in zip(reps, rows)]
+
+    monkeypatch.setattr(extremal, "_translate_rows", lying)
+
+
+@pytest.mark.parametrize("call, a, k", [
+    (lambda: minimize_sk(13, 5, 4), 5, 4),
+    (lambda: verify_thm_knot1(13, 5, [4, 5]), 5, 5),
+    (lambda: scan_k0(13, 5, "knot1", k_limit=4, window=0), 5, 3),
     # k = 14 = 1 mod 13: the same sweep serves the orbit-level lane
-    (lambda: minimize_sk(13, 5, 14), 5, -1, 14),
-    (lambda: verify_thm_k1(13, 5, [1]), 5, -1, 14),
-    (lambda: scan_k0(13, 5, "k1-part2", k_limit=14, window=0), 5, -1, 14),
-    (lambda: scan_k0(13, 4, "k1-even", k_limit=14, window=0), 4, -1, 14),
+    (lambda: minimize_sk(13, 5, 14), 5, 14),
+    (lambda: verify_thm_k1(13, 5, [1]), 5, 14),
+    (lambda: scan_k0(13, 5, "k1-part2", k_limit=14, window=0), 5, 14),
+    (lambda: scan_k0(13, 4, "k1-even", k_limit=14, window=0), 4, 14),
 ], ids=["minimize-start", "thm3-step", "scan-knot1-step", "minimize-k1-start", "thm5-start",
         "scan-k1-part2-start", "scan-k1-even-start"])
-def test_sweep_attainers_are_recounted_by_the_half_power(monkeypatch, call, a, sign, k):
-    # a shift-add that zeroes the interval's packed state, at its start (by
-    # -R) or at a step (by +R), makes all its translates count 0; only the
-    # s_k_count recount of the attainers sees it
-    real = extremal._rotate_sum
-    lie = Subset.from_residues(13, [sign * y for y in Subset.interval(13, a).members()]).mask
-
-    def lying(packed, shifts_mask, p, nb):
-        return 0 if shifts_mask == lie else real(packed, shifts_mask, p, nb)
-
-    monkeypatch.setattr(extremal, "_rotate_sum", lying)
+def test_sweep_attainers_are_recounted_by_the_half_power(monkeypatch, call, a, k):
+    # a sweep that zeroes the interval's row at k, its first k (the start) or
+    # a later one (a step), makes the interval the minimizer with count 0;
+    # only the s_k_count recount of the attainers sees it
+    interval = Subset.interval(13, a).canonical()
+    _zeroing_sweep(monkeypatch, lambda k_, rep: k_ == k and rep == interval)
     with pytest.raises(InvariantError, match=rf"s_{k} recount of attainer .* search found 0"):
         call()
 
@@ -266,14 +274,24 @@ def test_verify_thm_k1_counts_each_orbit_once(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 8], ids=["k-not-1", "k-1"])
-def test_raw_attainers_are_recounted_by_the_full_power(monkeypatch, k):
+def test_raw_attainers_are_recounted_by_the_sweep(monkeypatch, k):
     # the raw search scores every subset with s_k_count; a count that lies
-    # about {0, 1, 2} makes it the unique minimizer, and only a recount by
-    # another route catches it
+    # about {0, 1, 2} makes it the unique minimizer, and only the recount by
+    # the sweep's row catches it
     real = extremal.s_k_count
     lie = Subset.from_residues(7, [0, 1, 2])
     monkeypatch.setattr(extremal, "s_k_count", lambda s, k: 0 if s == lie else real(s, k))
     with pytest.raises(InvariantError, match=rf"s_{k} recount of attainer .* search found 0"):
+        minimize_sk(7, 3, k, method="raw")
+
+
+@pytest.mark.parametrize("k", [3, 8], ids=["k-not-1", "k-1"])
+def test_a_lying_sweep_fails_the_raw_recount(monkeypatch, k):
+    # the raw search reads the sweep only to recount its attainers, so rows
+    # that read 0 disagree with the true minimum it found by s_k_count
+    _zeroing_sweep(monkeypatch, lambda k_, rep: True)
+    with pytest.raises(InvariantError,
+                       match=rf"s_{k} recount of attainer .* is 0, search found [1-9]"):
         minimize_sk(7, 3, k, method="raw")
 
 

@@ -55,6 +55,14 @@ def test_interval_profile_matches_direct(rng):
             [direct.n_r(r) for r in range(0, p + 2)]
 
 
+def test_empty_profile_inputs_name_what_is_missing():
+    # interval_profile takes sizes and threshold_profile takes sets
+    with pytest.raises(ValueError, match=r"^need at least one factor size$"):
+        interval_profile(7, ())
+    with pytest.raises(ValueError, match=r"^need at least one factor set, all with the same"):
+        threshold_profile([])
+
+
 def test_critical_r0_definition(rng):
     for _ in range(40):
         p = rng.choice((5, 7, 11, 13, 17))
