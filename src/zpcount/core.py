@@ -17,13 +17,21 @@ progressions: a set with 0 < |A| < p is an arithmetic progression of
 difference d exactly when it is a single run along x -> x + d, one word
 operation, so Subset.is_interval is its d = 1 case and
 Subset.arith_prog_differences tries every d.
+
+Every record of the package (here, in extremal, pollard and fourier) is a
+_Record: a slotted, immutable value whose fields are set once by __init__
+and compared, hashed, printed and pickled as one tuple, by the rules of a
+frozen dataclass, without importing dataclasses (which pulls in inspect and
+generates methods at import, most of the package's import time).  Records
+built in bulk (Subset, EqualityCase, ThresholdProfile, FourierProfile)
+write their own __init__, and Subset its own comparisons.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator
 
 VERSION = "0.1.0"  # reported by `zpcount --version` and as zpcount.__version__
@@ -60,16 +68,68 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeContext:
-    """Validated odd prime p with its inverse table."""
+def _integer(name: str, value: object) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
-    p: int
-    inv: tuple[int, ...]  # inv[x] = x^{-1} mod p for x in 1..p-1; inv[0] = 0
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.p) - 1
+class _Record:
+    """An immutable record.  A subclass names its fields in _fields, a prefix
+    of its __slots__ (later slots are private state outside comparisons),
+    and may give defaults for trailing fields in _defaults.  A record built
+    in bulk sets its slots in its own __init__, with object.__setattr__.
+    Equality, hash, repr and pickling follow a frozen dataclass: two records
+    are equal only when they are of one class and their field tuples are
+    equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            values = {**self._defaults, **given, **kwargs}
+            if (len(args) > len(fields) or given.keys() & kwargs.keys()
+                    or values.keys() != set(fields)):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class PrimeContext(_Record):
+    """Validated odd prime p with its inverse table (inv[x] = x^{-1} mod p
+    for x in 1..p-1, inv[0] = 0) and its full membership word."""
+
+    __slots__ = _fields = ("p", "inv", "full_mask")
 
 
 @lru_cache(maxsize=None)
@@ -77,23 +137,20 @@ def prime_context(p: int) -> PrimeContext:
     if not isinstance(p, int) or not is_odd_prime(p) or p >= MAX_P:
         raise SizeGuardError(f"p must be an odd prime in [3, {MAX_P}), got {p!r}")
     inv = tuple(pow(x, p - 2, p) if x else 0 for x in range(p))
-    return PrimeContext(p, inv)
+    return PrimeContext(p, inv, (1 << p) - 1)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Record):
     """x -> xi*x + eta mod p, with xi != 0."""
 
-    p: int
-    xi: int
-    eta: int
+    __slots__ = _fields = ("p", "xi", "eta")
 
-    def __post_init__(self) -> None:
-        prime_context(self.p)
-        object.__setattr__(self, "xi", self.xi % self.p)
-        object.__setattr__(self, "eta", self.eta % self.p)
-        if self.xi == 0:
+    def __init__(self, p: int, xi: int, eta: int) -> None:
+        prime_context(p)
+        xi, eta = _integer("xi", xi) % p, _integer("eta", eta) % p
+        if xi == 0:
             raise ValueError("affine map needs an invertible multiplier")
+        super().__init__(p, xi, eta)
 
     def __call__(self, x: int) -> int:
         return (self.xi * x + self.eta) % self.p
@@ -238,17 +295,46 @@ def _dilation_orbit(mask: int, p: int) -> list[int]:
     return words
 
 
-@dataclass(frozen=True, order=True)
-class Subset:
-    """Subset of Z_p as a p-bit membership word."""
+class Subset(_Record):
+    """Subset of Z_p as a p-bit membership word, ordered by (p, mask)."""
 
-    p: int
-    mask: int
+    __slots__ = _fields = ("p", "mask")
 
-    def __post_init__(self) -> None:
-        ctx = prime_context(self.p)
-        if not 0 <= self.mask <= ctx.full_mask:
-            raise ValueError(f"mask {self.mask:#x} out of range for p={self.p}")
+    def __init__(self, p: int, mask: int) -> None:
+        full = prime_context(p).full_mask
+        mask = _integer("mask", mask)
+        if not 0 <= mask <= full:
+            raise ValueError(f"mask {mask:#x} out of range for p={p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.mask))
+
+    def __lt__(self, other: "Subset") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.mask) < (other.p, other.mask)
+
+    def __le__(self, other: "Subset") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.mask) <= (other.p, other.mask)
+
+    def __gt__(self, other: "Subset") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.mask) > (other.p, other.mask)
+
+    def __ge__(self, other: "Subset") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.mask) >= (other.p, other.mask)
 
     # --- constructors -----------------------------------------------------
 
@@ -392,14 +478,12 @@ def _gosper_masks(p: int, a: int) -> Iterator[int]:
         v = ripple | (((v ^ ripple) >> 2) // low)
 
 
-@dataclass(frozen=True)
-class OrbitCatalog:
-    """All affine orbits of a-subsets of Z_p."""
+class OrbitCatalog(_Record):
+    """All affine orbits of a-subsets of Z_p: reps holds the canonical
+    representative of each orbit, by ascending mask, and orbit_sizes their
+    sizes."""
 
-    p: int
-    a: int
-    reps: tuple[Subset, ...]  # canonical representative per orbit, ascending masks
-    orbit_sizes: tuple[int, ...]
+    __slots__ = _fields = ("p", "a", "reps", "orbit_sizes")
 
     @property
     def stabilizer_orders(self) -> tuple[int, ...]:

@@ -28,13 +28,12 @@ read from or written to disk.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb, inf, prod
 from typing import Iterable, Iterator, Sequence
 
 from .core import (  # InvariantError is re-exported from here
-    InvariantError, SizeGuardError, Subset, _check_claim_range, orbit_catalog,
+    InvariantError, SizeGuardError, Subset, _check_claim_range, _Record, orbit_catalog,
     prime_context, subset_masks_of_size,
 )
 from .counting import _translate_rows, decimal_str, s_count, s_k_count, sigma_vector
@@ -47,27 +46,20 @@ GENERAL_TUPLE_GUARD = 4 * 10**6  # full-mode configuration budget
 WITNESS_CAP = 24  # stored attainer configurations per general report
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     """Outcome of one exact minimization.
 
     extremal_orbits carries one canonical representative per attaining class
-    (affine orbits when k = 1 mod p, dilation classes otherwise); for the
-    mixed-size search the witnesses are whole configurations instead and
-    attainer_count tallies the (A_1, ..., A_k) tuples at the minimum.
+    (affine orbits when k = 1 mod p, dilation classes otherwise), and
+    extremal_kind says which: "orbit", "dilation-class" or "config".  For the
+    mixed-size search the witnesses are whole configurations instead,
+    extremal_configs, and attainer_count tallies the (A_1, ..., A_k) tuples
+    at the minimum.
     """
 
-    p: int
-    sizes: tuple[int, ...]
-    k: int
-    min_value: int
-    extremal_orbits: tuple[Subset, ...]
-    extremal_kind: str  # "orbit" | "dilation-class" | "config"
-    method: str
-    elapsed: float
-    checked: int
-    extremal_configs: tuple[tuple[Subset, ...], ...] = ()
-    attainer_count: int = 0
+    __slots__ = _fields = ("p", "sizes", "k", "min_value", "extremal_orbits", "extremal_kind",
+                           "method", "elapsed", "checked", "extremal_configs", "attainer_count")
+    _defaults = {"extremal_configs": (), "attainer_count": 0}
 
     def to_json(self) -> dict:
         out = {
@@ -89,26 +81,23 @@ class SearchReport:
         return out
 
 
-@dataclass(frozen=True)
-class PointVerdict:
-    x: int  # the k (or s) this point tested
-    status: str  # "holds" | "fails" | "below-threshold"
-    details: dict = field(default_factory=dict)
+class PointVerdict(_Record):
+    """One tested point: x is the k (or s) tested, status is "holds", "fails"
+    or "below-threshold", and details a fresh dict unless one is given."""
+
+    __slots__ = _fields = ("x", "status", "details")
+
+    def __init__(self, x: int, status: str, details: dict | None = None) -> None:
+        super().__init__(x, status, {} if details is None else details)
 
     def to_json(self) -> dict:
         return {"x": self.x, "status": self.status, "details": self.details}
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(_Record):
     """Point-by-point outcome of one structural claim over a parameter range."""
 
-    theorem_id: str
-    params: dict
-    points: tuple[PointVerdict, ...]
-    threshold: int | None
-    passed: bool
-    elapsed: float
+    __slots__ = _fields = ("theorem_id", "params", "points", "threshold", "passed", "elapsed")
 
     def to_json(self) -> dict:
         return {

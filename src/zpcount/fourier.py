@@ -49,7 +49,6 @@ rung would exceed MAX_PRECISION.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import inf, isqrt
@@ -58,8 +57,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 import mpmath as mp
 
 from .core import (  # PrecisionError is re-exported from here
-    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, orbit_catalog,
-    prime_context,
+    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, _Record,
+    orbit_catalog, prime_context,
 )
 
 DEFAULT_PRECISION = 256
@@ -148,8 +147,7 @@ def _coeff_error(a: int) -> int:
     return 3 * a * a + 16 * a + 16
 
 
-@dataclass(frozen=True)
-class FourierProfile:
+class FourierProfile(_Record):
     """All p indicator coefficients of one subset.
 
     sums[g-1] = (re, im) are the exact integer sums of frequency
@@ -163,14 +161,26 @@ class FourierProfile:
     precision used.
     """
 
-    subset: Subset
-    precision: int
-    work_prec: int
-    err: mp.mpf
-    sums: tuple[tuple[int, int], ...]
-    keys: tuple[int, ...]
-    _arguments: dict[int, mp.mpf] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("subset", "precision", "work_prec", "err", "sums", "keys", "_arguments")
+    _fields = __slots__[:-1]
+
+    def __init__(
+        self,
+        subset: Subset,
+        precision: int,
+        work_prec: int,
+        err: mp.mpf,
+        sums: tuple[tuple[int, int], ...],
+        keys: tuple[int, ...],
+    ) -> None:
+        setfield = object.__setattr__
+        setfield(self, "subset", subset)
+        setfield(self, "precision", precision)
+        setfield(self, "work_prec", work_prec)
+        setfield(self, "err", err)
+        setfield(self, "sums", sums)
+        setfield(self, "keys", keys)
+        setfield(self, "_arguments", {})
 
     @property
     def p(self) -> int:
@@ -257,17 +267,14 @@ def _clusters(
     return groups
 
 
-@dataclass(frozen=True)
-class SpectralLevels:
-    """Top distinct coefficient-magnitude levels across the (p, a) orbits."""
+class SpectralLevels(_Record):
+    """Top distinct coefficient-magnitude levels across the (p, a) orbits:
+    levels m_1 > m_2 > ... (depth entries or fewer), each level's attainers
+    as (representative, frequencies) pairs, and min_gap_over_err, the least
+    gap below a kept level over err (inf for one level)."""
 
-    p: int
-    a: int
-    levels: tuple[mp.mpf, ...]  # m_1 > m_2 > ... (depth entries or fewer)
-    attainers: tuple[tuple[tuple[Subset, tuple[int, ...]], ...], ...]
-    err: mp.mpf
-    precision: int
-    min_gap_over_err: float  # least gap below a kept level over err; inf for one level
+    __slots__ = _fields = ("p", "a", "levels", "attainers", "err", "precision",
+                           "min_gap_over_err")
 
     def to_json(self) -> dict:
         digits = int(self.precision * 0.302) + 4
@@ -441,8 +448,7 @@ def primary_image(
     return _escalate("primary_image", precision, attempt)
 
 
-@dataclass(frozen=True)
-class ProjectionRanking:
+class ProjectionRanking(_Record):
     """Residues ranked by h(j) = cos(2*pi*j/p + theta), ties grouped.
 
     theta is the frequency-1 argument of a primary set, folded to
@@ -453,15 +459,8 @@ class ProjectionRanking:
     for the (a+1)-th).
     """
 
-    subset: Subset
-    theta: mp.mpf
-    lattice_index: int | None
-    groups: tuple[tuple[int, ...], ...]
-    scores: dict[int, mp.mpf]
-    top_sets: tuple[Subset, ...]
-    punctured_candidates: tuple[Subset, ...]
-    err: mp.mpf
-    precision: int
+    __slots__ = _fields = ("subset", "theta", "lattice_index", "groups", "scores", "top_sets",
+                           "punctured_candidates", "err", "precision")
 
 
 def projection_scores(
@@ -539,15 +538,10 @@ def projection_scores(
 # --- spectral form of the tuple count ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FValue:
+class FValue(_Record):
     """p*s_k(A) - a^(k+1), evaluated spectrally with a rigorous error bound."""
 
-    subset: Subset
-    k: int
-    value: mp.mpf
-    err: mp.mpf
-    work_prec: int
+    __slots__ = _fields = ("subset", "k", "value", "err", "work_prec")
 
     def to_json(self) -> dict:
         return {
@@ -621,22 +615,14 @@ def F_value(a: Subset, k: int, precision: int = DEFAULT_PRECISION) -> FValue:
 # --- punctured-interval angle check ------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngleCheck:
-    """Lattice-avoidance data for the frequency-1 argument of [a-1] u {a}."""
+class AngleCheck(_Record):
+    """Lattice-avoidance data for the frequency-1 argument of [a-1] u {a}:
+    distance is the argument's distance to (pi/p)*Z, and branch_size is
+    min(a, p-a), the side whose window claim is checked."""
 
-    p: int
-    a: int
-    distance: mp.mpf  # distance of the argument to (pi/p) * Z
-    angle_err: mp.mpf
-    nearest_index: int
-    exact_nonlattice: bool
-    passed: bool
-    branch_size: int  # min(a, p-a): the side whose window claim is checked
-    branch_parity: str
-    branch_argument: mp.mpf
-    branch_ok: bool
-    precision: int
+    __slots__ = _fields = ("p", "a", "distance", "angle_err", "nearest_index",
+                           "exact_nonlattice", "passed", "branch_size", "branch_parity",
+                           "branch_argument", "branch_ok", "precision")
 
     def to_json(self) -> dict:
         return {
@@ -706,21 +692,18 @@ def angle_check_punctured(p: int, a: int, precision: int = DEFAULT_PRECISION) ->
 # --- sign windows for k = s*p + 1 ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class TGoodPoint:
-    t: int
-    s: int
-    k: int
-    cos_sign: int  # sign of cos(s*p*theta) = (-1)^t
-    dominant: bool  # dominant term provably outweighs every competing tail
+class TGoodPoint(_Record):
+    """One sign window: cos_sign is the sign of cos(s*p*theta) = (-1)^t, and
+    dominant says the dominant term provably outweighs every competing tail."""
+
+    __slots__ = _fields = ("t", "s", "k", "cos_sign", "dominant")
 
     def to_json(self) -> dict:
         return {"t": self.t, "s": self.s, "k": self.k,
                 "cos_sign": self.cos_sign, "dominant": self.dominant}
 
 
-@dataclass(frozen=True)
-class TGoodScan:
+class TGoodScan(_Record):
     """Exponents k = s*p + 1 with a sign-pinned dominant spectral term.
 
     c = p*theta - ell*pi folded into (-pi, pi) with ell even; s is t-good when
@@ -728,14 +711,7 @@ class TGoodScan:
     of cos(s*p*theta) to (-1)^t.
     """
 
-    p: int
-    a: int
-    theta: mp.mpf
-    ell: int
-    c: mp.mpf
-    eps: mp.mpf
-    points: tuple[TGoodPoint, ...]
-    precision: int
+    __slots__ = _fields = ("p", "a", "theta", "ell", "c", "eps", "points", "precision")
 
     def to_json(self) -> dict:
         return {

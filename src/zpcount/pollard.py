@@ -15,35 +15,33 @@ two word operations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InvariantError, Subset, _rotate, _run_count, prime_context
+from .core import InvariantError, Subset, _Record, _rotate, _run_count, prime_context
 from .counting import CountVector, sigma_vector
 
 
-@dataclass(frozen=True)
-class ThresholdProfile:
+class ThresholdProfile(_Record):
     """The level sets N_r = {x : sigma(x) >= r} of one tail, r = 0..r_max,
     as p-bit masks: masks[0] = Z_p, masks[r_max] = empty.  n[r] = |N_r| and
     the partial sums of n are derived from the masks."""
 
-    p: int
-    masks: tuple[int, ...]
-    n: tuple[int, ...] = field(init=False)
-    _sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "masks", "n", "_sums")
+    _fields = ("p", "masks")
 
-    def __post_init__(self) -> None:
-        m = self.masks
-        if not m or m[0] != prime_context(self.p).full_mask or m[-1] != 0:
+    def __init__(self, p: int, masks: tuple[int, ...]) -> None:
+        if not masks or masks[0] != prime_context(p).full_mask or masks[-1] != 0:
             raise InvariantError("level sets must run from Z_p down to the empty set")
-        if any(inner & ~outer for outer, inner in zip(m, m[1:])):
+        if any(inner & ~outer for outer, inner in zip(masks, masks[1:])):
             raise InvariantError("level sets must be nested")
-        n = tuple(x.bit_count() for x in m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_sums", tuple(accumulate(n[1:], initial=0)))
+        n = tuple([x.bit_count() for x in masks])
+        setfield = object.__setattr__
+        setfield(self, "p", p)
+        setfield(self, "masks", masks)
+        setfield(self, "n", n)
+        setfield(self, "_sums", tuple(accumulate(n[1:], initial=0)))
 
     @property
     def r_max(self) -> int:
@@ -147,15 +145,26 @@ class EqualityTag(enum.Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class EqualityCase:
+class EqualityCase(_Record):
     """First matching equality case plus every case that matched."""
 
-    tag: EqualityTag
-    matches: tuple[EqualityTag, ...]
-    reflection_point: int | None = None  # g with A_2 = g - A_1
-    complement_point: int | None = None  # g with A_2 = g - (Z_p \ A_1)
-    common_difference: int | None = None  # smallest shared progression step
+    __slots__ = _fields = ("tag", "matches", "reflection_point", "complement_point",
+                           "common_difference")
+
+    def __init__(
+        self,
+        tag: EqualityTag,
+        matches: tuple[EqualityTag, ...],
+        reflection_point: int | None = None,  # g with A_2 = g - A_1
+        complement_point: int | None = None,  # g with A_2 = g - (Z_p \ A_1)
+        common_difference: int | None = None,  # smallest shared progression step
+    ) -> None:
+        setfield = object.__setattr__
+        setfield(self, "tag", tag)
+        setfield(self, "matches", matches)
+        setfield(self, "reflection_point", reflection_point)
+        setfield(self, "complement_point", complement_point)
+        setfield(self, "common_difference", common_difference)
 
     def to_json(self) -> dict:
         return {

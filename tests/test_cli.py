@@ -788,6 +788,18 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_dataclasses_import_in_src():
+    # Records derive from core._Record: dataclasses (and the inspect it
+    # imports) would cost most of every CLI start-up.
+    src = Path(zpcount.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []
+
+
 # --- lazy layers: a command imports only what it runs ----------------------------
 
 _EXACT_COMMANDS = [
@@ -799,7 +811,7 @@ _EXACT_COMMANDS = [
     ["orbits", "--p", "7", "--a", "3"],
     ["optimal-t", "--p", "7", "--a", "3", "--k", "2"],
 ]
-_LAYERS = ("mpmath", "zpcount.fourier", "zpcount.pollard")
+_LAYERS = ("mpmath", "zpcount.fourier", "zpcount.pollard", "dataclasses", "inspect")
 
 
 def _loaded_after(commands: list[list[str]]) -> tuple[list[int], list[str]]:
