@@ -12,9 +12,23 @@ Before each step the slots are widened byte by byte to the exact entry
 bound (the product of the set sizes so far); the entries are split out
 once, at the end.  sigma_vector steps the indicator of A_1 by A_2, ..., A_k;
 power_sigma runs a square-and-shift-add chain over the bits of k, where a
-squaring is one bigint product (CPython's Karatsuba) and a fold.  Entries
-grow like a^k; for p = 61 and |A| = 30 an exact s_k takes 0.23-0.29 s at
-k = 10^4 and 9.5-10.7 s at k = 10^5 (2-vCPU x86 host, CPython 3.11.7).
+squaring is one bigint product (CPython's Karatsuba) and a fold.
+
+The chain is centred.  sigma^(n) = a^n/p + F with |F| < rho^n, so most of
+every entry's bits are a constant that a^n already tells.  The chain keeps
+sigma^(n) as m + e: one exact integer offset m, and entries e >= 0 packed as
+above, whose sum S = a^n - p*m is known without unpacking.  The square is
+(p*m^2 + 2*m*S) + e*e, and a step by A is |A|*m + e*1_A; no entry exceeds
+the sum, so S^2 and S*|A| size their slots.  An operand of RECENTRE_BYTES
+or more is split out, checked (p*m + sum(e) = a^n) and re-centred before it
+is squared: its minimum moves into m and the rest is re-packed at the bytes
+of its maximum.  At p = 61, k = 10^5, the top squaring then multiplies
+41 % fewer bits for a seeded random 30-set, and 13 % fewer for the
+interval, whose rho is the largest.  Entries grow like a^k; for p = 61 and
+|A| = 30 an exact s_k takes 0.055-0.098 s at k = 10^4 and 1.9-3.6 s at
+k = 10^5 (the random set is the fast end, the interval the slow one),
+against 0.12 s and 4.6-4.7 s for the whole-entry chain (2-vCPU x86 host,
+CPython 3.11.7).
 
 s_k has two routes, and each search recounts its attainers by the one it
 did not search with.  s_k_count needs only the power k // 2 and a shift-add
@@ -25,10 +39,12 @@ stepped k -> k+1 by a shift-add instead of recomputing sigma^(k) at every
 k.  The routes share the chain and the shift-add, not their schedules (the
 chain runs to k // 2 for s_k_count, to the first k for the sweep), so a
 recount catches a search that misreads, misranks or mis-steps its values.
-Every packed vector split out after a chain is checked against its exact
-total (|A|^k for power_sigma, |A|^(k+1) for the sweep's start), which
-catches a slot too narrow, and a shared kernel whose lie changes that total
-on both routes at once.
+Every packed vector split out of a chain is checked against its exact
+total (p*m + sum(e) = |A|^n at each re-centring and for power_sigma and
+s_k_count, |A|^(k+1) for the sweep's start, which adds |R|*m back to every
+slot), which catches a slot too narrow, a wrong offset, and a shared kernel
+whose lie changes that total on both routes at once; an entry re-packed
+into a slot it does not fit raises too.
 """
 
 from __future__ import annotations
@@ -44,6 +60,15 @@ CountVector = tuple[int, ...]
 # values than this: a restart measured as 17-235 steps for p <= 23, k <= 3000
 SWEEP_RESTART_GAP = 16
 
+# a power chain re-centres the operand of a squaring only when its p slots
+# take at least this many bytes: below, unpacking and re-packing p entries
+# costs more than the narrower squaring saves.  Summed over power_sigma at
+# p = 17..61, |A| = p // 2, k = 24..256, thresholds of 384 / 512 / 640 /
+# 768 / 1024 bytes took 8.71 / 8.65 / 8.58 / 8.59 / 8.83 ms and no
+# re-centring 11.22 ms; at k = 256 no re-centring took 12-86 % longer than
+# 640 (2-vCPU x86 host, CPython 3.11.7)
+RECENTRE_BYTES = 640
+
 
 def indicator(a: Subset) -> CountVector:
     return tuple((a.mask >> x) & 1 for x in range(a.p))
@@ -57,10 +82,14 @@ def _reflect(v: CountVector) -> CountVector:
 def _pack(v: CountVector, nb: int) -> int:
     """Entry i (0 <= v[i] < 256^nb) in bytes [i*nb, (i+1)*nb) of one
     little-endian integer; one-byte slots (every chain's starting indicator)
-    go through bytes() in C."""
-    if nb == 1:
-        return int.from_bytes(bytes(v), "little")
-    return int.from_bytes(b"".join([x.to_bytes(nb, "little") for x in v]), "little")
+    go through bytes() in C.  An entry outside the slot raises
+    InvariantError."""
+    try:
+        if nb == 1:
+            return int.from_bytes(bytes(v), "little")
+        return int.from_bytes(b"".join([x.to_bytes(nb, "little") for x in v]), "little")
+    except (OverflowError, ValueError):  # an entry < 0 or >= 256^nb
+        raise InvariantError(f"an entry does not fit a {nb}-byte slot") from None
 
 
 def _fold(n: int, bits: int) -> int:
@@ -144,40 +173,66 @@ def sigma_vector(sets: Sequence[Subset]) -> CountVector:
     return sigma
 
 
-def _power_packed(a: Subset, k: int) -> tuple[int, int]:
-    """sigma^(k) of a, packed and folded, and its slot bytes.
+def _power_packed(a: Subset, k: int) -> tuple[int, int, int]:
+    """sigma^(k) of a as m + e: the exact offset m, the entries e >= 0 packed
+    and folded, and their slot bytes.
 
-    A square-and-shift-add chain over the bits of k: a squaring is one bigint
-    product and a fold, a step by A is _step.  The entries of sigma^(e) are
-    >= 0 and sum to |A|^e, so before each squaring or step the slots are
-    re-sized at the byte level to hold that step's |A|^e."""
+    A square-and-shift-add chain over the bits of k.  With S = sum(e) =
+    |A|^n - p*m at power n, a squaring is (p*m^2 + 2*m*S) + e*e, one bigint
+    product of e and a fold, and a step by A is |A|*m + e*1_A, by _step.
+    No entry of e exceeds S, so slots re-sized at the byte level for S^2
+    (the product) and S*|A| (the step) never carry; until the first
+    re-centring S = |A|^n, the whole entries' bound.  An operand of
+    RECENTRE_BYTES or more is split and re-centred before it is squared:
+    its minimum moves into m, and the rest is re-packed at the bytes of its
+    maximum."""
     if k < 1:
         raise ValueError(f"power_sigma needs k >= 1, got {k}")
     p, size = a.p, a.size
-    nb, packed, bound = 1, _pack(indicator(a), 1), size
+    m, packed, nb, spread, n = 0, _pack(indicator(a), 1), 1, size, 1
     for bit in bin(k)[3:]:
-        bound *= bound
-        wide = _slot_bytes(bound)
-        packed, nb = _reslot(packed, p, nb, wide), wide
-        packed = _fold(packed * packed, 8 * nb * p)
+        if p * nb >= RECENTRE_BYTES:
+            e = _split(a, n, m, packed, nb)
+            low = min(e)
+            e = [x - low for x in e]
+            m, spread = m + low, spread - p * low
+            nb = _slot_bytes(max(e))
+            packed = _pack(e, nb)
+        # slots for S^2, and for this bit's step too, so that it need not
+        # re-slot; never narrower than nb, which is sized for at most S
+        wide = _slot_bytes(spread * spread * (size if bit == "1" else 1))
+        packed = _reslot(packed, p, nb, wide)
+        packed = _fold(packed * packed, 8 * wide * p)
+        if m:
+            m = (p * m + 2 * spread) * m
+        spread, nb, n = spread * spread, wide, 2 * n
         if bit == "1":
-            bound *= size
-            packed, nb = _step(packed, nb, bound, a)
-    return packed, nb
+            packed, nb = _step(packed, nb, spread * size, a)
+            m, spread, n = m * size, spread * size, n + 1
+    return m, packed, nb
+
+
+def _split(a: Subset, n: int, m: int, packed: int, nb: int) -> CountVector:
+    """The entries e of sigma^(n) = m + e, split out of their nb-byte slots.
+
+    Raises InvariantError unless p*m + sum(e) = |A|^n: a slot too narrow
+    carries into its neighbour and lowers sum(e), and a wrong offset moves
+    p*m."""
+    e = _unpack(packed, a.p, nb)
+    if a.p * m + sum(e) != a.size ** n:
+        raise InvariantError(
+            f"sigma^({n}) of {list(a.members())} (p={a.p}) does not sum to |A|^{n}"
+        )
+    return e
 
 
 def power_sigma(a: Subset, k: int) -> CountVector:
-    """k-fold convolution power of the indicator of a single set (k >= 1).
-
-    Raises InvariantError unless the entries sum to |A|^k: a slot too narrow
-    for its entry carries into its neighbour and lowers that total."""
-    packed, nb = _power_packed(a, k)
-    sigma = _unpack(packed, a.p, nb)
-    if sum(sigma) != a.size ** k:
-        raise InvariantError(
-            f"sigma^({k}) of {list(a.members())} (p={a.p}) does not sum to |A|^{k}"
-        )
-    return sigma
+    """k-fold convolution power of the indicator of a single set (k >= 1):
+    the chain's offset added back to its entries, which _split checks sum to
+    |A|^k with it (InvariantError otherwise)."""
+    m, packed, nb = _power_packed(a, k)
+    e = _split(a, k, m, packed, nb)
+    return tuple([m + x for x in e]) if m else e
 
 
 def s_count(a0: Subset, sets: Sequence[Subset]) -> int:
@@ -191,21 +246,25 @@ def s_count(a0: Subset, sets: Sequence[Subset]) -> int:
 def s_k_count(a: Subset, k: int) -> int:
     """s_k(A): ordered (k+1)-tuples from A^{k+1} with x_0 = x_1 + ... + x_k.
 
-    With h = k // 2 and sigma = power_sigma(A, h), s_k = sum_y sigma(y) rho(y)
-    where rho(y) = sum_{z in A} sigma^(k-h)(z - y).  For even k that is the
-    packed reflection of sigma shifted and added by A; for odd k, by
-    sigma^(h+1)(w) = sum_{x in A} sigma(w - x), it is shifted and added by A
-    and then by -A.  So the top squaring is never formed; rho's entries sum
-    to |A|^(k-h+1), which sizes its slots."""
+    With h = k // 2 and sigma = sigma^(h), s_k = sum_y sigma(y) rho(y) where
+    rho(y) = sum_{z in A} sigma^(k-h)(z - y).  The chain gives sigma = m + e;
+    for j = 1 + k mod 2, rho = |A|^j*m + rho_e, where rho_e is the
+    packed reflection of e shifted and added by A (even k) or by A and then
+    by -A (odd k, by sigma^(h+1)(w) = sum_{x in A} sigma(w - x)).  So
+    s_k = p*m^2*|A|^j + 2*m*S*|A|^j + sum_y e(y) rho_e(y) with S = sum(e):
+    the top squaring is never formed, the offset never packed, and rho_e's
+    entries are at most max(e)*|A|^j, which sizes its slots."""
     if k < 2:
         raise ValueError(f"s_k_count needs k >= 2, got {k}")
     p, h = a.p, k // 2
-    half = power_sigma(a, h)
-    nb = _slot_bytes(a.size ** (k - h + 1))
-    rho = _rotate_sum(_pack(_reflect(half), nb), a.mask, p, nb)
+    m, packed, nb = _power_packed(a, h)
+    e = _split(a, h, m, packed, nb)
+    aj = a.size ** (1 + k % 2)
+    nb = _slot_bytes(max(e) * aj)
+    rho = _rotate_sum(_pack(_reflect(e), nb), a.mask, p, nb)
     if k % 2:
         rho = _rotate_sum(rho, a.reflect().mask, p, nb)
-    return sum(map(mul, half, _unpack(rho, p, nb)))
+    return (p * m + 2 * sum(e)) * m * aj + sum(map(mul, e, _unpack(rho, p, nb)))
 
 
 def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[tuple]]:
@@ -219,13 +278,14 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
     every k row[0] is s_k(R).  Rotations commute, so C^(k+1) = sum_{x in R}
     rot(C^(k), x): the state per representative is C itself, packed in one
     bigint with one slot per residue, started from the packed power
-    sigma^(ks[0]) of the chain, re-slotted and shift-added by -R (and
-    started again past a gap wider than SWEEP_RESTART_GAP), and stepped
-    k -> k+1 by the shift-add by R.  C's entries sum to a^(k+1), so a slot
-    needs (k+1) * bitlen(a) bits: slots start at the bytes the first k needs
-    and double (up to the bytes of the last k) whenever the next step would
-    overflow them.  The entries read right after a start are checked against
-    that sum (the start bypasses power_sigma); steps are left to the recount."""
+    sigma^(ks[0]) = m + e of the chain, e re-slotted and shift-added by -R
+    and |R|*m added to every slot (and started again past a gap wider than
+    SWEEP_RESTART_GAP), and stepped k -> k+1 by the shift-add by R.  C's
+    entries sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots
+    start at the bytes the first k needs and double (up to the bytes of the
+    last k) whenever the next step would overflow them.  The entries read
+    right after a start are checked against that sum (the start bypasses
+    power_sigma); steps are left to the recount."""
     p = reps[0].p
     a_bits = reps[0].size.bit_length()
 
@@ -236,8 +296,11 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
         nb = slot_bytes(k)
         states = []
         for rep in reps:
-            power, power_nb = _power_packed(rep, k)
-            states.append(_rotate_sum(_reslot(power, p, power_nb, nb), rep.reflect().mask, p, nb))
+            m, power, power_nb = _power_packed(rep, k)
+            c = _rotate_sum(_reslot(power, p, power_nb, nb), rep.reflect().mask, p, nb)
+            if m:
+                c = _fold(c + _pack((rep.size * m,) * p, nb), 8 * nb * p)
+            states.append(c)
         return nb, states
 
     k = begun = ks[0]

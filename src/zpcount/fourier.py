@@ -107,12 +107,16 @@ def _fold(x: mp.mpf) -> mp.mpf:
 def _unit_table(p: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(round(2^w*cos(2*pi*j/p)), round(2^w*sin(2*pi*j/p))) for j = 0..p-1 as
     ints: evaluated at w+16 bits for j <= p//2 and mirrored, so the cosine
-    row is exactly even and the sine row exactly odd."""
+    row is exactly even and the sine row exactly odd.  One mp.cos_sin per j:
+    mp.cos and mp.sin would each evaluate both."""
     half = p // 2
+    cos, sin = [], []
     with mp.workprec(w + 16):
         step = 2 * mp.pi / p
-        cos = [int(mp.nint(mp.ldexp(mp.cos(step * j), w))) for j in range(half + 1)]
-        sin = [int(mp.nint(mp.ldexp(mp.sin(step * j), w))) for j in range(half + 1)]
+        for j in range(half + 1):
+            c, s = mp.cos_sin(step * j)
+            cos.append(int(mp.nint(mp.ldexp(c, w))))
+            sin.append(int(mp.nint(mp.ldexp(s, w))))
     return (tuple(cos + [cos[p - j] for j in range(half + 1, p)]),
             tuple(sin + [-sin[p - j] for j in range(half + 1, p)]))
 

@@ -74,6 +74,16 @@ def schoolbook_convolve(u, v) -> tuple[int, ...]:
     return tuple(out)
 
 
+def brute_power(a: Subset, k: int) -> tuple[int, ...]:
+    """sigma^(k) of a (k >= 1): the indicator convolved by it k - 1 times,
+    one schoolbook factor at a time."""
+    one = tuple((a.mask >> x) & 1 for x in range(a.p))
+    sigma = one
+    for _ in range(k - 1):
+        sigma = schoolbook_convolve(sigma, one)
+    return sigma
+
+
 def brute_sigma(sets) -> list[int]:
     p = sets[0].p
     vec = [0] * p

@@ -625,6 +625,23 @@ def test_spectrum_reports_match_frozen_digests(capsys, case):
     assert _cli_menu().digest(out.encode()) == case["sha256"]
 
 
+# `count --k` and `sigma --k` reports frozen before the centred power chain:
+# SHA-256 of the report with elapsed removed, at p = 31 and 61, for the
+# interval {0, ..., a-1}, the punctured interval {0, ..., a-2} + {a} and a
+# seeded random a-set (a = (p-1)/2), k in {2, 3, 1023, 2047, 4096}.  No menu
+# digest counts at large k.
+_POWER_COUNT_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "power_count_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", _POWER_COUNT_DIGESTS,
+                         ids=lambda c: " ".join(c["argv"][:5:2] + c["argv"][6:]))
+def test_power_count_reports_match_frozen_digests(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == 0, err
+    assert _cli_menu().digest(out.encode()) == case["sha256"]
+
+
 _SINGLE_LEVEL = [(p, a) for p in (3, 5, 7, 11, 13, 17, 19)
                  for a in sorted({1, 2, p - 2, p - 1})]
 
@@ -738,6 +755,11 @@ _BROKEN = {
     # its neighbour, and the entries no longer sum to |A|^k
     "narrow_slot_sigma": ("zpcount.counting", "_slot_bytes", "lambda bound: max(1, real(bound) - 1)",
                           ["sigma", "--p", "7", "--set", "0,1,2", "--k", "20"]),
+    # the same in s_k_count's centred chain, past its re-centring threshold:
+    # the split of sigma^(n) = m + e no longer sums to |A|^n
+    "narrow_slot_count_centred": ("zpcount.counting", "_slot_bytes",
+                                  "lambda bound: max(1, real(bound) - 1)",
+                                  ["count", "--p", "61", "--set", "0..29", "--k", "2047"]),
     # the same in sigma_vector's chain: five factors of size 6 at p = 7 put
     # entries near 6^5 / 7 > 255 in one-byte slots, and they no longer sum
     # to the product of the sizes

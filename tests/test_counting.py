@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from zpcount import Subset, indicator, power_sigma, s_count, s_k_count, sigma_vector
 from zpcount import InvariantError, counting
 from zpcount.counting import (
-    SWEEP_RESTART_GAP, _pack, _reslot, _rotate_sum, _translate_rows, _unpack, count_vector_to_json,
+    SWEEP_RESTART_GAP, _pack, _power_packed, _reslot, _rotate_sum, _split, _translate_rows,
+    _unpack, count_vector_to_json,
 )
 
-from conftest import brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
+from conftest import brute_power, brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
 
 PRIMES = (3, 5, 7, 11, 13, 31, 61)
 # Fixed example streams and no example database, so every run tries the
@@ -30,11 +31,12 @@ def schoolbook_power(v, k):
 
 
 @st.composite
-def sets_of_all_sizes(draw):
-    """A subset of Z_p whose size is drawn first, so |A| in {0, 1, p-1} is
-    as likely as any other size."""
-    p = draw(st.sampled_from(PRIMES))
-    size = draw(st.sampled_from(sorted({0, 1, 2, p // 2, p - 1})))
+def sets_of_all_sizes(draw, primes=PRIMES):
+    """A subset of Z_p whose size is drawn first, so |A| in {0, 1, p-1, p}
+    is as likely as any other size (Z_p itself has a spread of 0 at every
+    power)."""
+    p = draw(st.sampled_from(primes))
+    size = draw(st.sampled_from(sorted({0, 1, 2, p // 2, p - 1, p})))
     members = draw(st.lists(st.integers(0, p - 1), min_size=size,
                             max_size=size, unique=True))
     return Subset.from_residues(p, members)
@@ -260,3 +262,65 @@ def test_narrow_slot_is_an_invariant_error(monkeypatch):
             call()
     with pytest.raises(InvariantError, match="does not sum to the product of their sizes"):
         sigma_vector([a] * 8)
+
+
+# --- the centred chain: sigma^(n) = m + e -------------------------------------
+
+# every squared operand is re-centred first, or none is
+EVERY, NEVER = 0, 10**12
+
+
+@pytest.mark.parametrize("threshold", [EVERY, NEVER])
+@settings(CASES, max_examples=150)
+@given(sets_of_all_sizes((3, 5, 7, 11, 13, 17, 19, 23)), st.integers(1, 64))
+def test_centred_chain_matches_brute_powers(threshold, a, k):
+    sigma = brute_power(a, k)
+    s_k = sum(sigma[x] for x in a.members())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "RECENTRE_BYTES", threshold)
+        assert power_sigma(a, k) == sigma
+        if k >= 2:
+            assert s_k_count(a, k) == s_k
+        # the sweep's start adds the offset back: row[t] is entry -(k-1)t of
+        # the correlation, sum_{y in A} sigma^(k)(y - (k-1)t) (searches sweep
+        # sets of 1 <= a <= p - 1 only)
+        if a.size:
+            (row,), = _translate_rows([a], [k])
+            assert list(row) == [sum(sigma[(y - (k - 1) * t) % a.p] for y in a.members())
+                                 for t in range(a.p)]
+    if k >= 2 and a.size ** k <= 3**8:
+        assert s_k == brute_s_k(a, k)
+
+
+def test_centred_chain_moves_the_minimum_into_the_offset(monkeypatch):
+    # above the threshold the chain's offset is positive and the packed
+    # entries e = sigma - m are spread only: below |A|^n / p on average
+    monkeypatch.setattr(counting, "RECENTRE_BYTES", EVERY)
+    a = Subset.interval(61, 30)
+    m, packed, nb = _power_packed(a, 1023)
+    e = _split(a, 1023, m, packed, nb)
+    assert m > 0 and min(e) >= 0
+    assert tuple(m + x for x in e) == power_sigma(a, 1023)
+    assert max(e).bit_length() < (30**1023 // 61).bit_length()
+
+
+@pytest.mark.parametrize("threshold", [EVERY, NEVER])
+def test_offset_one_too_large_is_an_invariant_error(threshold, monkeypatch):
+    # a wrong offset breaks p*m + sum(e) = |A|^n at the split, also where the
+    # packed entries are right
+    monkeypatch.setattr(counting, "RECENTRE_BYTES", threshold)
+    for a, k in ((Subset.interval(61, 30), 2047), (Subset.interval(13, 13), 40),
+                 (Subset.from_residues(23, [0, 5, 6, 11]), 300)):
+        m, packed, nb = _power_packed(a, k)
+        _split(a, k, m, packed, nb)
+        for wrong in (m + 1, m - 1):
+            with pytest.raises(InvariantError, match=r"does not sum to \|A\|\^"):
+                _split(a, k, wrong, packed, nb)
+
+
+def test_repack_into_a_narrow_slot_is_an_invariant_error():
+    # the chain re-packs split entries at the bytes of their maximum: an
+    # entry the slot cannot hold (or a negative one) raises, it never wraps
+    for v, nb in (((256, 0, 1), 1), ((0, 1 << 16, 3), 2), ((-1, 0, 0), 1), ((5, -2, 0), 3)):
+        with pytest.raises(InvariantError, match="does not fit"):
+            _pack(v, nb)

@@ -97,6 +97,23 @@ def test_zero_frequency_is_size():
         assert prof.argument(0) == 0
 
 
+def _per_call_unit_table(p: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The unit table with a separate mp.cos and mp.sin per entry, every j
+    evaluated (no mirror), each rounded at w + 16 bits."""
+    with mp.workprec(w + 16):
+        step = 2 * mp.pi / p
+        return (tuple(int(mp.nint(mp.ldexp(mp.cos(step * j), w))) for j in range(p)),
+                tuple(int(mp.nint(mp.ldexp(mp.sin(step * j), w))) for j in range(p)))
+
+
+@pytest.mark.parametrize("w", [40, 53, 96, 256, 700])
+def test_unit_table_equals_per_call_cos_and_sin(w):
+    # one mp.cos_sin per j gives the ints of separate mp.cos and mp.sin calls,
+    # and the mirrored half agrees with evaluating j > p/2 directly
+    for p in PRIMES:
+        assert fourier._unit_table(p, w) == _per_call_unit_table(p, w), p
+
+
 def _eager_coeffs(s: Subset, precision: int) -> list:
     """Every (magnitude, argument) of s computed at once from the kernel's
     integer tables: an atan2 for each g = 1..(p-1)/2, shifted into
