@@ -11,8 +11,13 @@ packed vector by the members of A's mask, folded mod 2^(p*slot) - 1.
 Before each step the slots are widened byte by byte to the exact entry
 bound (the product of the set sizes so far); the entries are split out
 once, at the end.  sigma_vector steps the indicator of A_1 by A_2, ..., A_k;
-power_sigma runs a square-and-shift-add chain over the bits of k, where a
-squaring is one bigint product (CPython's Karatsuba) and a fold.
+power_sigma runs a square-and-shift-add chain over the bits of k.  A
+squaring, _square, needs only the square mod 2^bits - 1, and past
+8*RECENTRE_BYTES bits it halves the modulus: 2^bits - 1 = (2^h - 1)(2^h + 1)
+with h = bits/2, the Mersenne half recursing and the Fermat half one plain
+square of half the width, joined by the CRT.  That is two half-size
+squarings in place of one full product whose top half a fold throws away
+(CPython's Karatsuba squares 800 kbit in 29.6 ms, _square in 15.2 ms).
 
 The chain is centred.  sigma^(n) = a^n/p + F with |F| < rho^n, so most of
 every entry's bits are a constant that a^n already tells.  The chain keeps
@@ -25,10 +30,11 @@ is squared: its minimum moves into m and the rest is re-packed at the bytes
 of its maximum.  At p = 61, k = 10^5, the top squaring then multiplies
 41 % fewer bits for a seeded random 30-set, and 13 % fewer for the
 interval, whose rho is the largest.  Entries grow like a^k; for p = 61 and
-|A| = 30 an exact s_k takes 0.055-0.098 s at k = 10^4 and 1.9-3.6 s at
+|A| = 30 an exact s_k takes 0.036-0.061 s at k = 10^4 and 1.2-2.3 s at
 k = 10^5 (the random set is the fast end, the interval the slow one),
-against 0.12 s and 4.6-4.7 s for the whole-entry chain (2-vCPU x86 host,
-CPython 3.11.7).
+against 0.056-0.095 s and 2.0-3.6 s with full products and folds, and
+0.12 s and 4.6-4.7 s for the whole-entry chain (2-vCPU x86 host, CPython
+3.11.7).
 
 s_k has two routes, and each search recounts its attainers by the one it
 did not search with.  s_k_count needs only the power k // 2 and a shift-add
@@ -66,7 +72,10 @@ SWEEP_RESTART_GAP = 16
 # p = 17..61, |A| = p // 2, k = 24..256, thresholds of 384 / 512 / 640 /
 # 768 / 1024 bytes took 8.71 / 8.65 / 8.58 / 8.59 / 8.83 ms and no
 # re-centring 11.22 ms; at k = 256 no re-centring took 12-86 % longer than
-# 640 (2-vCPU x86 host, CPython 3.11.7)
+# 640 (2-vCPU x86 host, CPython 3.11.7).  It is also the one "large operand"
+# width for _square, which halves its modulus only past 8*RECENTRE_BYTES =
+# 5,120 bits: a full product and fold against the halving took 8.8 / 8.3 us
+# at 5.2 kbit, 20.7 / 17.9 us at 8 kbit and 190 / 120 us at 32 kbit
 RECENTRE_BYTES = 640
 
 
@@ -102,6 +111,36 @@ def _fold(n: int, bits: int) -> int:
     while n.bit_length() > bits:
         n = (n & mask) + (n >> bits)
     return n
+
+
+def _square(n: int, bits: int) -> int:
+    """n*n mod 2^bits - 1 for 0 <= n < 2^bits, as a value below 2^bits,
+    without forming the part of the product a fold throws away.
+
+    With h = bits/2, 2^bits - 1 = (2^h - 1)(2^h + 1) and n = hi*2^h + lo:
+    the residue mod 2^h - 1 is the square of lo + hi there (recursively),
+    the one mod 2^h + 1 that of lo - hi (one plain square, reduced by its
+    two h-bit halves), and as (2^h - 1)^-1 = 2^(h-1) mod 2^h + 1 they
+    combine to u + (2^h - 1)*t <= 2^bits - 1.  An odd width, or one of at
+    most 8*RECENTRE_BYTES bits, is squared in full and folded."""
+    if bits % 2 or bits <= 8 * RECENTRE_BYTES:
+        return _fold(n * n, bits)
+    h = bits // 2
+    mask = (1 << h) - 1
+    hi, lo = n >> h, n & mask
+    u = _square(_fold(lo + hi, h), h)
+    v = _fermat((lo - hi) ** 2, h)
+    r = v - u
+    if r < 0:
+        r += mask + 2
+    t = _fermat(r << (h - 1), h)
+    return u + (t << h) - t
+
+
+def _fermat(n: int, h: int) -> int:
+    """n mod 2^h + 1 for 0 <= n < 2^(2h): the low h bits less the high ones."""
+    r = (n & ((1 << h) - 1)) - (n >> h)
+    return r + (1 << h) + 1 if r < 0 else r
 
 
 def _unpack(n: int, p: int, nb: int) -> CountVector:
@@ -202,7 +241,7 @@ def _power_packed(a: Subset, k: int) -> tuple[int, int, int]:
         # re-slot; never narrower than nb, which is sized for at most S
         wide = _slot_bytes(spread * spread * (size if bit == "1" else 1))
         packed = _reslot(packed, p, nb, wide)
-        packed = _fold(packed * packed, 8 * wide * p)
+        packed = _square(packed, 8 * wide * p)
         if m:
             m = (p * m + 2 * spread) * m
         spread, nb, n = spread * spread, wide, 2 * n
@@ -290,7 +329,7 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
     a_bits = reps[0].size.bit_length()
 
     def slot_bytes(k: int) -> int:
-        return ((k + 1) * a_bits + 7) // 8
+        return max(1, ((k + 1) * a_bits + 7) // 8)
 
     def start(k: int) -> tuple[int, list[int]]:
         nb = slot_bytes(k)
@@ -326,16 +365,46 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
         yield [read(c) for c in entries]
 
 
+# decimal_str converts an integer of at most this many bits with one
+# Decimal(n): leaves of 128 / 1024 / 4096 / 16384 bits converted a 490 kbit
+# integer in 34.4 / 28.2 / 28.3 / 30.6 ms (2-vCPU x86 host, CPython 3.11.7)
+DECIMAL_LEAF_BITS = 4096
+
+
 def decimal_str(n: int) -> str:
-    """A count in decimal, at any size: str(int) refuses more than
-    sys.get_int_max_str_digits() digits (4300 by default), and Decimal's
-    exact conversion has no such limit (decimal is imported only then)."""
+    """A count in decimal, at any size.  str(int) refuses more than
+    sys.get_int_max_str_digits() digits (4300 by default), and Decimal(n) has
+    no such limit but takes quadratic time (0.27 s at 490 kbit, 4.5 s at
+    2 Mbit).  So past str's limit n = hi*2^h + lo is split by bits, both
+    halves are converted recursively and joined by decimal's exact multiply
+    and add, subquadratic for large operands (28 ms and 140 ms).  decimal is
+    imported only then; a rounded or inexact result raises InvariantError."""
     try:
         return str(n)
     except ValueError:
-        from decimal import Decimal
+        pass
+    import decimal
 
-        return str(Decimal(n))
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                          traps=[decimal.Inexact, decimal.Rounded])
+    powers = {}  # h -> 2^h
+
+    def convert(x: int, w: int) -> decimal.Decimal:
+        """0 <= x < 2^w."""
+        if w <= DECIMAL_LEAF_BITS:
+            return decimal.Decimal(x)
+        h = w // 2
+        if h not in powers:
+            powers[h] = convert(1 << h, h + 1)
+        hi = x >> h
+        return ctx.add(ctx.multiply(convert(hi, w - h), powers[h]), convert(x - (hi << h), h))
+
+    try:
+        digits = str(convert(abs(n), n.bit_length()))
+    except decimal.DecimalException as exc:
+        raise InvariantError(f"decimal conversion of a {n.bit_length()}-bit count "
+                             f"signalled {type(exc).__name__}") from None
+    return "-" + digits if n < 0 else digits
 
 
 def count_vector_to_json(v: CountVector) -> list[str]:

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from zpcount import Subset, indicator, power_sigma, s_count, s_k_count, sigma_vector
 from zpcount import InvariantError, counting
 from zpcount.counting import (
-    SWEEP_RESTART_GAP, _pack, _power_packed, _reslot, _rotate_sum, _split, _translate_rows,
-    _unpack, count_vector_to_json,
+    RECENTRE_BYTES, SWEEP_RESTART_GAP, _fold, _pack, _power_packed, _reslot, _rotate_sum,
+    _split, _square, _translate_rows, _unpack, count_vector_to_json, decimal_str,
 )
 
 from conftest import brute_power, brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
@@ -137,6 +139,25 @@ def test_count_vector_json_roundtrip():
     assert all(isinstance(t, str) for t in count_vector_to_json(vec))
 
 
+def test_decimal_str_past_the_str_limit_matches_decimal():
+    # str(int) stops at 4300 digits; the split conversion gives Decimal's
+    # digits at every length, across the leaf size and at powers of ten
+    rng = __import__("random").Random(11)
+    for n in (2**4096 - 1, 2**14000, 10**5000 - 1, 10**5000, 3**20000, rng.getrandbits(100_000)):
+        assert decimal_str(n) == str(Decimal(n))
+        assert decimal_str(-n) == str(Decimal(-n))
+
+
+def test_decimal_str_trapped_signal_is_an_invariant_error(monkeypatch):
+    # a context too short to hold the digits rounds the join, and the trap
+    # turns that into an InvariantError rather than wrong digits
+    import decimal
+
+    monkeypatch.setattr(decimal, "MAX_PREC", 50)
+    with pytest.raises(InvariantError, match="decimal conversion"):
+        decimal_str(3**20000)
+
+
 def test_empty_set_counts():
     empty = Subset(7, 0)
     assert s_k_count(Subset.interval(7, 3).intersection(empty), 2) == 0
@@ -247,6 +268,34 @@ def test_power_sigma_at_p61_all_ones_exponents(k):
         assert s_k_count(a, k) == sum(sigma[x] for x in a.members())
 
 
+# --- the squaring: n*n mod 2^bits - 1 by halving the modulus --------------------
+
+PRIMES_TO_61 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+@st.composite
+def square_operands(draw, max_nb):
+    """(n, bits) at a chain's width bits = 8*nb*p: n is 0, 1, 2^bits - 2,
+    2^bits - 1 (zero mod 2^bits - 1) or any value below 2^bits."""
+    bits = 8 * draw(st.integers(1, max_nb)) * draw(st.sampled_from(PRIMES_TO_61))
+    top = (1 << bits) - 1
+    return draw(st.sampled_from((0, 1, top - 1, top)) | st.integers(0, top)), bits
+
+
+@pytest.mark.parametrize("threshold, max_nb", [(0, 64), (RECENTRE_BYTES, 200)])
+@settings(CASES, max_examples=150)
+@given(st.data())
+def test_square_matches_the_fold(threshold, max_nb, data):
+    # threshold 0 halves every even width down to an odd one; at the chain's
+    # own threshold only operands past 8*RECENTRE_BYTES bits are halved
+    n, bits = data.draw(square_operands(max_nb))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "RECENTRE_BYTES", threshold)
+        got = _square(n, bits)
+    assert 0 <= got < 1 << bits
+    assert (got - _fold(n * n, bits)) % ((1 << bits) - 1) == 0
+
+
 def test_narrow_slot_is_an_invariant_error(monkeypatch):
     # a slot one byte short carries into its neighbour: the entries then
     # fall short of |A|^k (or of the product of the sizes), and power_sigma
@@ -282,12 +331,11 @@ def test_centred_chain_matches_brute_powers(threshold, a, k):
         if k >= 2:
             assert s_k_count(a, k) == s_k
         # the sweep's start adds the offset back: row[t] is entry -(k-1)t of
-        # the correlation, sum_{y in A} sigma^(k)(y - (k-1)t) (searches sweep
-        # sets of 1 <= a <= p - 1 only)
-        if a.size:
-            (row,), = _translate_rows([a], [k])
-            assert list(row) == [sum(sigma[(y - (k - 1) * t) % a.p] for y in a.members())
-                                 for t in range(a.p)]
+        # the correlation, sum_{y in A} sigma^(k)(y - (k-1)t) (the empty set's
+        # all-zero row included)
+        (row,), = _translate_rows([a], [k])
+        assert list(row) == [sum(sigma[(y - (k - 1) * t) % a.p] for y in a.members())
+                             for t in range(a.p)]
     if k >= 2 and a.size ** k <= 3**8:
         assert s_k == brute_s_k(a, k)
 
