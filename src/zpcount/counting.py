@@ -371,14 +371,16 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
 DECIMAL_LEAF_BITS = 4096
 
 
-def decimal_str(n: int) -> str:
+def decimal_str(n: int, powers: dict | None = None) -> str:
     """A count in decimal, at any size.  str(int) refuses more than
     sys.get_int_max_str_digits() digits (4300 by default), and Decimal(n) has
     no such limit but takes quadratic time (0.27 s at 490 kbit, 4.5 s at
     2 Mbit).  So past str's limit n = hi*2^h + lo is split by bits, both
     halves are converted recursively and joined by decimal's exact multiply
     and add, subquadratic for large operands (28 ms and 140 ms).  decimal is
-    imported only then; a rounded or inexact result raises InvariantError."""
+    imported only then; a rounded or inexact result raises InvariantError.
+    The powers 2^h are kept in powers, a memo h -> Decimal that the
+    conversions of several counts of one width may share."""
     try:
         return str(n)
     except ValueError:
@@ -387,7 +389,8 @@ def decimal_str(n: int) -> str:
 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                           traps=[decimal.Inexact, decimal.Rounded])
-    powers = {}  # h -> 2^h
+    if powers is None:
+        powers = {}
 
     def convert(x: int, w: int) -> decimal.Decimal:
         """0 <= x < 2^w."""
@@ -408,5 +411,7 @@ def decimal_str(n: int) -> str:
 
 
 def count_vector_to_json(v: CountVector) -> list[str]:
-    """Entries as decimal strings: they routinely exceed 2^53."""
-    return [decimal_str(x) for x in v]
+    """Entries as decimal strings: they routinely exceed 2^53.  The entries
+    of one vector are of nearly one width, so they share the powers 2^h."""
+    powers: dict = {}
+    return [decimal_str(x, powers) for x in v]

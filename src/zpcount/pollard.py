@@ -7,9 +7,11 @@ interval configurations of the same sizes are the exact lower bound against
 which arbitrary configurations are compared.
 
 Each repeated question is answered once: one cached profile per tail (and per
-tuple of interval sizes), and one cached extremality record per (head size,
-tail), holding N_{r0+1}, N_{r0} and the tie at r0, so a head is checked by
-two word operations.
+tuple of interval sizes), r0 once per size vector, the classifier's facts that
+no r0 changes once per ordered pair, and one cached extremality record per
+(head size, tail), holding N_{r0+1}, the complement of N_{r0} and the tie at
+r0, so a head is checked by two word operations.  Every entry point checks
+its tail's moduli in the one loop that builds the cache key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InvariantError, Subset, _Record, _rotate, _run_count, prime_context
+from .core import InvariantError, Subset, _dilate_mask, _Record, _rotate, _run_count, prime_context
 from .counting import CountVector, sigma_vector
 
 
@@ -34,8 +36,9 @@ class ThresholdProfile(_Record):
     def __init__(self, p: int, masks: tuple[int, ...]) -> None:
         if not masks or masks[0] != prime_context(p).full_mask or masks[-1] != 0:
             raise InvariantError("level sets must run from Z_p down to the empty set")
-        if any(inner & ~outer for outer, inner in zip(masks, masks[1:])):
-            raise InvariantError("level sets must be nested")
+        for outer, inner in zip(masks, masks[1:]):
+            if inner & ~outer:
+                raise InvariantError("level sets must be nested")
         n = tuple([x.bit_count() for x in masks])
         setfield = object.__setattr__
         setfield(self, "p", p)
@@ -58,7 +61,10 @@ class ThresholdProfile(_Record):
 
     def partial_sum(self, r: int) -> int:
         """sum_{i=1}^{r} n_i (terms beyond r_max are zero)."""
-        return self._sums[min(r, self.r_max)]
+        if r < 0:
+            raise ValueError("r must be nonnegative")
+        sums = self._sums
+        return sums[r] if r < len(sums) else sums[-1]
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": list(self.n), "r_max": self.r_max}
@@ -81,11 +87,24 @@ def _tail_profile(p: int, masks: tuple[int, ...]) -> ThresholdProfile:
     return profile_from_sigma(p, sigma_vector([Subset(p, m) for m in masks]))
 
 
+def _tail_key(sets: Sequence[Subset], p: int) -> tuple[int, ...] | None:
+    """The tail's masks, its cache key, or None if a set is not modulo p: one
+    plain loop, run by every entry point before any cache lookup."""
+    masks = []
+    for s in sets:
+        if s.p != p:
+            return None
+        masks.append(s.mask)
+    return tuple(masks)
+
+
 def threshold_profile(sets: Sequence[Subset]) -> ThresholdProfile:
     """Level sets of the tail A_1, ..., A_k, cached per (p, tail masks)."""
-    if not sets or any(s.p != sets[0].p for s in sets):
+    p = sets[0].p if sets else 0
+    masks = _tail_key(sets, p)
+    if not masks:
         raise ValueError("need at least one factor set, all with the same modulus")
-    return _tail_profile(sets[0].p, tuple(s.mask for s in sets))
+    return _tail_profile(p, masks)
 
 
 def threshold_set(sets: Sequence[Subset], r: int) -> Subset:
@@ -119,10 +138,14 @@ def critical_r0(a_sizes: Sequence[int], p: int) -> int:
         raise ValueError(f"critical index needs 0 < a_0 < p, got a_0={a0}")
     if any(not 0 <= a <= p for a in rest):
         raise ValueError("factor sizes must lie in [0, p]")
-    prof = interval_profile(p, rest)
-    bound = p - a0
-    r = 0
-    while prof.n_r(r + 1) > bound:
+    return _interval_r0(p, a0, rest)
+
+
+@lru_cache(maxsize=256)
+def _interval_r0(p: int, a0: int, rest: tuple[int, ...]) -> int:
+    """critical_r0 of the checked sizes a_0, rest."""
+    prof, r = interval_profile(p, rest), 0
+    while prof.n_r(r + 1) > p - a0:
         r += 1
     return r
 
@@ -132,7 +155,7 @@ def pollard_lhs_rhs(sets: Sequence[Subset], r: int) -> tuple[int, int]:
     if r < 1:
         raise ValueError("partial sums need r >= 1")
     prof = threshold_profile(sets)
-    iprof = interval_profile(sets[0].p, tuple(s.size for s in sets))
+    iprof = interval_profile(prof.p, tuple([s.mask.bit_count() for s in sets]))
     return prof.partial_sum(r), iprof.partial_sum(r)
 
 
@@ -176,14 +199,25 @@ class EqualityCase(_Record):
         }
 
 
-def _reflection_point(a1: Subset, a2: Subset) -> int | None:
+def _reflection_point(p: int, m1: int, m2: int) -> int | None:
     """g such that A_2 = g - A_1, unique if it exists (p prime)."""
-    p, full = a1.p, prime_context(a1.p).full_mask
-    neg = a1.reflect().mask
-    for g in range(p):
-        if _rotate(neg, g, p, full) == a2.mask:
-            return g
-    return None
+    neg, full = _dilate_mask(m1, p - 1, p), prime_context(p).full_mask
+    return next((g for g in range(p) if _rotate(neg, g, p, full) == m2), None)
+
+
+@lru_cache(maxsize=256)  # a sweep classifies one pair at every r0 before the next
+def _pair_facts(p: int, m1: int, m2: int) -> tuple[int | None, int | None, int | None]:
+    """The pair's facts that no r0 changes: reflection point (if |A_1| = |A_2|),
+    complement-reflection point (if |A_1| + |A_2| = p), least common difference."""
+    s1, s2 = m1.bit_count(), m2.bit_count()
+    full = prime_context(p).full_mask
+    g = _reflection_point(p, m1, m2) if s1 == s2 else None
+    gc = _reflection_point(p, m1 ^ full, m2) if s1 + s2 == p else None
+    # both sets are proper and nonempty here, so each is an arithmetic
+    # progression of difference d iff it is one run along d
+    d = next((x for x in range(1, p)
+              if _run_count(m1, x, p, full) == 1 == _run_count(m2, x, p, full)), None)
+    return g, gc, d
 
 
 def classify_equality_k2(a1: Subset, a2: Subset, r0: int) -> EqualityCase:
@@ -199,50 +233,41 @@ def classify_equality_k2(a1: Subset, a2: Subset, r0: int) -> EqualityCase:
     n_1 = p - 1 matches the interval value.  No list without it survives an
     exhaustive sweep at p = 7.
     """
-    p = a1.p
+    p, m1, m2 = a1.p, a1.mask, a2.mask
     if a2.p != p:
         raise ValueError("mismatched moduli")
-    s1, s2 = a1.size, a2.size
+    s1, s2 = m1.bit_count(), m2.bit_count()
     if not 1 <= r0 <= s1 <= s2 < p:
         raise ValueError(f"need 1 <= r0 <= |A_1| <= |A_2| < p, got r0={r0}, sizes=({s1},{s2})")
+    g, gc, d = _pair_facts(p, m1, m2)
+    g = g if s1 == r0 + 1 else None  # found only when s1 == s2
+    gc = gc if r0 == 1 else None  # found only when s1 + s2 == p
     matches: list[EqualityTag] = []
-    g: int | None = None
-    gc: int | None = None
     if r0 == s1:
         matches.append(EqualityTag.R0_EQUALS_A1)
     if s1 + s2 >= p + r0:
         matches.append(EqualityTag.LARGE_SUM)
-    if s1 == s2 == r0 + 1:
-        g = _reflection_point(a1, a2)
-        if g is not None:
-            matches.append(EqualityTag.REFLECTION_PAIR)
-    if r0 == 1 and s1 + s2 == p:
-        gc = _reflection_point(a1.complement(), a2)
-        if gc is not None:
-            matches.append(EqualityTag.COMPLEMENT_REFLECTION_PAIR)
-    # the least common difference: both sets are proper and nonempty here, so
-    # each is an arithmetic progression of difference d iff it is one run along d
-    full = prime_context(p).full_mask
-    d = next((x for x in range(1, p)
-              if _run_count(a1.mask, x, p, full) == 1 == _run_count(a2.mask, x, p, full)), None)
+    if g is not None:
+        matches.append(EqualityTag.REFLECTION_PAIR)
+    if gc is not None:
+        matches.append(EqualityTag.COMPLEMENT_REFLECTION_PAIR)
     if d is not None:
         matches.append(EqualityTag.COMMON_DIFFERENCE_APS)
     tag = matches[0] if matches else EqualityTag.NONE
-    return EqualityCase(tag, tuple(matches), reflection_point=g,
-                        complement_point=gc, common_difference=d)
+    return EqualityCase(tag, tuple(matches), g, gc, d)
 
 
 @lru_cache(maxsize=256)  # a sweep checks every head size against one tail before the next
 def _extremality_record(p: int, a0: int, masks: tuple[int, ...]) -> tuple[int, int, bool]:
-    """(N_{r0+1}, N_{r0}, partial sums tie at r0) for heads of size a0 against
-    the tail masks; the tie holds trivially at r0 = 0."""
-    sizes = (a0,) + tuple(m.bit_count() for m in masks)
+    """(N_{r0+1}, Z_p minus N_{r0}, partial sums tie at r0) for heads of size
+    a0 against the tail masks; the tie holds trivially at r0 = 0."""
+    sizes = (a0,) + tuple([m.bit_count() for m in masks])
     if any(not 1 <= a <= p - 1 for a in sizes):
         raise ValueError("extremality conditions need all sizes in [1, p-1]")
     r0 = critical_r0(sizes, p)
     prof = _tail_profile(p, masks)
     tie = r0 == 0 or prof.partial_sum(r0) == interval_profile(p, sizes[1:]).partial_sum(r0)
-    return prof.mask(r0 + 1), prof.mask(r0), tie
+    return prof.mask(r0 + 1), prof.masks[0] ^ prof.mask(r0), tie
 
 
 def check_extremality_conditions(a0: Subset, sets: Sequence[Subset]) -> tuple[bool, bool, bool]:
@@ -251,12 +276,12 @@ def check_extremality_conditions(a0: Subset, sets: Sequence[Subset]) -> tuple[bo
     All three hold together exactly when the configuration minimizes the
     tuple count among configurations of its sizes.  Sizes must lie in [1, p-1].
     """
-    p = a0.p
-    if any(s.p != p for s in sets):
+    p, head = a0.p, a0.mask
+    masks = _tail_key(sets, p)
+    if masks is None:
         raise ValueError("mismatched moduli")
-    above, level, tie = _extremality_record(p, a0.size, tuple(s.mask for s in sets))
-    head = a0.mask
-    return head & above == 0, head | level == (1 << p) - 1, tie
+    above, outside, tie = _extremality_record(p, head.bit_count(), masks)
+    return head & above == 0, head & outside == outside, tie
 
 
 def optimal_interval_translate(a_sizes: Sequence[int], p: int) -> int:

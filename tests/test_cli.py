@@ -780,6 +780,11 @@ _BROKEN = {
     "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",
                            "lambda p, sigma: M.ThresholdProfile(p, ((1 << p) - 1, 1, 2, 0))",
                            ["pollard", "--p", "7", "--sizes", "3,2,2"]),
+    # the same in set mode, where the tail's own profile is thresholded too
+    "non_nested_profile_sets": ("zpcount.pollard", "profile_from_sigma",
+                                "lambda p, sigma: M.ThresholdProfile(p, ((1 << p) - 1, 1, 2, 0))",
+                                ["pollard", "--p", "7", "--a0", "3", "--set", "0,1",
+                                 "--set", "0,2,3"]),
 }
 
 

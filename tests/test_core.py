@@ -133,7 +133,7 @@ def test_reflection_point_matches_a_scan_over_g():
             a2 = Subset(p, m2)
             hits = [g for g in range(p)
                     if Subset.from_residues(p, ((g - x) % p for x in a1.members())) == a2]
-            assert _reflection_point(a1, a2) == (hits[0] if hits else None), (m1, m2)
+            assert _reflection_point(p, m1, m2) == (hits[0] if hits else None), (m1, m2)
 
 
 PRIMES_BELOW_64 = tuple(n for n in range(64) if is_odd_prime(n))

@@ -148,6 +148,21 @@ def test_decimal_str_past_the_str_limit_matches_decimal():
         assert decimal_str(-n) == str(Decimal(-n))
 
 
+def test_count_vector_json_shares_the_powers_past_the_str_limit():
+    # one vector's entries of several widths past str's limit, between small
+    # ones: the conversions share one memo of the powers 2^h and still give
+    # Decimal's digits
+    rng = __import__("random").Random(12)
+    vec = (0, 7, 2**60, *(rng.getrandbits(w) | 1 << (w - 1) for w in
+                          (30_000, 30_001, 45_000, 60_000, 60_000, 90_000)), 3**20000)
+    assert count_vector_to_json(vec) == [str(Decimal(x)) for x in vec]
+    powers: dict = {}
+    decimal_str(vec[3], powers)
+    filled = dict(powers)
+    assert filled and decimal_str(vec[4], powers) == str(Decimal(vec[4]))
+    assert powers == filled  # an entry one bit wider found every power it needs
+
+
 def test_decimal_str_trapped_signal_is_an_invariant_error(monkeypatch):
     # a context too short to hold the digits rounds the join, and the trap
     # turns that into an InvariantError rather than wrong digits

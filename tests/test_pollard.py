@@ -6,7 +6,7 @@ from zpcount import (
     pollard_lhs_rhs, sigma_vector, threshold_profile, threshold_set,
 )
 from zpcount import pollard
-from zpcount.pollard import EqualityTag, profile_from_sigma
+from zpcount.pollard import EqualityCase, EqualityTag, profile_from_sigma
 
 from conftest import brute_sigma
 
@@ -26,6 +26,16 @@ def test_threshold_profile_by_hand():
     # N_4 is the 8-element set (x=2 drops out: sigma(2) = 3)
     assert threshold_set([a, a], 4).members() == (1, 3, 4, 5, 6, 7, 8, 9)
     assert sigma_vector([a, a])[2] == 3
+
+
+def test_partial_sum_rejects_a_negative_index():
+    # a negative r once indexed the partial sums from the end: r = -1 read
+    # the full sum, 12 for intervals of sizes 3 and 4 at p = 7
+    prof = threshold_profile([Subset.interval(7, 3), Subset.interval(7, 4)])
+    assert prof.partial_sum(0) == 0 and prof.partial_sum(prof.r_max + 5) == 12
+    for r in (-1, -prof.r_max - 1):
+        with pytest.raises(ValueError, match=r"^r must be nonnegative$"):
+            prof.partial_sum(r)
 
 
 def test_profile_sorted_and_consistent(rng):
@@ -216,13 +226,39 @@ def test_extremality_guards():
         check_extremality_conditions(Subset(7, (1 << 7) - 1), [Subset.interval(7, 3)] * 2)
 
 
+def _pollard_caches() -> list:
+    """Every memo of the pollard layer, found by attribute scan."""
+    return [f for f in vars(pollard).values()
+            if callable(getattr(f, "cache_clear", None)) and f.__module__ == pollard.__name__]
+
+
+def test_pollard_caches_are_bounded():
+    caches = _pollard_caches()
+    assert {c.__name__ for c in caches} >= {"_extremality_record", "_tail_profile",
+                                             "interval_profile", "_pair_facts"}
+    assert all(c.cache_info().maxsize is not None for c in caches)
+
+
 def test_extremality_rejects_mixed_moduli():
-    caches = (pollard._extremality_record, pollard._tail_profile, pollard.interval_profile)
+    a7, b7 = Subset(7, 0b111), Subset(7, 0b11111)
+    a11, b11 = Subset(11, 0b1111), Subset(11, 0b11111)
+    same = r"^need at least one factor set, all with the same modulus$"
+    calls = [
+        (lambda: check_extremality_conditions(a7, [a11, b11]), r"^mismatched moduli$"),
+        (lambda: check_extremality_conditions(Subset(11, 0b111), [a11, b7]),
+         r"^mismatched moduli$"),
+        (lambda: classify_equality_k2(a7, b11, 1), r"^mismatched moduli$"),
+        (lambda: classify_equality_k2(Subset(11, 0b111), b7, 1), r"^mismatched moduli$"),
+    ]
+    for tail in ([a11, b7], [a7, b11], [a7, a7, a11]):
+        calls += [(lambda tail=tail: threshold_profile(tail), same),
+                  (lambda tail=tail: threshold_set(tail, 1), same),
+                  (lambda tail=tail: pollard_lhs_rhs(tail, 1), same)]
+    caches = _pollard_caches()
     before = [c.cache_info() for c in caches]
-    for head, tail in ((Subset(7, 0b111), [Subset(11, 0b1111), Subset(11, 0b11111)]),
-                       (Subset(11, 0b111), [Subset(11, 0b1111), Subset(7, 0b11111)])):
-        with pytest.raises(ValueError, match="^mismatched moduli$"):
-            check_extremality_conditions(head, tail)
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
     assert [c.cache_info() for c in caches] == before  # raised before any lookup
 
 
@@ -255,6 +291,93 @@ def test_extremality_record_is_keyed_on_head_size_and_tail(rng, p, k):
             assert check_extremality_conditions(head, tail) == \
                 _extremality_from_scratch(head, tail), (head, tail)
         assert pollard._extremality_record.cache_info().misses == len(sizes)
+
+
+def _levels_from_scratch(p, sig):
+    """N_0, ..., N_{max sigma + 1} as masks, one residue at a time."""
+    return tuple(sum(1 << x for x in range(p) if sig[x] >= r) for r in range(max(sig) + 2))
+
+
+def _partial(sig, r):
+    """sum_{i=1}^{r} #{x : sigma(x) >= i}."""
+    return sum(sum(v >= i for v in sig) for i in range(1, r + 1))
+
+
+def _classification_from_scratch(a1, a2, r0):
+    """The classifier's cases by their definitions, on member sets."""
+    p, s1, s2 = a1.p, a1.size, a2.size
+    m1, m2 = set(a1.members()), set(a2.members())
+
+    def point(src):  # g with A_2 = g - src
+        return next((g for g in range(p) if {(g - x) % p for x in src} == m2), None)
+
+    def progression(members, d):
+        return any({(x + i * d) % p for i in range(len(members))} == members for x in members)
+
+    g = point(m1) if s1 == s2 == r0 + 1 else None
+    gc = point(set(range(p)) - m1) if r0 == 1 and s1 + s2 == p else None
+    d = next((d for d in range(1, p) if progression(m1, d) and progression(m2, d)), None)
+    hits = ((r0 == s1, EqualityTag.R0_EQUALS_A1), (s1 + s2 >= p + r0, EqualityTag.LARGE_SUM),
+            (g is not None, EqualityTag.REFLECTION_PAIR),
+            (gc is not None, EqualityTag.COMPLEMENT_REFLECTION_PAIR),
+            (d is not None, EqualityTag.COMMON_DIFFERENCE_APS))
+    matches = tuple(tag for hit, tag in hits if hit)
+    return EqualityCase(matches[0] if matches else EqualityTag.NONE, matches, g, gc, d)
+
+
+def _property_tails(rng):
+    """Tails of 1-3 sets at p = 5, 7, 11: random ones, the same low masks at
+    every p, and pairs built to be reflections and complement-reflections;
+    every pair also reversed, so equal-size pairs reach the classifier in
+    both orders."""
+    tails = []
+    for _ in range(40):
+        p = rng.choice((5, 7, 11))
+        tails.append([random_subset(rng, p) for _ in range(rng.randint(1, 3))])
+    for _ in range(8):
+        masks = [rng.randrange(1, 31) for _ in range(rng.randint(1, 3))]
+        tails += [[Subset(p, m) for m in masks] for p in (5, 7, 11)]
+    for p in (5, 7, 11):
+        for _ in range(3):
+            a = random_subset(rng, p, hi=p - 2)
+            g = rng.randrange(p)
+            tails.append([a, a.reflect().translate(g)])
+            tails.append([a, a.complement().reflect().translate(g)])
+    tails += [tail[::-1] for tail in tails if len(tail) == 2]
+    return tails
+
+
+def test_entry_points_match_brute_force_through_the_caches(rng):
+    # every cache starts empty, then fills and is read again: each answer,
+    # the first and the cached one, is the from-scratch one
+    for cache in _pollard_caches():
+        cache.cache_clear()
+    tails = _property_tails(rng)
+    seen = set()
+    for tail in tails + rng.sample(tails, len(tails)):
+        p = tail[0].p
+        sig = brute_sigma(tail)
+        ivl = brute_sigma([Subset.interval(p, s.size) for s in tail])
+        levels = _levels_from_scratch(p, sig)
+        prof = threshold_profile(tail)
+        assert prof.masks == levels, tail
+        assert prof.n == tuple(m.bit_count() for m in levels)
+        for r in range(len(levels) + 1):
+            assert threshold_set(tail, r).mask == (levels[r] if r < len(levels) else 0)
+        for r in range(1, p + 2):
+            assert pollard_lhs_rhs(tail, r) == (_partial(sig, r), _partial(ivl, r)), (tail, r)
+        for size in rng.sample(range(1, p), min(3, p - 1)):
+            head = random_subset(rng, p, lo=size, hi=size)
+            assert check_extremality_conditions(head, tail) == \
+                _extremality_from_scratch(head, tail), (head, tail)
+        if len(tail) == 2 and tail[0].size <= tail[1].size:
+            a1, a2 = tail
+            for r0 in range(1, a1.size + 1):
+                case = classify_equality_k2(a1, a2, r0)
+                assert case == _classification_from_scratch(a1, a2, r0), (a1, a2, r0)
+                assert (case.tag is EqualityTag.NONE) == (_partial(sig, r0) > _partial(ivl, r0))
+                seen.update(case.matches)
+    assert seen == set(EqualityTag) - {EqualityTag.NONE}  # every case was reached
 
 
 def test_optimal_interval_translate_identity(rng):
