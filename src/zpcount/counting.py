@@ -181,33 +181,40 @@ def _rotate_sum(packed: int, shifts_mask: int, p: int, nb: int) -> int:
     return _fold(total, width * p)
 
 
-def _step(packed: int, nb: int, bound: int, a: Subset) -> tuple[int, int]:
-    """A chain's step by the set a: the packed vector re-slotted to hold
+def _step(packed: int, nb: int, bound: int, p: int, mask: int) -> tuple[int, int]:
+    """A chain's step by the set mask: the packed vector re-slotted to hold
     entries up to bound (never narrowed: an empty factor makes bound 0) and
-    shift-added by a's members, and its slot bytes."""
+    shift-added by the set's members, and its slot bytes."""
     wide = max(nb, _slot_bytes(bound))
-    return _rotate_sum(_reslot(packed, a.p, nb, wide), a.mask, a.p, wide), wide
+    return _rotate_sum(_reslot(packed, p, nb, wide), mask, p, wide), wide
 
 
 def sigma_vector(sets: Sequence[Subset]) -> CountVector:
-    """Tuple-sum multiplicities for one set per factor (k = len(sets) >= 1).
-
-    The packed indicator of sets[0] is stepped by each later set.  Raises
-    InvariantError unless the entries sum to the product of the sizes: a
-    slot too narrow carries into its neighbour and lowers that total."""
+    """Tuple-sum multiplicities for one set per factor (k = len(sets) >= 1),
+    by _sigma_masks once the moduli are checked."""
     if not sets:
         raise ValueError("need at least one factor set")
     p = sets[0].p
     if any(s.p != p for s in sets):
         raise ValueError("mismatched moduli")
-    packed, nb, bound = _pack(indicator(sets[0]), 1), 1, sets[0].size
-    for s in sets[1:]:
-        bound *= s.size
-        packed, nb = _step(packed, nb, bound, s)
+    return _sigma_masks(p, [s.mask for s in sets])
+
+
+def _sigma_masks(p: int, masks: Sequence[int]) -> CountVector:
+    """sigma of the sets with these masks: at least one, each of p bits,
+    which the caller has checked.
+
+    The packed indicator of masks[0] is stepped by each later set.  Raises
+    InvariantError unless the entries sum to the product of the sizes: a
+    slot too narrow carries into its neighbour and lowers that total."""
+    packed, nb, bound = _pack([(masks[0] >> x) & 1 for x in range(p)], 1), 1, masks[0].bit_count()
+    for mask in masks[1:]:
+        bound *= mask.bit_count()
+        packed, nb = _step(packed, nb, bound, p, mask)
     sigma = _unpack(packed, p, nb)
     if sum(sigma) != bound:
         raise InvariantError(
-            f"sigma of {len(sets)} sets (p={p}) does not sum to the product of their sizes"
+            f"sigma of {len(masks)} sets (p={p}) does not sum to the product of their sizes"
         )
     return sigma
 
@@ -246,7 +253,7 @@ def _power_packed(a: Subset, k: int) -> tuple[int, int, int]:
             m = (p * m + 2 * spread) * m
         spread, nb, n = spread * spread, wide, 2 * n
         if bit == "1":
-            packed, nb = _step(packed, nb, spread * size, a)
+            packed, nb = _step(packed, nb, spread * size, p, a.mask)
             m, spread, n = m * size, spread * size, n + 1
     return m, packed, nb
 
@@ -320,16 +327,15 @@ def _translate_rows(reps: Sequence[Subset], ks: Sequence[int]) -> Iterator[list[
     sigma^(ks[0]) = m + e of the chain, e re-slotted and shift-added by -R
     and |R|*m added to every slot (and started again past a gap wider than
     SWEEP_RESTART_GAP), and stepped k -> k+1 by the shift-add by R.  C's
-    entries sum to a^(k+1), so a slot needs (k+1) * bitlen(a) bits: slots
+    entries sum to a^(k+1), so a slot needs _slot_bytes(a^(k+1)): slots
     start at the bytes the first k needs and double (up to the bytes of the
     last k) whenever the next step would overflow them.  The entries read
     right after a start are checked against that sum (the start bypasses
     power_sigma); steps are left to the recount."""
-    p = reps[0].p
-    a_bits = reps[0].size.bit_length()
+    p, size = reps[0].p, reps[0].size
 
     def slot_bytes(k: int) -> int:
-        return max(1, ((k + 1) * a_bits + 7) // 8)
+        return _slot_bytes(size ** (k + 1))
 
     def start(k: int) -> tuple[int, list[int]]:
         nb = slot_bytes(k)

@@ -25,16 +25,16 @@ argument: F_value, the spectral form of the tuple count, reads only
 g = 1..(p-1)/2 and doubles, and t_good_scan flags a dominant term only when
 bounds built from those reads and err, not the bare readings, decide it.
 
-_clusters is the one certified ranking kernel: it sorts values, ties those
-within TIE_MARGIN errors of each other, needs a gap over SEPARATION_MARGIN
-errors between groups, and can stop after the top groups.  The peak
-frequencies of spectral_levels and primary_image and the rho ladder of
-spectral_levels all go through it, ranking integer keys against the integer
-error bound, so every margin comparison is exact and no argument is read;
-mpf values are built only for what is reported.  projection_scores orders
-residues by one exact integer key and checks that order against the same
-two margins, which also bound every lattice clearance (primary_image, the
-angle check).
+_clusters is the one certified ranking kernel: it sorts integer magnitude
+keys, a gap over SEPARATION_MARGIN errors starts a new group, and a closer
+pair shares one only when _coordinates proves the two magnitudes equal, so
+no tie is a numeric judgement; it can stop after the top groups.  The peak
+frequencies of spectral_levels and primary_image (g = 1..(p-1)/2, as p-g
+carries the key of g) and the rho ladder of spectral_levels all go through
+it, against the integer error bound, and no argument is read; mpf values
+are built only for what is reported.  projection_scores groups residues by
+one exact integer key and checks the groups against SEPARATION_MARGIN,
+which also bounds every lattice clearance (primary_image, the angle check).
 
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
@@ -57,22 +57,19 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 import mpmath as mp
 
 from .core import (  # PrecisionError is re-exported from here
-    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, _Record,
+    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, _Record, _rotate,
     orbit_catalog, prime_context,
 )
 
 DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 GUARD_BITS = 32
-# Certified comparisons, in units of the error bound at hand: values within
-# TIE_MARGIN of each other are tied, and a gap must exceed SEPARATION_MARGIN
-# to count as a strict order or a clearance.
-TIE_MARGIN = 4
+# Certified comparisons, in units of the error bound at hand: a gap must
+# exceed SEPARATION_MARGIN to count as a strict order or a clearance.
 SEPARATION_MARGIN = 10
 
 
 _T = TypeVar("_T")
-_V = TypeVar("_V", int, mp.mpf)
 
 
 def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) -> _T:
@@ -243,31 +240,41 @@ def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfi
     return FourierProfile(a, precision, w, err, tuple(sums), keys)
 
 
-def _clusters(
-    pairs: Sequence[tuple[_V, object]], err: _V, depth: int | None = None
-) -> list[list[tuple[_V, object]]] | None:
+def _coordinates(a: Subset, g: int) -> tuple[int, ...]:
+    """r_A(g^-1*e) for e = 1..(p-1)/2, r_A(d) = |A & (A + d)| = r_A(-d): the
+    integer coordinates of |hat1_A(g)|^2, g != 0.  With zeta = exp(2*pi*i/p)
+    and eta_e = zeta^e + zeta^-e (summing to -1 over e = 1..(p-1)/2),
+        |hat1_A(g)|^2 = |A| + sum_{d != 0} r_A(d)*zeta^(gd)
+                      = sum_e (r_A(g^-1*e) - |A|)*eta_e,
+    and the eta_e, sums of disjoint pairs of the basis zeta..zeta^(p-1), are
+    a basis of the real subfield: sets of one size have equal magnitudes at
+    g and g' exactly when these vectors are equal."""
+    p, mask = a.p, a.mask
+    full, inv = prime_context(p).full_mask, pow(g, -1, p)
+    return tuple([(mask & _rotate(mask, inv * e, p, full)).bit_count()
+                  for e in range(1, p // 2 + 1)])
+
+
+def _clusters(pairs: Sequence[tuple[int, int]], err: int, equal: Callable[[int, int], bool],
+              depth: int | None = None) -> list[list[tuple[int, int]]] | None:
     """The one certified ranking: (value, key) pairs sorted by value,
-    largest first, and cut into groups.  Adjacent values within
-    TIE_MARGIN*err share a group, a gap over SEPARATION_MARGIN*err starts the
-    next one, and a gap in between, or a group spread wider than
-    TIE_MARGIN*err, returns None.  Ranking stops once depth groups are
-    closed, so values below them are never resolved.  Values and err are in
-    one unit: the callers pass integer magnitude keys and _coeff_error's
-    integer bound, both in units 2^-w, so every comparison is exact."""
+    largest first, and cut into groups.  A gap over SEPARATION_MARGIN*err
+    starts the next group; closer adjacent values share a group when
+    equal(key, key') proves them equal, and return None otherwise.  Ranking
+    stops once depth groups are closed, so values below them are never
+    resolved.  Values and err are integers in one unit, magnitude keys and
+    _coeff_error's bound in units 2^-w, so every comparison is exact."""
     ranked = sorted(pairs, key=lambda kv: kv[0], reverse=True)
     groups = [[ranked[0]]]
     for prev, cur in zip(ranked, ranked[1:]):
-        diff = prev[0] - cur[0]
-        if diff <= TIE_MARGIN * err:
+        if prev[0] - cur[0] <= SEPARATION_MARGIN * err:
+            if not equal(prev[1], cur[1]):
+                return None
             groups[-1].append(cur)
-        elif diff <= SEPARATION_MARGIN * err:
-            return None
         elif len(groups) == depth:
             break
         else:
             groups.append([cur])
-    if any(g[0][0] - g[-1][0] > TIE_MARGIN * err for g in groups):
-        return None
     return groups
 
 
@@ -319,12 +326,14 @@ def spectral_levels(
         for idx, rep in enumerate(catalog.reps):  # one profile held at a time
             prof = dft_indicator(rep, prec)
             keys = prof.keys
-            peak = _clusters([(keys[g], g) for g in range(1, p)], e, depth=1)
+            peak = _clusters([(keys[g], g) for g in range(1, p // 2 + 1)], e,
+                             lambda g, h: _coordinates(rep, g) == _coordinates(rep, h), depth=1)
             if peak is None:
                 return None
-            attain.append(tuple(sorted(g for _, g in peak[0])))
+            attain.append(tuple(sorted(x for _, g in peak[0] for x in (g, p - g))))
             rho_pairs.append((peak[0][0][0], idx))  # rho: the top group's head
-        clusters = _clusters(rho_pairs, e)
+        clusters = _clusters(rho_pairs, e, lambda i, j: _coordinates(catalog.reps[i], attain[i][0])
+                             == _coordinates(catalog.reps[j], attain[j][0]))
         if clusters is None:
             return None
         keep = clusters[:depth]
@@ -423,7 +432,8 @@ def primary_image(
     def attempt(prec: int) -> tuple[Subset, AffineMap] | None:
         prof = dft_indicator(d, prec)
         err, keys = prof.err, prof.keys
-        peak = _clusters([(keys[g], g) for g in range(1, p)], e, depth=1)
+        peak = _clusters([(keys[g], g) for g in range(1, p // 2 + 1)], e,
+                         lambda g, h: _coordinates(d, g) == _coordinates(d, h), depth=1)
         if peak is None:
             return None
         gamma = min(g for _, g in peak[0])
@@ -441,7 +451,7 @@ def primary_image(
         check = dft_indicator(image, prec)
         with mp.workprec(check.work_prec):
             th1 = _fold(check.argument(1))
-            if not (abs(check.keys[1] - keys[gamma]) <= 6 * e
+            if not (_coordinates(image, 1) == _coordinates(d, gamma)
                     and -(mp.pi / p) - 10 * err < th1 <= mp.pi / p + 10 * err):
                 raise InvariantError(
                     f"primary image {list(image.members())} of {list(d.members())} "
@@ -475,7 +485,9 @@ def projection_scores(
     For theta strictly inside (0, pi/p) the order is 0 > -1 > 1 > -2 > 2 ...;
     for theta in (-pi/p, 0) it is 0 > 1 > -1 > 2 > -2 ...; theta = 0 ties
     {m, -m}; theta = pi/p ties {j, -j-1}; theta = -pi/p ties {j, 1-j}.
-    The numeric ordering is re-verified with margins at the working precision.
+    Groups share |pos|, an exact integer key: exact ties at a certified
+    lattice angle, single residues off it.  Their order is re-verified with
+    SEPARATION_MARGIN at the working precision.
     Sizes 1 and p-1 are rejected: one of the two runner-up shapes needs a
     residue on either side of the top set.
     """
@@ -506,11 +518,9 @@ def projection_scores(
             scores = {j: mp.cos(2 * mp.pi * j / p + th) for j in range(p)}
             # verify the claimed pattern at this precision
             h_err = prof.argument_error(1) + mp.ldexp(mp.mpf(8), -prof.work_prec)
-            tied = all(abs(scores[u] - scores[v]) <= TIE_MARGIN * h_err
-                       for g in groups for u, v in zip(g, g[1:]))
             apart = all(scores[g[-1]] - scores[h[0]] > SEPARATION_MARGIN * h_err
                         for g, h in zip(groups, groups[1:]))
-        if not (tied and apart):
+        if not apart:
             return None
         return th, n, groups, scores, prof.err, prec
 
@@ -747,12 +757,18 @@ def t_good_scan(
     (p-1)*m3^(k+1) for the third-orbit competitors (none when only two
     orbits exist).  The lead is bounded below through m2 - err and
     sin(eps) less s*p*argument_error(1), each competing magnitude above by
-    itself plus its err, and both sides are widened for rounding.
+    itself plus its err, and both sides are widened for rounding.  Raises
+    InvariantError unless the interval alone attains spectral level 1 and
+    the punctured interval alone level 2, as that bound assumes.
     """
     prof, _, _, passed = _punctured_avoidance(p, a, precision)
     if not passed:
         raise PrecisionError(f"lattice avoidance unresolved for p={p}, a={a}")
     levels = spectral_levels(p, a, depth=3, precision=precision)
+    top = [[rep for rep, _ in level] for level in levels.attainers[:2]]
+    if top != [[Subset.interval(p, a).canonical()], [Subset.punctured_interval(p, a).canonical()]]:
+        raise InvariantError(f"the top two spectral levels for p={p}, a={a} are not "
+                             "attained by the interval and the punctured interval alone")
     points: list[TGoodPoint] = []
     with mp.workprec(prof.work_prec):
         err, th_err = prof.err, prof.argument_error(1)

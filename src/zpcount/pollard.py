@@ -22,7 +22,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import InvariantError, Subset, _dilate_mask, _Record, _rotate, _run_count, prime_context
-from .counting import CountVector, sigma_vector
+from .counting import CountVector, _sigma_masks
 
 
 class ThresholdProfile(_Record):
@@ -84,7 +84,7 @@ def profile_from_sigma(p: int, sigma: CountVector) -> ThresholdProfile:
 
 @lru_cache(maxsize=256)  # a sweep reuses one tail across every head and r
 def _tail_profile(p: int, masks: tuple[int, ...]) -> ThresholdProfile:
-    return profile_from_sigma(p, sigma_vector([Subset(p, m) for m in masks]))
+    return profile_from_sigma(p, _sigma_masks(p, masks))
 
 
 def _tail_key(sets: Sequence[Subset], p: int) -> tuple[int, ...] | None:

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpcount import (
-    F_value, Subset, angle_check_punctured, dft_indicator,
+    F_value, InvariantError, Subset, angle_check_punctured, dft_indicator,
     exact_arg_lattice_index, is_odd_prime, optimal_t,
     orbit_catalog, primary_image, projection_scores, s_k_count, spectral_levels,
     t_good_scan, translate_phase_index,
 )
 from zpcount import fourier
-from zpcount.fourier import PrecisionError, _clusters
+from zpcount.fourier import PrecisionError, _clusters, _coordinates
 
 from conftest import brute_dft
 
@@ -203,9 +203,9 @@ def test_rankings_use_the_reported_error_bound(monkeypatch):
     errs = []
     real = fourier._clusters
 
-    def spy(pairs, err, depth=None):
+    def spy(pairs, err, equal, depth=None):
         errs.append(err)
-        return real(pairs, err, depth)
+        return real(pairs, err, equal, depth)
 
     monkeypatch.setattr(fourier, "_clusters", spy)
     w = 64 + fourier.GUARD_BITS
@@ -335,19 +335,91 @@ def test_projection_scores_pinned_orderings(members, index, sign, groups, tops, 
 
 
 def test_clusters_ties_separates_and_stops_at_depth():
-    # with err = 1: gaps <= 4 tie, gaps > 10 separate, anything between is
-    # unresolved; depth stops the ranking before the unresolved 50 / 44 gap
-    pairs = [(mp.mpf(v), key) for v, key in ((80, "c"), (100, "a"), (44, "e"), (97, "b"),
-                                             (50, "d"))]
-    one = mp.mpf(1)
-    assert _clusters(pairs, one, depth=1) == [[pairs[1], pairs[3]]]
-    assert _clusters(pairs, one, depth=2) == [[pairs[1], pairs[3]], [pairs[0]]]
-    assert _clusters(pairs, one, depth=3) is None
-    assert _clusters(pairs, one) is None
-    assert _clusters(pairs[:4], one) == [[pairs[1], pairs[3]], [pairs[0]], [pairs[2]]]
-    # adjacent ties that drift wider than the tie margin are unresolved
-    drift = [(mp.mpf(v), v) for v in (100, 97, 94)]
-    assert _clusters(drift, one, depth=1) is None
+    # with err = 1: gaps > 10 separate; a closer pair ties when equal proves
+    # it and is unresolved otherwise, however close; depth stops the ranking
+    # before the unresolved 50 / 44 gap
+    pairs = [(80, 3), (100, 1), (44, 5), (97, 2), (50, 4)]
+
+    def equal(i, j):
+        return {i, j} == {1, 2}
+
+    assert _clusters(pairs, 1, equal, depth=1) == [[(100, 1), (97, 2)]]
+    assert _clusters(pairs, 1, equal, depth=2) == [[(100, 1), (97, 2)], [(80, 3)]]
+    assert _clusters(pairs, 1, equal, depth=3) is None
+    assert _clusters(pairs, 1, equal) is None
+    assert _clusters(pairs[:4], 1, equal) == [[(100, 1), (97, 2)], [(80, 3)], [(44, 5)]]
+    # an equal pair 7 errors apart ties (the margins once left it unresolved),
+    # and a pair 1 error apart that equal does not prove stays unresolved
+    assert _clusters([(100, 1), (93, 2)], 1, equal) == [[(100, 1), (93, 2)]]
+    assert _clusters([(100, 1), (99, 3)], 1, equal, depth=1) is None
+    # equal is asked only about pairs within the margin
+    asked = []
+    _clusters(pairs[:4], 1, lambda i, j: asked.append((i, j)) or True)
+    assert asked == [(1, 2)]
+
+
+def _forge_near_tie(monkeypatch, target, freqs, to_key):
+    """dft_indicator with target's keys at freqs (and their mirrors) set to
+    to_key(profile, precision) less 3 errors, within 4 errors of it."""
+    real = fourier.dft_indicator
+
+    def dft(a, precision=fourier.DEFAULT_PRECISION):
+        prof = real(a, precision)
+        if a != target:
+            return prof
+        keys = list(prof.keys)
+        near = to_key(prof, precision) - 3 * fourier._coeff_error(a.size)
+        for g in freqs:
+            keys[g] = keys[a.p - g] = near
+        return fourier.FourierProfile(a, prof.precision, prof.work_prec, prof.err,
+                                      prof.sums, tuple(keys))
+
+    monkeypatch.setattr(fourier, "dft_indicator", dft)
+
+
+_P13_3 = Subset.punctured_interval(13, 3)  # {0, 1, 3}: level 2 of (13, 3)
+_Q13_3 = Subset.from_residues(13, (0, 1, 4))  # level 3, peak at 1, 3, 4, 9, 10, 12
+
+
+@pytest.mark.parametrize("case", ["primary-peak", "levels-peak", "levels-rho"])
+def test_near_tie_of_unequal_magnitudes_never_ties(monkeypatch, case):
+    # Keys within 4 errors of each other whose true magnitudes differ (their
+    # coordinates do): the ranking must escalate, and with the forgery at
+    # every rung, end in PrecisionError; the margins once tied them.
+    if case == "levels-rho":
+        assert _coordinates(_P13_3, 1) != _coordinates(_Q13_3, 1)
+        _forge_near_tie(monkeypatch, _Q13_3, (1, 3, 4),
+                        lambda prof, prec: fourier.dft_indicator(_P13_3, prec).keys[1])
+    else:
+        assert _coordinates(_P13_3, 1) != _coordinates(_P13_3, 4)
+        _forge_near_tie(monkeypatch, _P13_3, (4,), lambda prof, prec: prof.keys[1])
+    with pytest.raises(PrecisionError, match="at 4096 bits"):
+        if case == "primary-peak":
+            primary_image(_P13_3, 64)
+        else:
+            spectral_levels(13, 3, precision=64)
+
+
+@CASES
+@given(st.data())
+def test_coordinates_decide_equal_magnitudes(data):
+    # Equal coordinates exactly when the oracle's magnitudes agree: distinct
+    # magnitudes of sets this small differ far more than 2^-900.  Half the
+    # cases compare a set with an affine image at the frequency that maps to
+    # g, which has its magnitude.
+    p = data.draw(st.sampled_from([q for q in PRIMES if q <= 23]))
+    size = data.draw(st.integers(1, p - 1))
+    residues = st.lists(st.integers(0, p - 1), min_size=size, max_size=size, unique=True)
+    a = Subset.from_residues(p, data.draw(residues))
+    g = data.draw(st.integers(1, p - 1))
+    if data.draw(st.booleans()):
+        xi, eta = data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, p - 1))
+        b, h = a.dilate(xi).translate(eta), g * pow(xi, -1, p) % p
+    else:
+        b, h = Subset.from_residues(p, data.draw(residues)), data.draw(st.integers(1, p - 1))
+    with mp.workprec(1024):
+        close = abs(abs(brute_dft(a, 256)[g]) - abs(brute_dft(b, 256)[h])) < mp.mpf(2) ** -900
+    assert (_coordinates(a, g) == _coordinates(b, h)) == close
 
 
 @pytest.mark.parametrize("p, a", [(7, 1), (7, 6), (11, 10)])
@@ -603,6 +675,25 @@ def test_t_good_scan_dominance_is_certified(monkeypatch):
     monkeypatch.setattr(fourier, "_coeff_error", lambda a: 1 << (128 + fourier.GUARD_BITS - 10))
     scan = t_good_scan(13, 5, [-1], precision=128)
     assert [(pt.k, pt.cos_sign, pt.dominant) for pt in scan.points] == [(40, -1, False)]
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_t_good_scan_refuses_another_top_attainer(monkeypatch, level):
+    # dominance bounds every orbit but the interval and the punctured
+    # interval by m3, so a forged second attainer of level 1 or 2 must raise
+    real = fourier.spectral_levels
+
+    def forged(p, a, depth=3, precision=fourier.DEFAULT_PRECISION):
+        lv = real(p, a, depth, precision)
+        at = list(lv.attainers)
+        at[level] += at[2]
+        return fourier.SpectralLevels(lv.p, lv.a, lv.levels, tuple(at), lv.err,
+                                      lv.precision, lv.min_gap_over_err)
+
+    assert t_good_scan(13, 3, [-1]).points
+    monkeypatch.setattr(fourier, "spectral_levels", forged)
+    with pytest.raises(InvariantError, match="top two spectral levels for p=13, a=3"):
+        t_good_scan(13, 3, [-1])
 
 
 def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
