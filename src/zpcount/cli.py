@@ -1,11 +1,11 @@
 """Command-line surface: every library operation behind one executable.
 
 Every command computes in one process, from scratch.  Outputs are
-deterministic JSON (sorted keys; the only wall-clock fields are the elapsed
-times stored inside reports), CSV with fixed versioned columns, or a short
-human summary.  Each JSON document embeds the command and its parameters so
-`recheck FILE` can re-run the computation and confirm the stored result
-byte-for-byte (elapsed excluded).
+deterministic JSON (sorted keys; reports carry no clock, and the only time
+in the output is the "elapsed" that _timed stamps on each search's JSON), CSV
+with fixed versioned columns, or a short human summary.  Each JSON document
+embeds the command and its parameters so `recheck FILE` can re-run the
+computation and confirm the stored result byte-for-byte (elapsed excluded).
 
 Every command but recheck takes --p, and the one prime guard checks it
 before any set literal is read; recheck applies the same guard to the
@@ -35,6 +35,7 @@ import argparse
 import itertools
 import json
 import sys
+import time
 
 from .core import (
     VERSION, InvariantError, PrecisionError, Subset, enumeration_guard, is_odd_prime,
@@ -210,15 +211,21 @@ def _run_angle_check(params: dict) -> dict:
             "all_passed": all(c["passed"] and c["branch_ok"] for c in checks)}
 
 
+def _timed(build, *args, **kwargs) -> dict:
+    """The JSON of build(*args, **kwargs)'s report, stamped with "elapsed",
+    the call's wall time in seconds: the one clock the CLI reads."""
+    start = time.perf_counter()
+    report = build(*args, **kwargs)
+    return {**report.to_json(), "elapsed": round(time.perf_counter() - start, 6)}
+
+
 def _run_minimize(params: dict) -> dict:
     p = params["p"]
     if params.get("sizes"):
-        report = minimize_s_general(p, params["sizes"], mode=params.get("mode", "auto"))
-    else:
-        if params.get("a") is None or params.get("k") is None:
-            raise ValueError("minimize needs --a with --k, or --sizes")
-        report = minimize_sk(p, params["a"], params["k"], method=params.get("method", "auto"))
-    return report.to_json()
+        return _timed(minimize_s_general, p, params["sizes"], mode=params.get("mode", "auto"))
+    if params.get("a") is None or params.get("k") is None:
+        raise ValueError("minimize needs --a with --k, or --sizes")
+    return _timed(minimize_sk, p, params["a"], params["k"], method=params.get("method", "auto"))
 
 
 def _run_verify(params: dict) -> dict:
@@ -229,23 +236,23 @@ def _run_verify(params: dict) -> dict:
             k = params.get("k")
             if k is None:
                 raise ValueError("--all-sizes needs --k")
-            verdicts = [verify_thm_interval_extremal(p, sizes)
+            verdicts = [_timed(verify_thm_interval_extremal, p, sizes)
                         for sizes in itertools.product(range(1, p + 1), repeat=k + 1)]
-            return {"p": p, "k": k, "all_passed": all(v.passed for v in verdicts),
-                    "verdicts": [v.to_json() for v in verdicts]}
+            return {"p": p, "k": k, "all_passed": all(v["passed"] for v in verdicts),
+                    "verdicts": verdicts}
         if not params.get("sizes"):
             raise ValueError("verify thm1 needs --sizes or --all-sizes")
-        return verify_thm_interval_extremal(p, params["sizes"]).to_json()
+        return _timed(verify_thm_interval_extremal, p, params["sizes"])
     if which in ("thm3", "thm5"):
         bound = "k_max" if which == "thm3" else "s_max"
         if params.get("a") is None or params.get(bound) is None:
             raise ValueError(f"verify {which} needs --a and --{bound.replace('_', '-')}")
     if which == "thm3":
         ks = range(max(params.get("k_min", 2), 2), params["k_max"] + 1)
-        return verify_thm_knot1(p, params["a"], [k for k in ks if k % p != 1]).to_json()
+        return _timed(verify_thm_knot1, p, params["a"], [k for k in ks if k % p != 1])
     if which == "thm5":
         lo, hi = params.get("s_min", 1), params["s_max"]
-        return verify_thm_k1(p, params["a"], range(lo, hi + 1)).to_json()
+        return _timed(verify_thm_k1, p, params["a"], range(lo, hi + 1))
     if which == "cor7":
         return _verify_cor7(p)
     raise ValueError(f"unknown claim {which!r}")
@@ -273,11 +280,8 @@ def _verify_cor7(p_max: int) -> dict:
 
 
 def _run_scan_k0(params: dict) -> dict:
-    return scan_k0(
-        params["p"], params["a"], params["mode"],
-        k_limit=params.get("k_limit", 500),
-        window=params.get("window"),
-    ).to_json()
+    return _timed(scan_k0, params["p"], params["a"], params["mode"],
+                  k_limit=params.get("k_limit", 500), window=params.get("window"))
 
 
 def _run_orbits(params: dict) -> dict:

@@ -36,7 +36,9 @@ from typing import Iterable, Iterator
 
 VERSION = "0.1.0"  # reported by `zpcount --version` and as zpcount.__version__
 
-MAX_P = 64  # subsets must fit a machine-word-sized membership word
+# p < 64 is assumed by two bounds in fourier, F_value's summation slop and
+# t_good_scan's p*theta < 400; masks are Python ints of any width
+MAX_P = 64
 ORBIT_ENUM_GUARD = 10**8  # refuse catalogs with more than this many subsets
 
 

@@ -22,12 +22,12 @@ used to predict, never to decide.  The predicted translates come from
 optimal_t, which places the dominant spectral term's phase on the (pi/p)*Z
 lattice by integer arithmetic alone, so this layer never imports
 zpcount.fourier.  Every search runs in process and from scratch; nothing is
-read from or written to disk.
+read from or written to disk, and no clock is read: a report recomputed
+compares equal, and the CLI stamps the wall time ("elapsed") on its JSON.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import product
 from math import comb, inf, prod
 from typing import Iterable, Iterator, Sequence
@@ -58,7 +58,7 @@ class SearchReport(_Record):
     """
 
     __slots__ = _fields = ("p", "sizes", "k", "min_value", "extremal_orbits", "extremal_kind",
-                           "method", "elapsed", "checked", "extremal_configs", "attainer_count")
+                           "method", "checked", "extremal_configs", "attainer_count")
     _defaults = {"extremal_configs": (), "attainer_count": 0}
 
     def to_json(self) -> dict:
@@ -70,7 +70,6 @@ class SearchReport(_Record):
             "extremal_orbits": [list(s.members()) for s in self.extremal_orbits],
             "extremal_kind": self.extremal_kind,
             "method": self.method,
-            "elapsed": round(self.elapsed, 6),
             "checked": self.checked,
         }
         if self.extremal_configs:
@@ -97,7 +96,7 @@ class PointVerdict(_Record):
 class TheoremVerdict(_Record):
     """Point-by-point outcome of one structural claim over a parameter range."""
 
-    __slots__ = _fields = ("theorem_id", "params", "points", "threshold", "passed", "elapsed")
+    __slots__ = _fields = ("theorem_id", "params", "points", "threshold", "passed")
 
     def to_json(self) -> dict:
         return {
@@ -106,7 +105,6 @@ class TheoremVerdict(_Record):
             "points": [pt.to_json() for pt in self.points],
             "threshold": self.threshold,
             "passed": self.passed,
-            "elapsed": round(self.elapsed, 6),
         }
 
 
@@ -190,7 +188,6 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     if method not in ("auto", "raw"):
         raise ValueError(f"unknown method {method!r}")
     resolved = EXHAUSTIVE_RAW if method == "raw" else EXHAUSTIVE_ORBITS
-    start = time.perf_counter()
     orbit_level = k % p == 1
     if resolved == EXHAUSTIVE_RAW:
         subsets = (Subset(p, m) for m in subset_masks_of_size(p, a))
@@ -212,7 +209,6 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
         extremal_orbits=attainers,
         extremal_kind="orbit" if orbit_level else "dilation-class",
         method=resolved,
-        elapsed=time.perf_counter() - start,
         checked=checked,
     )
 
@@ -256,7 +252,6 @@ def minimize_s_general(
     if mode not in ("full", "interval"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    start = time.perf_counter()
     if mode == "interval":
         tail = tuple(Subset.interval(p, ai) for ai in rest)
         sig = sigma_vector(tail)
@@ -284,7 +279,6 @@ def minimize_s_general(
         extremal_orbits=(),
         extremal_kind="config",
         method=method,
-        elapsed=time.perf_counter() - start,
         checked=checked,
         extremal_configs=tuple(witnesses),
         attainer_count=count,
@@ -298,7 +292,6 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
     """Check that the interval configuration attains the true mixed-size
     minimum, and (uniform sizes, k != 1 mod p) that a single common set
     B = [a] + eta with eta = -t/(k-1) also attains it."""
-    start = time.perf_counter()
     sizes = tuple(int(x) for x in sizes)
     full = minimize_s_general(p, sizes, mode="full")
     ivl = minimize_s_general(p, sizes, mode="interval")
@@ -331,7 +324,6 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
         points=(PointVerdict(0, status, details),),
         threshold=None,
         passed=ok,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -340,7 +332,6 @@ def _verdict(
     params: dict,
     xs: Sequence[int],
     judged: Iterable[tuple[bool, dict]],
-    start: float,
     *,
     k_limit: float = inf,
     window: float = inf,
@@ -384,7 +375,6 @@ def _verdict(
         points=points,
         threshold=threshold,
         passed=threshold is not None,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -446,7 +436,6 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     dilations of the predicted optimal interval translate; points before the
     last failure are labelled below-threshold and the threshold is the least
     tested k from which the claim holds through the end of the range."""
-    start = time.perf_counter()
     _check_claim_range(p, a)
     ks = sorted(set(k_range))
     if any(k % p == 1 or k < 2 for k in ks):
@@ -464,7 +453,7 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
 
     return _verdict(
         "thm3", {"p": p, "a": a, "k_range": [ks[0], ks[-1]] if ks else []},
-        ks, judged(), start,
+        ks, judged(),
     )
 
 
@@ -474,7 +463,6 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     the interval must be the unique maximum, and each point is bucketed by
     whether the punctured-interval orbit is the unique minimizer ("2b"),
     some other orbit wins ("2c"), or the attainers mix."""
-    start = time.perf_counter()
     _check_claim_range(p, a)
     ss = sorted(set(s_range))
     if any(s < 1 for s in ss):
@@ -514,7 +502,7 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
 
     return _verdict(
         "thm5", {"p": p, "a": a, "s_range": [ss[0], ss[-1]] if ss else []},
-        ss, judged(), start,
+        ss, judged(),
     )
 
 
@@ -536,7 +524,6 @@ def scan_k0(
     is assumed.  Like the claims it scans, it needs p >= 7 and
     3 <= a <= p-3, and at least one eligible k <= k_limit.
     """
-    start = time.perf_counter()
     _check_claim_range(p, a)
     if window is None:
         window = 4 * p
@@ -583,5 +570,5 @@ def scan_k0(
     return _verdict(
         f"scan-{mode}",
         {"p": p, "a": a, "mode": mode, "k_limit": k_limit, "window": window},
-        family, judged(), start, k_limit=k_limit, window=window,
+        family, judged(), k_limit=k_limit, window=window,
     )

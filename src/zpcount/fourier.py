@@ -278,6 +278,14 @@ def _clusters(pairs: Sequence[tuple[int, int]], err: int, equal: Callable[[int, 
     return groups
 
 
+def _peak(a: Subset, prof: FourierProfile, err: int) -> list[tuple[int, int]] | None:
+    """The top (key, g) group of a's profile prof over g = 1..(p-1)/2 (p-g
+    has g's key), ties proven by _coordinates; None if unresolved."""
+    peak = _clusters([(prof.keys[g], g) for g in range(1, a.p // 2 + 1)], err,
+                     lambda g, h: _coordinates(a, g) == _coordinates(a, h), depth=1)
+    return None if peak is None else peak[0]
+
+
 class SpectralLevels(_Record):
     """Top distinct coefficient-magnitude levels across the (p, a) orbits:
     levels m_1 > m_2 > ... (depth entries or fewer), each level's attainers
@@ -325,13 +333,11 @@ def spectral_levels(
         attain = []
         for idx, rep in enumerate(catalog.reps):  # one profile held at a time
             prof = dft_indicator(rep, prec)
-            keys = prof.keys
-            peak = _clusters([(keys[g], g) for g in range(1, p // 2 + 1)], e,
-                             lambda g, h: _coordinates(rep, g) == _coordinates(rep, h), depth=1)
+            peak = _peak(rep, prof, e)
             if peak is None:
                 return None
-            attain.append(tuple(sorted(x for _, g in peak[0] for x in (g, p - g))))
-            rho_pairs.append((peak[0][0][0], idx))  # rho: the top group's head
+            attain.append(tuple(sorted(x for _, g in peak for x in (g, p - g))))
+            rho_pairs.append((peak[0][0], idx))  # rho: the top group's head
         clusters = _clusters(rho_pairs, e, lambda i, j: _coordinates(catalog.reps[i], attain[i][0])
                              == _coordinates(catalog.reps[j], attain[j][0]))
         if clusters is None:
@@ -431,12 +437,10 @@ def primary_image(
 
     def attempt(prec: int) -> tuple[Subset, AffineMap] | None:
         prof = dft_indicator(d, prec)
-        err, keys = prof.err, prof.keys
-        peak = _clusters([(keys[g], g) for g in range(1, p // 2 + 1)], e,
-                         lambda g, h: _coordinates(d, g) == _coordinates(d, h), depth=1)
+        peak = _peak(d, prof, e)
         if peak is None:
             return None
-        gamma = min(g for _, g in peak[0])
+        gamma = min(g for _, g in peak)
         with mp.workprec(prof.work_prec):
             reading = _lattice_reading(prof, gamma)
             if reading is None:
@@ -451,8 +455,9 @@ def primary_image(
         check = dft_indicator(image, prec)
         with mp.workprec(check.work_prec):
             th1 = _fold(check.argument(1))
+            margin = SEPARATION_MARGIN * prof.err
             if not (_coordinates(image, 1) == _coordinates(d, gamma)
-                    and -(mp.pi / p) - 10 * err < th1 <= mp.pi / p + 10 * err):
+                    and -(mp.pi / p) - margin < th1 <= mp.pi / p + margin):
                 raise InvariantError(
                     f"primary image {list(image.members())} of {list(d.members())} "
                     "misses rho(D) or the arc (-pi/p, pi/p] at frequency 1"

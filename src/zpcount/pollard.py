@@ -130,6 +130,11 @@ def critical_r0(a_sizes: Sequence[int], p: int) -> int:
     a_sizes = (a_0, a_1, ..., a_k); needs 0 < a_0 < p so that both strict
     sides are nonempty (n_0 = p > p - a_0 and eventually n_r = 0 <= p - a_0).
     """
+    return _interval_r0(p, *_head_and_rest(a_sizes, p))
+
+
+def _head_and_rest(a_sizes: Sequence[int], p: int) -> tuple[int, tuple[int, ...]]:
+    """(a_0, (a_1, ..., a_k)), checked: p prime, k >= 1, 0 < a_0 < p, a_i in [0, p]."""
     prime_context(p)
     if len(a_sizes) < 2:
         raise ValueError("need a_0 plus at least one factor size")
@@ -138,7 +143,7 @@ def critical_r0(a_sizes: Sequence[int], p: int) -> int:
         raise ValueError(f"critical index needs 0 < a_0 < p, got a_0={a0}")
     if any(not 0 <= a <= p for a in rest):
         raise ValueError("factor sizes must lie in [0, p]")
-    return _interval_r0(p, a0, rest)
+    return a0, rest
 
 
 @lru_cache(maxsize=256)
@@ -293,12 +298,7 @@ def optimal_interval_translate(a_sizes: Sequence[int], p: int) -> int:
     mismatch); both adjacent candidates are tried and the returned t is
     verified against |I ∩ N_r| = max(0, n_r + a_0 - p) for every r >= 1.
     """
-    prime_context(p)
-    a0, rest = a_sizes[0], tuple(a_sizes[1:])
-    if not 0 < a0 < p:
-        raise ValueError(f"need 0 < a_0 < p, got a_0={a0}")
-    if not rest or any(not 0 <= a <= p for a in rest):
-        raise ValueError("factor sizes must lie in [0, p]")
+    a0, rest = _head_and_rest(a_sizes, p)
     prof = interval_profile(p, rest)
     doubled_centre = sum(a - 1 for a in rest) % (2 * p)
     # complement of [a_0]+t spans t+a_0 .. t+p-1: doubled centre 2t + a_0 + p - 1

@@ -567,6 +567,61 @@ def test_older_spectral_reports_recheck(capsys, name):
     assert json.loads(out)["result"]["match"] is True
 
 
+# Reports frozen while SearchReport and TheoremVerdict carried their own
+# elapsed field: recheck still drops elapsed at every depth, so they replay.
+@pytest.mark.parametrize("name", ["timed_records_minimize_p11_a4_k3.json",
+                                  "timed_records_thm1_all_sizes_p3_k2.json"])
+def test_reports_with_record_times_recheck(capsys, name):
+    report = Path(__file__).parent / "fixtures" / name
+    code, out, err = run(capsys, "recheck", str(report))
+    assert code == 0, err or out
+    assert json.loads(out)["result"]["match"] is True
+
+
+def _elapsed_paths(obj, path=()):
+    """The path of every "elapsed" key in obj, each checked to hold a number."""
+    if isinstance(obj, list):
+        return [found for i, v in enumerate(obj) for found in _elapsed_paths(v, (*path, i))]
+    if not isinstance(obj, dict):
+        return []
+    found = []
+    for key, v in obj.items():
+        if key == "elapsed":
+            assert isinstance(v, float) and v >= 0, (path, v)
+            found.append(path)
+        else:
+            found += _elapsed_paths(v, (*path, key))
+    return found
+
+
+_TOP = [()]
+
+
+@pytest.mark.parametrize("argv, paths", [
+    (["minimize", "--p", "7", "--a", "3", "--k", "2"], _TOP),
+    (["minimize", "--p", "7", "--a", "3", "--k", "2", "--method", "raw"], _TOP),
+    (["minimize", "--p", "5", "--sizes", "2,2,2"], _TOP),
+    (["verify", "thm1", "--p", "5", "--sizes", "2,2,3"], _TOP),
+    (["verify", "thm1", "--p", "3", "--k", "2", "--all-sizes"],
+     [("verdicts", i) for i in range(27)]),
+    (["verify", "thm3", "--p", "7", "--a", "3", "--k-max", "5"], _TOP),
+    (["verify", "thm5", "--p", "7", "--a", "3", "--s-max", "2"], _TOP),
+    (["scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "5"], _TOP),
+    (["verify", "cor7", "--p", "7"], []),
+    (["pollard", "--p", "7", "--sizes", "3,3,3"], []),
+    (["count", "--p", "7", "--set", "0,1,2", "--k", "3"], []),
+    (["orbits", "--p", "7", "--a", "3"], []),
+    (["optimal-t", "--p", "7", "--a", "3", "--k", "4"], []),
+], ids=["minimize", "minimize-raw", "minimize-sizes", "thm1", "thm1-all-sizes", "thm3", "thm5",
+        "scan-k0", "cor7", "pollard", "count", "orbits", "optimal-t"])
+def test_elapsed_is_stamped_on_the_timed_reports_only(capsys, argv, paths):
+    # the CLI stamps the wall time of each search on that search's JSON, at
+    # the result's top level or on each verdict of --all-sizes
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2), err
+    assert _elapsed_paths(json.loads(out)) == [("result", *path) for path in paths]
+
+
 # Pollard reports frozen before the cached extremality records and the
 # run-count progression kernel: --sizes mode, and --set mode with and without
 # a classification (each equality tag that needs a reflection point or a

@@ -328,6 +328,23 @@ def test_narrow_slot_is_an_invariant_error(monkeypatch):
         sigma_vector([a] * 8)
 
 
+@pytest.mark.parametrize("ks", [[2], [5, 6]])
+def test_sweep_checks_the_correlation_it_starts_from(monkeypatch, ks):
+    # a chain whose offset m is one too large passes its own re-centring
+    # checks; the sweep's start, which adds |R|*m to every slot, must refuse
+    # it at its first k, before any step
+    real = counting._power_packed
+
+    def off_by_one(a, k):
+        m, packed, nb = real(a, k)
+        return m + 1, packed, nb
+
+    monkeypatch.setattr(counting, "_power_packed", off_by_one)
+    rep = Subset.interval(7, 3)
+    with pytest.raises(InvariantError, match=rf"C\^\({ks[0]}\) of \[0, 1, 2\].*does not sum"):
+        next(_translate_rows([rep], ks))
+
+
 # --- the centred chain: sigma^(n) = m + e -------------------------------------
 
 # every squared operand is re-centred first, or none is

@@ -1,4 +1,3 @@
-import time
 from collections import Counter
 
 import pytest
@@ -311,12 +310,32 @@ def test_scan_k0_modes():
         scan_k0(11, 3, "knot1", k_limit=40, window=-1)
 
 
+@pytest.mark.parametrize("search", [
+    lambda: minimize_sk(7, 3, 2),
+    lambda: minimize_sk(7, 3, 8, method="raw"),
+    lambda: minimize_s_general(5, (2, 2, 2)),
+    lambda: minimize_s_general(5, (2, 3), mode="interval"),
+    lambda: verify_thm_interval_extremal(5, (2, 2, 3)),
+    lambda: verify_thm_knot1(7, 3, range(2, 6)),
+    lambda: verify_thm_k1(7, 3, range(1, 3)),
+    lambda: scan_k0(7, 3, "knot1", k_limit=10),
+], ids=["minimize-sk", "minimize-sk-raw", "minimize-general", "minimize-general-interval",
+        "thm1", "thm3", "thm5", "scan-k0"])
+def test_recomputed_reports_compare_equal(search):
+    # a report is a value: no field records when or for how long it ran, so
+    # the same search run twice gives equal records and equal JSON
+    first, second = search(), search()
+    assert first is not second and first == second
+    assert first.to_json() == second.to_json()
+    assert "elapsed" not in type(first)._fields and "elapsed" not in first.to_json()
+
+
 @pytest.mark.parametrize("call", [
     lambda: verify_thm_knot1(7, 3, []),
     lambda: verify_thm_knot1(7, 3, range(10, 5)),
     lambda: verify_thm_k1(7, 3, []),
     lambda: scan_k0(7, 3, "knot1", k_limit=1, window=0),
-    lambda: _verdict("t", {}, [], [], time.perf_counter()),
+    lambda: _verdict("t", {}, [], []),
 ], ids=["thm3-empty", "thm3-descending", "thm5-empty", "scan-k0-empty", "verdict"])
 def test_empty_range_is_a_usage_error(call):
     # no point was tested, so there is no verdict to report, passing or failing
@@ -328,8 +347,7 @@ def test_empty_range_is_a_usage_error(call):
     lambda: scan_k0(7, 3, "knot1", k_limit=0),
     lambda: scan_k0(7, 4, "k1-even", k_limit=3),
     lambda: scan_k0(7, 3, "k1-part2", k_limit=7),
-    lambda: _verdict("t", {}, [2], (extremal.minimize_sk(7, 3, k) for k in [2]),
-                     time.perf_counter(), k_limit=1),
+    lambda: _verdict("t", {}, [2], (extremal.minimize_sk(7, 3, k) for k in [2]), k_limit=1),
 ], ids=["scan-knot1", "scan-k1-even", "scan-k1-part2", "verdict"])
 def test_k_limit_below_every_point_is_a_usage_error(monkeypatch, call):
     # every point may hold, but no threshold candidate was tested; the limit
@@ -402,8 +420,7 @@ H, F = True, False
 ], ids=["below-threshold", "last-fails", "window", "k-limit"])
 def test_verdict_labels(holds, limits, threshold, statuses):
     xs = list(range(1, len(holds) + 1))
-    v = _verdict("t", {"q": 1}, xs, [(h, {"x": x}) for x, h in zip(xs, holds)],
-                 time.perf_counter(), **limits)
+    v = _verdict("t", {"q": 1}, xs, [(h, {"x": x}) for x, h in zip(xs, holds)], **limits)
     assert (v.theorem_id, v.params) == ("t", {"q": 1})
     assert v.threshold == threshold and v.passed == (threshold is not None)
     assert [pt.status for pt in v.points] == statuses

@@ -96,6 +96,21 @@ def test_critical_r0_guards():
         critical_r0((7, 3), 7)
 
 
+@pytest.mark.parametrize("fn", [critical_r0, optimal_interval_translate])
+@pytest.mark.parametrize("sizes, message", [
+    ((), "need a_0 plus at least one factor size"),
+    ((3,), "need a_0 plus at least one factor size"),
+    ((0, 3), "needs 0 < a_0 < p, got a_0=0"),
+    ((7, 3), "needs 0 < a_0 < p, got a_0=7"),
+    ((3, 8), "factor sizes must lie in"),
+], ids=["empty", "head-only", "head-0", "head-p", "factor-past-p"])
+def test_size_vector_checks_are_shared(fn, sizes, message):
+    # both readers of (a_0; a_1..a_k) refuse the same vectors with the same
+    # one-line reason, an empty vector included
+    with pytest.raises(ValueError, match=message):
+        fn(sizes, 7)
+
+
 def test_pollard_inequality_random(rng):
     for _ in range(300):
         p = rng.choice((5, 7, 11, 13))

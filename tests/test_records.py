@@ -118,9 +118,9 @@ def test_subsets_sort_by_modulus_then_mask():
 
 
 def test_defaults_apply():
-    report = SearchReport(7, (3,), 2, 5, (), "orbit", "m", 0.0, 1)
+    report = SearchReport(7, (3,), 2, 5, (), "orbit", "m", 1)
     assert report.extremal_configs == () and report.attainer_count == 0
-    assert report == SearchReport(7, (3,), 2, 5, (), "orbit", "m", 0.0, 1, (), 0)
+    assert report == SearchReport(7, (3,), 2, 5, (), "orbit", "m", 1, (), 0)
     first, second = PointVerdict(2, "holds"), PointVerdict(2, "holds")
     assert first.details == {} and first.details is not second.details
     case = EqualityCase(EqualityTag.NONE, ())
@@ -129,7 +129,7 @@ def test_defaults_apply():
 
 
 def test_the_generic_constructor_takes_each_field_once():
-    args = (7, (3,), 2, 5, (), "orbit", "m", 0.0)
+    args = (7, (3,), 2, 5, (), "orbit", "m")
     assert SearchReport(*args, checked=1) == SearchReport(*args, 1)
     with pytest.raises(TypeError):
         SearchReport(*args)  # checked has no default
@@ -138,7 +138,7 @@ def test_the_generic_constructor_takes_each_field_once():
     with pytest.raises(TypeError):
         SearchReport(*args, 1, bogus=1)
     with pytest.raises(TypeError):
-        TheoremVerdict("id", {}, (), None, True, 0.0, 1)
+        TheoremVerdict("id", {}, (), None, True, 1)
 
 
 def test_non_integer_fields_are_rejected():
