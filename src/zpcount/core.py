@@ -10,9 +10,11 @@ Subset.dilation_class_canonical and build_orbit_catalog (_dilate_mask, the
 member loop for one multiplier, serves Subset.dilate).  One translation
 kernel, _translate_min, finds a set's smallest translate among the members
 that follow a longest run of non-members; it serves Subset.canonical and
-build_orbit_catalog.  The catalog visits only the necklaces (sets that are
-their own smallest translate), which _necklaces generates from their gap
-words, largest gap first.  One run-count kernel, _run_count, decides
+build_orbit_catalog.  The catalog visits the necklaces (sets that are their
+own smallest translate), which _necklaces generates from their gap words,
+largest gap first, in ascending order, and stops at the one that completes
+its coverage sum; _orbit_count, Burnside's count of the orbits, checks what
+it found.  One run-count kernel, _run_count, decides
 progressions: a set with 0 < |A| < p is an arithmetic progression of
 difference d exactly when it is a single run along x -> x + d, one word
 operation, so Subset.is_interval is its d = 1 case and
@@ -266,8 +268,10 @@ def _dilation_tables(p: int) -> tuple[tuple[int, ...], ...]:
     byte j of a membership word (residues 8j..8j+7) to the word of the
     images g*x of its members.  Built on first use, once per p.
 
-    g must have order p-1: orbits under a smaller subgroup still partition
-    the subsets, so a catalog's coverage sum would not notice."""
+    g must have order p-1, and this is checked here, before any catalog is
+    built.  Orbits under a smaller subgroup still partition the subsets, so
+    a catalog's coverage sum would hold; only its orbit count would notice
+    the extra orbits."""
     g = _primitive_root(p)
     order = next(j for j in range(1, p) if pow(g, j, p) == 1)
     if order != p - 1:
@@ -508,14 +512,22 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
 
     An orbit's representative, its smallest member, is a necklace (its own
     smallest translate).  _necklaces yields the necklaces in increasing
-    order from their gap words, C(p, a)/p of them, without testing the other
-    masks; a necklace is kept unless seen, which holds the smallest
-    translates of each kept orbit's dilations: one entry per translation
-    class, at most C(p, a)/p.  A kept necklace's dilations are the p-1
-    words of the primitive-root chain _dilation_orbit, and each one's
-    smallest translate is taken by _translate_min's longest-gap rule.  For
+    order from their gap words, at most C(p, a)/p of them, without testing
+    the other masks; a necklace is kept unless seen, which holds the
+    smallest translates of each kept orbit's dilations: one entry per
+    translation class.  A kept necklace's dilations are the p-1 words of
+    the primitive-root chain _dilation_orbit, and each one's smallest
+    translate is taken by _translate_min's longest-gap rule.  For
     0 < a < p translation acts freely, so an orbit holds p sets per
     translation class.
+
+    The walk stops once the orbit sizes sum to C(p, a): each orbit's
+    smallest word comes before its other necklaces, so once every subset
+    is covered no later necklace starts an orbit.  At (23, 11) the last
+    representative is necklace 20,873 of 58,786.  An orbit counted too
+    large would end the walk early with the sum intact, so the number of
+    orbits found must also equal _orbit_count(p, a); either failure raises
+    InvariantError.
     """
     ctx = prime_context(p)
     if not 0 <= a <= p:
@@ -527,16 +539,42 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     reps: list[Subset] = []
     sizes: list[int] = []
     seen: set[int] = set()
+    covered = 0
     for mask in _necklaces(p, a):
         if mask in seen:
             continue
         forms = {_translate_min(m, p, full) for m in _dilation_orbit(mask, p)}
         reps.append(Subset(p, mask))
-        sizes.append(p * len(forms))
+        sizes.append(size := p * len(forms))
         seen |= forms
-    if sum(sizes) != total:
-        raise InvariantError(f"orbits of {a}-subsets of Z_{p} cover {sum(sizes)} of {total}")
+        covered += size
+        if covered >= total:  # every subset is covered: no later necklace starts an orbit
+            break
+    if covered != total:
+        raise InvariantError(f"orbits of {a}-subsets of Z_{p} cover {covered} of {total}")
+    if len(reps) != (count := _orbit_count(p, a)):
+        raise InvariantError(f"found {len(reps)} orbits of {a}-subsets of Z_{p}, not {count}")
     return OrbitCatalog(p, a, tuple(reps), tuple(sizes))
+
+
+def _orbit_count(p: int, a: int) -> int:
+    """The number of affine orbits of a-subsets of Z_p, 0 < a < p, by
+    Burnside's lemma over the p(p-1) maps x -> xi*x + eta.  The identity
+    fixes all C(p, a) sets, and a translation (xi = 1, eta != 0) none.  A map
+    with xi of order d > 1 fixes one point and cycles the other p-1 in
+    blocks of d, so it fixes C((p-1)/d, a/d) sets if d | a (the point
+    outside) plus C((p-1)/d, (a-1)/d) if d | a-1 (the point inside); phi(d)
+    multipliers have order d, each with p translations."""
+    fixed = math.comb(p, a)
+    for d in range(2, p):
+        if (p - 1) % d:
+            continue
+        phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+        blocks = (p - 1) // d
+        f = (math.comb(blocks, a // d) if a % d == 0 else 0) + \
+            (math.comb(blocks, (a - 1) // d) if (a - 1) % d == 0 else 0)
+        fixed += p * phi * f
+    return fixed // (p * (p - 1))
 
 
 @lru_cache(maxsize=24)

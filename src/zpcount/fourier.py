@@ -11,8 +11,11 @@ here.
 
 dft_indicator is the one DFT kernel, and it is integer-first: _unit_table
 holds round(2^w*cos(2*pi*j/p)) and round(2^w*sin(2*pi*j/p)) as Python ints
-(w = precision + GUARD_BITS), and each coefficient for g = 1..(p-1)/2 is kept
-as its exact integer sums (re, im) with the integer magnitude key
+(w = precision + GUARD_BITS), and _frequency_rows lays it out once per
+(p, w) as one row pair per frequency g = 1..(p-1)/2, entry x holding the
+term of residue x (table index -x*g mod p).  Each coefficient is one
+itemgetter pick of its rows at the set's members, summed and kept as its
+exact integer sums (re, im) with the integer magnitude key
 isqrt(re^2 + im^2), both in units u = 2^-w.  Its loop makes no mpmath call:
 a profile's magnitude is its key times u (ldexp of an int does not round),
 and an argument is computed the first time a caller reads it, one mp.atan2
@@ -52,6 +55,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import inf, isqrt
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import mpmath as mp
@@ -116,6 +120,19 @@ def _unit_table(p: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             sin.append(int(mp.nint(mp.ldexp(s, w))))
     return (tuple(cos + [cos[p - j] for j in range(half + 1, p)]),
             tuple(sin + [-sin[p - j] for j in range(half + 1, p)]))
+
+
+@lru_cache(maxsize=64)
+def _frequency_rows(p: int, w: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For g = 1..(p-1)/2, the rows (cos_g, sin_g) with
+    cos_g[x] = cos[-x*g mod p] and sin_g[x] = sin[-x*g mod p] of
+    _unit_table(p, w): the terms of frequency g, indexed by member x."""
+    cos, sin = _unit_table(p, w)
+    rows = []
+    for g in range(1, p // 2 + 1):
+        idx = [-x * g % p for x in range(p)]
+        rows.append((tuple([cos[j] for j in idx]), tuple([sin[j] for j in idx])))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=64)
@@ -227,12 +244,11 @@ def dft_indicator(a: Subset, precision: int = DEFAULT_PRECISION) -> FourierProfi
     _check_precision(precision)
     p = a.p
     w = precision + GUARD_BITS
-    cos, sin = _unit_table(p, w)
     members = a.members()
-    sums = []  # frequencies 1..(p-1)/2
-    for g in range(1, p // 2 + 1):
-        idx = [-x * g % p for x in members]
-        sums.append((sum([cos[j] for j in idx]), sum([sin[j] for j in idx])))
+    # itemgetter of one index returns the entry itself, and of none raises
+    pick = itemgetter(*members) if len(members) > 1 else lambda row: [row[x] for x in members]
+    # frequencies 1..(p-1)/2
+    sums = [(sum(pick(cos)), sum(pick(sin))) for cos, sin in _frequency_rows(p, w)]
     upper = [isqrt(re * re + im * im) for re, im in sums]
     # frequency p-g carries the key of its conjugate, frequency g
     keys = (len(members) << w, *upper, *reversed(upper))

@@ -827,9 +827,9 @@ _BROKEN = {
                                ["sigma", "--p", "7", *["--set", "0..5"] * 5]),
     "s_count": ("zpcount.extremal", "s_count", "lambda *args: real(*args) + 1",
                 ["minimize", "--p", "5", "--sizes", "2,2,3", "--mode", "full"]),
-    # a dilation multiplier of order (p-1)/2 still passes the catalog's
-    # coverage sum (subgroup orbits partition the subsets too), so the
-    # table builder checks the order itself
+    # a dilation multiplier of order (p-1)/2 passes the catalog's coverage
+    # sum (subgroup orbits partition the subsets too) but not its orbit
+    # count; the table builder refuses it first, by its own order check
     "subgroup_multiplier": ("zpcount.core", "_primitive_root", "lambda p: real(p) ** 2 % p",
                             ["orbits", "--p", "13", "--a", "5"]),
     "non_nested_profile": ("zpcount.pollard", "profile_from_sigma",

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from conftest import brute_affine_orbit, brute_orbit_catalog
@@ -179,8 +181,8 @@ def test_dilation_orbit_is_every_dilation(rng):
 
 
 def test_dilation_tables_refuse_a_multiplier_of_smaller_order(monkeypatch):
-    # orbits under the subgroup of squares still partition the subsets, so
-    # only the table builder's own order check can catch this multiplier
+    # the table builder checks the multiplier's order itself, before any
+    # catalog is built
     real = _primitive_root
     monkeypatch.setattr(core, "_primitive_root", lambda p: real(p) ** 2 % p)
     core._dilation_tables.cache_clear()
@@ -192,6 +194,53 @@ def test_dilation_tables_refuse_a_multiplier_of_smaller_order(monkeypatch):
             build_orbit_catalog(13, 5)
     finally:
         core._dilation_tables.cache_clear()
+
+
+def test_orbit_count_refuses_a_multiplier_of_smaller_order(monkeypatch):
+    # Past the table's order check, a chain of (p-1)/2 dilations by g^2 gives
+    # the orbits of the subgroup of squares.  They partition the subsets too,
+    # so the coverage sum holds, and only the orbit count notices.
+    real = _dilation_orbit
+    monkeypatch.setattr(core, "_dilation_orbit", lambda mask, p: real(mask, p)[::2])
+    with pytest.raises(InvariantError, match="found 19 orbits of 5-subsets of Z_13, not 10"):
+        build_orbit_catalog(13, 5)
+
+
+def test_orbit_count_refuses_a_swallowed_orbit(monkeypatch):
+    # The interval's orbit also claims the last orbit's forms: its size grows
+    # by the last orbit's, the coverage sum still reaches C(13, 5), and the
+    # last representative is skipped as seen, so 9 of the 10 orbits are found.
+    last = build_orbit_catalog(13, 5).reps[-1].mask
+    interval = Subset.interval(13, 5).mask
+    real = _dilation_orbit
+    monkeypatch.setattr(core, "_dilation_orbit", lambda mask, p: real(mask, p) + (
+        real(last, p) if mask == interval else []))
+    with pytest.raises(InvariantError, match="found 9 orbits of 5-subsets of Z_13, not 10"):
+        build_orbit_catalog(13, 5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_orbit_count_matches_brute_force(p):
+    for a in range(1, p):
+        assert core._orbit_count(p, a) == len(brute_orbit_catalog(p, a)[0]), (p, a)
+
+
+@pytest.mark.parametrize("p, a, drawn", [(23, 11, 20_873), (19, 8, 1_224)])
+def test_catalog_stops_at_its_last_orbit(monkeypatch, p, a, drawn):
+    # the walk leaves _necklaces at the necklace that completes the coverage
+    # sum, the last representative, not after all C(p, a)/p necklaces
+    real = _necklaces
+    count = [0]
+
+    def counting(p, a):
+        for mask in real(p, a):
+            count[0] += 1
+            yield mask
+
+    monkeypatch.setattr(core, "_necklaces", counting)
+    cat = build_orbit_catalog(p, a)
+    assert count[0] == drawn < comb(p, a) // p
+    assert list(real(p, a))[drawn - 1] == cat.reps[-1].mask
 
 
 def test_canonical_is_orbit_invariant():
@@ -232,8 +281,6 @@ def test_dilation_class_canonical():
 
 
 def test_subset_masks_of_size_counts():
-    from math import comb
-
     for p, a in ((5, 2), (7, 3), (11, 4)):
         masks = list(subset_masks_of_size(p, a))
         assert len(masks) == comb(p, a)
@@ -248,8 +295,6 @@ def test_size_guard():
 
 
 def test_necklaces_are_the_smallest_translates():
-    from math import comb
-
     for p in (3, 5, 7, 11, 13, 17, 19):
         full = (1 << p) - 1
         for a in range(1, p):
@@ -273,8 +318,6 @@ def test_orbit_catalog_small():
 
 
 def test_orbit_catalog_partitions_everything():
-    from math import comb
-
     for p, a in ((7, 3), (11, 4), (13, 5)):
         cat = build_orbit_catalog(p, a)
         assert sum(cat.orbit_sizes) == comb(p, a)

@@ -114,22 +114,49 @@ def test_unit_table_equals_per_call_cos_and_sin(w):
         assert fourier._unit_table(p, w) == _per_call_unit_table(p, w), p
 
 
+def _eager_sums(s: Subset, precision: int) -> list[tuple[int, int]]:
+    """The integer sums (re, im) of g = 1..(p-1)/2, one _unit_table entry
+    per member and frequency."""
+    p = s.p
+    cos, sin = fourier._unit_table(p, precision + fourier.GUARD_BITS)
+    return [(sum(cos[-x * g % p] for x in s.members()), sum(sin[-x * g % p] for x in s.members()))
+            for g in range(1, p // 2 + 1)]
+
+
 def _eager_coeffs(s: Subset, precision: int) -> list:
     """Every (magnitude, argument) of s computed at once from the kernel's
     integer tables: an atan2 for each g = 1..(p-1)/2, shifted into
     [0, 2*pi), and the conjugate mirror (r, 2*pi - theta), or (r, 0), at p-g."""
-    p, w = s.p, precision + fourier.GUARD_BITS
-    cos, sin = fourier._unit_table(p, w)
+    w = precision + fourier.GUARD_BITS
     with mp.workprec(w):
         tau = 2 * mp.pi
         upper = []
-        for g in range(1, p // 2 + 1):
-            re = sum(cos[-x * g % p] for x in s.members())
-            im = sum(sin[-x * g % p] for x in s.members())
+        for re, im in _eager_sums(s, precision):
             th = mp.atan2(im, re)
             upper.append((mp.ldexp(isqrt(re * re + im * im), -w), th + tau if th < 0 else th))
         lower = [(r, tau - th if th else mp.mpf(0)) for r, th in reversed(upper)]
         return [(mp.mpf(s.size), mp.mpf(0)), *upper, *lower]
+
+
+@pytest.mark.parametrize("p", [3, 7, 61])
+def test_dft_of_empty_singleton_and_full_sets(p):
+    # the kernel's row sums at no member, at one member and at all of them
+    w = 64 + fourier.GUARD_BITS
+    sets = [Subset(p, 0), Subset(p, (1 << p) - 1)] + [Subset(p, 1 << x) for x in range(p)]
+    for s in sets:
+        prof = dft_indicator(s, 64)
+        sums = _eager_sums(s, 64)
+        upper = [isqrt(re * re + im * im) for re, im in sums]
+        assert list(prof.sums) == sums, s
+        assert prof.keys == (s.size << w, *upper, *reversed(upper)), s
+    assert dft_indicator(sets[0], 64).keys == (0,) * p
+    assert dft_indicator(sets[2], 64).sums == ((1 << w, 0),) * (p // 2)
+
+
+@CASES
+@given(sets_of_all_sizes(), st.sampled_from([8, 64, 256, 1000]))
+def test_dft_sums_are_the_per_member_table_sums(s, precision):
+    assert list(dft_indicator(s, precision).sums) == _eager_sums(s, precision)
 
 
 @pytest.mark.parametrize("p", PRIMES)
