@@ -24,9 +24,11 @@ hat1_A(p-g) = conj(hat1_A(g)): frequency p-g gets the key of g and the exact
 conjugate argument 2*pi - theta, or 0 when theta = 0.  _coeff_error derives
 why the bound it returns covers the table, isqrt, rounding and atan2 steps.
 Callers read a profile one frequency at a time, through magnitude and
-argument: F_value, the spectral form of the tuple count, reads only
-g = 1..(p-1)/2 and doubles, and t_good_scan flags a dominant term only when
-bounds built from those reads and err, not the bare readings, decide it.
+argument: F_value, the spectral form of the tuple count, sums
+g = 1..(p-1)/2 in order and doubles, reading an argument only for a term
+its running sum would not round away, and t_good_scan flags a dominant term
+only when bounds built from those reads and err, not the bare readings,
+decide it.
 
 _clusters is the one certified ranking kernel: it sorts integer magnitude
 keys, a gap over SEPARATION_MARGIN errors starts a new group, and a closer
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, groupby
-from math import inf, isqrt
+from math import inf, isqrt, log2
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -588,16 +590,35 @@ class FValue(_Record):
         }
 
 
+def _term_log2_bounds(key: int, c: int, k: int, w: int) -> tuple[float, float]:
+    """Upper bounds on log2 of F_value's value term and bound term for a
+    frequency of magnitude key*u, err = c*u (u = 2^-w), in units u^(k+1),
+    float error margin included; F_value's error-budget comment derives them."""
+    h = key + c
+    lg = log2(h)
+    margin = (k + 1) * h.bit_length() * 2**-40
+    if key > 2 * c:  # r > 2*err; -(-x // y) is ceil(x/y)
+        b = (k + 1) * c - (-(k - 1) * c * h // (key - c)) + (h >> (w - 6)) + 1
+    else:
+        b = 2 * h + (k + 1) * c
+    return (k + 1) * lg + margin, k * lg + log2(b) + margin
+
+
 def F_value(a: Subset, k: int, precision: int = DEFAULT_PRECISION) -> FValue:
     """sum_{g != 0} hat1_A(g)^k * conj(hat1_A(g)) as a real number.
 
     hat1_A(p-g) = conj(hat1_A(g)), so the terms at g and p-g are conjugates
-    and the sum is 2 * sum_{g=1}^{(p-1)/2} r_g^(k+1) * cos((k-1)*theta_g):
-    only frequencies 1..(p-1)/2 are read, through the profile's magnitude
-    and argument.  Magnitudes are raised to the k+1 power as mpf values
-    (arbitrary exponent, so k up to 10^6 cannot overflow); the working
+    and the sum is 2 * sum_{g=1}^{(p-1)/2} r_g^(k+1) * cos((k-1)*theta_g),
+    added in order of g.  Magnitudes are raised to the k+1 power as mpf
+    values (arbitrary exponent, so k up to 10^6 cannot overflow); the working
     precision grows with bit_length(k) so the angle (k-1)*theta keeps
-    absolute accuracy.  The returned err bounds |value - F(A)|.
+    absolute accuracy.  A term, or its share of the error bound, that its
+    running sum would round away is skipped before it is evaluated, on a
+    bound read from the integer magnitude key: the sums keep every bit of
+    the loop that evaluates all terms, and an argument is read only for a
+    term that is evaluated.  For large k, where the top levels carry F,
+    that leaves a few of the (p-1)/2 frequencies.  The returned err bounds
+    |value - F(A)|.
     """
     _check_precision(precision)
     if k < 2:
@@ -624,24 +645,64 @@ def F_value(a: Subset, k: int, precision: int = DEFAULT_PRECISION) -> FValue:
     # sum over g = 1..(p-1)/2.  Doubling is exact in binary, so the per-g
     # bounds double.
     # The final (p-1)*slop*max(1, |value|) is headroom on the summation.
+    #
+    # Skipped terms.  Both sums start at 0 and add one rounded term per g, so
+    # skipping a term whose addition would return the partial sum unchanged
+    # leaves every later partial sum, and value and err, bit for bit.
+    # - Absorption: a nonzero w-bit S with 2^(E-1) <= |S| < 2^E (E read
+    #   exactly from man_exp) has neighbours 2^(E-w) apart, 2^(E-w-1) below
+    #   |S| = 2^(E-1), so round-to-nearest returns S for S + t whenever
+    #   |t| < 2^(E-w-2).  A term is skipped only below 2^(E-w-4), 1/16 ulp;
+    #   a zero sum skips nothing.
+    # - Term bounds: err = c*u for the int c, and h = key + c is an int, so
+    #   r = key*u and r + err = h*u exactly.  Every computed term is the exact
+    #   expression times at most k + 10 rounding factors <= 1 + u (mpmath
+    #   rounds to nearest; its integer power truncates, then rounds once, and
+    #   |cos| <= 1 + 2u), and k < 2^(w/2 - 32), so they add < 2^-60 to a
+    #   log2.  The value term is at most (h*u)^(k+1).  The bound term is at
+    #   most u^(k+1)*h^k*B with the int B = (k+1)*c + ceil((k-1)*c*h/(key - c))
+    #   + ceil(64*h*u) for r > 2*err (th_err = c/(key - c), mag_hi = (h*u)^(k+1),
+    #   slop*mag_hi = 64*h*u*(h*u)^k), and B = 2*h + (k+1)*c otherwise.
+    # - Float error: log2 of an int is within 2^-50*(log2(h) + 1) (one
+    #   correctly rounded conversion, or frexp past 2^1024, then log2), and
+    #   scaling by k+1 and adding log2(B) < log2(h) + log2(k+1) + 3 keep the
+    #   estimate within (k+1)*bit_length(h)*2^-46; the margin is
+    #   (k+1)*bit_length(h)*2^-40.  The threshold E - w - 4 is shifted by
+    #   (k+1)*w, so the comparison is float against int, exact in Python.
+    # An estimate plus its margin below the threshold thus puts the term
+    # below 2^(E-w-4+2^-60) < 2^(E-w-2).  h, B and E are ints of any size and
+    # the log2 of an int cannot overflow, so nothing here depends on p or w.
+    c = int(mp.ldexp(err, w))  # exact: dft_indicator's err is _coeff_error(|A|)*u
+    keys = prof.keys
+
+    def floor(s: mp.mpf) -> int | None:
+        # log2 of 1/16 ulp of the partial sum s, in units u^(k+1); None for 0
+        if not s:
+            return None
+        man, exp = s.man_exp
+        return exp + man.bit_length() - w - 4 + (k + 1) * w
+
     with mp.workprec(w):
         total = mp.mpf(0)
         bound = mp.mpf(0)
+        total_floor = bound_floor = None
         slop = mp.ldexp(mp.mpf(1), -w + 6)
-        # every argument is read before the sum: interleaving the atan2s with
-        # the powers and cosines measured 7-8 % slower (CPython 3.11, mpmath's
-        # python backend)
-        half = [(prof.magnitude(g), prof.argument(g)) for g in range(1, p // 2 + 1)]
-        for r, th in half:
-            r_hi = r + err
-            pow_hi = r_hi**k
-            mag_hi = pow_hi * r_hi
-            total += r ** (k + 1) * mp.cos((k - 1) * th)
-            if r > 2 * err:
-                th_err = err / (r - err)
-                bound += (k + 1) * pow_hi * err + mag_hi * ((k - 1) * th_err + slop)
-            else:
-                bound += 2 * mag_hi + (k + 1) * pow_hi * err
+        for g in range(1, p // 2 + 1):
+            value_log2, bound_log2 = _term_log2_bounds(keys[g], c, k, w)
+            if total_floor is None or value_log2 >= total_floor:
+                total += prof.magnitude(g) ** (k + 1) * mp.cos((k - 1) * prof.argument(g))
+                total_floor = floor(total)
+            if bound_floor is None or bound_log2 >= bound_floor:
+                r = prof.magnitude(g)
+                r_hi = r + err
+                pow_hi = r_hi**k
+                mag_hi = pow_hi * r_hi
+                if r > 2 * err:
+                    th_err = err / (r - err)
+                    bound += (k + 1) * pow_hi * err + mag_hi * ((k - 1) * th_err + slop)
+                else:
+                    bound += 2 * mag_hi + (k + 1) * pow_hi * err
+                bound_floor = floor(bound)
         value = 2 * total
         bound = 2 * bound + (p - 1) * slop * max(mp.mpf(1), abs(value))
     return FValue(a, k, value, bound, w)

@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 import zpcount
-from zpcount import Subset
+from zpcount import Subset, fourier
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -100,6 +100,35 @@ def brute_dft(a: Subset, work_prec: int) -> list:
     with mp.workprec(4 * work_prec):
         return [mp.fsum(mp.expjpi(mp.mpf(-2 * x * g) / p) for x in a.members())
                 for g in range(p)]
+
+
+def unpruned_F_value(a: Subset, k: int, precision: int = fourier.DEFAULT_PRECISION):
+    """F_value with every term evaluated: one atan2, two powers and one
+    cosine for each g = 1..(p-1)/2, all arguments read before the sum.  The
+    reference whose value and err bits zpcount.fourier.F_value, which skips
+    the terms its sums would round away, must reproduce."""
+    p = a.p
+    w = precision + 2 * k.bit_length() + 2 * fourier.GUARD_BITS
+    prof = fourier.dft_indicator(a, w - fourier.GUARD_BITS)
+    err = prof.err
+    with mp.workprec(w):
+        total = mp.mpf(0)
+        bound = mp.mpf(0)
+        slop = mp.ldexp(mp.mpf(1), -w + 6)
+        half = [(prof.magnitude(g), prof.argument(g)) for g in range(1, p // 2 + 1)]
+        for r, th in half:
+            r_hi = r + err
+            pow_hi = r_hi**k
+            mag_hi = pow_hi * r_hi
+            total += r ** (k + 1) * mp.cos((k - 1) * th)
+            if r > 2 * err:
+                th_err = err / (r - err)
+                bound += (k + 1) * pow_hi * err + mag_hi * ((k - 1) * th_err + slop)
+            else:
+                bound += 2 * mag_hi + (k + 1) * pow_hi * err
+        value = 2 * total
+        bound = 2 * bound + (p - 1) * slop * max(mp.mpf(1), abs(value))
+    return fourier.FValue(a, k, value, bound, w)
 
 
 def brute_affine_orbit(p: int, residues) -> set[int]:

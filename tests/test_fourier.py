@@ -18,7 +18,7 @@ from zpcount import (
 from zpcount import fourier
 from zpcount.fourier import PrecisionError, _clusters, _coordinates
 
-from conftest import brute_dft
+from conftest import brute_dft, unpruned_F_value
 
 PRIMES = tuple(q for q in range(3, 62) if is_odd_prime(q))
 # Fixed example streams and no example database, so every run tries the
@@ -624,6 +624,92 @@ def test_F_value_matches_frozen_digests(case):
     s = Subset.from_residues(case["p"], case["members"])
     text = json.dumps(F_value(s, case["k"], case["precision"]).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"]
+
+
+_P61 = {
+    "empty": Subset(61, 0),
+    "singleton": Subset.from_residues(61, [17]),
+    "full": Subset.interval(61, 61),
+    "interval": Subset.interval(61, 30),
+    "punctured": Subset.punctured_interval(61, 30),
+    # the interval's peak moved to the last frequency, g = 30
+    "worst order": Subset.interval(61, 30).dilate(pow(30, -1, 61)),
+}
+
+
+def _same_bits(fv, ref) -> bool:
+    return (fv.value, fv.err, fv.work_prec) == (ref.value, ref.err, ref.work_prec)
+
+
+@settings(CASES, max_examples=300)
+@given(sets_of_all_sizes(), st.one_of(st.integers(2, 64), st.integers(2, 10**4)),
+       st.integers(8, 1024))
+def test_F_value_has_the_unpruned_bits(s, k, precision):
+    assert _same_bits(F_value(s, k, precision), unpruned_F_value(s, k, precision))
+
+
+@pytest.mark.parametrize("k, precision", [(10**5, 256), (10**6, 256), (1000, 4096)])
+@pytest.mark.parametrize("name", _P61)
+def test_F_value_has_the_unpruned_bits_on_fixed_sets(name, k, precision):
+    s = _P61[name]
+    assert _same_bits(F_value(s, k, precision), unpruned_F_value(s, k, precision))
+
+
+def _arguments_read(s, k, precision=256) -> list[int]:
+    reads = []
+    real = fourier.FourierProfile.argument
+
+    def spy(self, gamma):
+        reads.append(gamma)
+        return real(self, gamma)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fourier.FourierProfile, "argument", spy)
+        F_value(s, k, precision)
+    return reads
+
+
+def test_F_value_reads_only_the_arguments_it_sums():
+    # the interval's peak r_1 ~ 19.4 comes first, and (r_3/r_1)^1001 is far
+    # below 2^-340, so every later term is rounded away unread
+    assert _arguments_read(_P61["interval"], 1000) == [1]
+    # magnitudes rise with g, so no term is ever below the partial sum
+    assert _arguments_read(_P61["worst order"], 1000) == list(range(1, 31))
+
+
+@CASES
+@given(sets_of_all_sizes(), st.integers(1, 1024))
+def test_F_value_at_k_2_reads_every_argument(s, precision):
+    # a term is skipped only when (r_g + err)^3 lies below 2^-(w+4) of the
+    # partial sum: a coefficient under 2^-16 beside one near |A|
+    assert _arguments_read(s, 2, precision) == list(range(1, s.p // 2 + 1))
+
+
+def test_term_log2_bounds_are_upper_bounds():
+    # The skip rule's estimates against the exact expressions they bound,
+    # log2 of (h*u)^(k+1) and u^(k+1)*h^k*B in units u^(k+1), at 256 bits:
+    # over, by the float margin at least, and by less than 0.1 bit.
+    rng = random.Random(29)
+    for k in (2, 3, 1000, 10**6):
+        for precision in (8, 256, 4096):
+            w = precision + 2 * k.bit_length() + 2 * fourier.GUARD_BITS
+            for a in (0, 1, 30, 61):
+                c = fourier._coeff_error(a)
+                top = (a * 101 << w) // 100
+                keys = {0, c, 2 * c, 2 * c + 1, 3 * c, top}
+                keys.update(rng.randint(0, top) for _ in range(6))
+                for key in keys:
+                    value_log2, bound_log2 = fourier._term_log2_bounds(key, c, k, w)
+                    h = key + c
+                    with mp.workprec(256):
+                        if key > 2 * c:
+                            b = ((k + 1) * c + mp.mpf((k - 1) * c * h) / (key - c)
+                                 + mp.ldexp(64 * h, -w))
+                        else:
+                            b = mp.mpf(2 * h + (k + 1) * c)
+                        exact = ((k + 1) * mp.log(h, 2), k * mp.log(h, 2) + mp.log(b, 2))
+                        for estimate, exact_log2 in zip((value_log2, bound_log2), exact):
+                            assert exact_log2 < estimate < exact_log2 + 0.1, (k, w, key, c)
 
 
 def test_optimal_t_matches_brute_scan():
