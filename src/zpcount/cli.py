@@ -11,16 +11,20 @@ Every command but recheck takes --p, and the one prime guard checks it
 before any set literal is read; recheck applies the same guard to the
 stored params.
 
-Exit codes: 0 success; 1 usage or guard error, including a flag that the
-chosen lane never reads (minimize --sizes or --a/--k, each verify claim,
-pollard --sizes), a precision escalation that hit its cap, a claim range
-that holds no point to test (for scan-k0, also a --k-limit below the first
-eligible k), and a recheck file that is missing, unreadable, not a zpcount
-report or malformed (stored params missing or of the wrong type); 2 a
-verification verdict failed or a recheck mismatch; 3 an internal invariant
-check failed, such as an attainer whose recount (s_k_count for the one
-sweep behind minimize, verify thm3/thm5 and scan-k0, the sweep's
-correlation for minimize --method raw) misses the minimum.
+Exit codes: 0 success; 1 usage or guard error, a precision escalation that
+hit its cap, a claim range that holds no point to test (for scan-k0, also a
+--k-limit below the first eligible k), and a recheck file that is missing,
+unreadable, not a zpcount report or malformed (stored params missing or of
+the wrong type); 2 a verification verdict failed or a recheck mismatch; 3
+an internal invariant check failed, such as an attainer whose recount
+(s_k_count for the one sweep behind minimize, verify thm3/thm5 and scan-k0,
+the sweep's correlation for minimize --method raw) misses the minimum.
+
+Lane errors (exit 1) come from one table, _LANES, which routes fresh and
+stored params alike to the first lane whose choosing params are all given:
+with none, "minimize needs --sizes, or --a and --k"; a fresh flag that lane
+never reads, "pollard --sizes does not read --set".  recheck ignores such
+stored params, so a pollard report holding sizes and sets replays --sizes.
 
 Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
@@ -102,49 +106,39 @@ def _run_count(params: dict) -> dict:
             "count": decimal_str(value)}
 
 
+def _run_sigma_power(params: dict) -> dict:
+    p = params["p"]
+    sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
+    if len(sets) != 1:
+        raise ValueError("--k powers a single set; give exactly one --set")
+    return {"p": p, "sigma": count_vector_to_json(power_sigma(sets[0], params["k"]))}
+
+
 def _run_sigma(params: dict) -> dict:
     p = params["p"]
     sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
-    k = params.get("k")
-    if k is not None:
-        if len(sets) != 1:
-            raise ValueError("--k powers a single set; give exactly one --set")
-        vec = power_sigma(sets[0], k)
-    else:
-        vec = sigma_vector(sets)
-    return {"p": p, "sigma": count_vector_to_json(vec)}
+    return {"p": p, "sigma": count_vector_to_json(sigma_vector(sets))}
 
 
-def _run_pollard(params: dict) -> dict:
-    from .pollard import (
-        classify_equality_k2, critical_r0, interval_profile,
-        optimal_interval_translate, pollard_lhs_rhs, threshold_profile,
-    )
+def _run_pollard_sizes(params: dict) -> dict:
+    from .pollard import critical_r0, interval_profile, optimal_interval_translate
+
+    p, sizes = params["p"], tuple(params["sizes"])
+    return {
+        "p": p,
+        "sizes": list(sizes),
+        "r0": critical_r0(sizes, p),
+        "interval_profile": interval_profile(p, sizes[1:]).to_json(),
+        "optimal_head_translate": optimal_interval_translate(sizes, p),
+    }
+
+
+def _run_pollard_sets(params: dict) -> dict:
+    from .pollard import classify_equality_k2, critical_r0, pollard_lhs_rhs, threshold_profile
 
     p = params["p"]
-    sizes = params.get("sizes")
-    set_lists = params.get("sets")
-    if sizes and set_lists:
-        raise ValueError("give --sizes or --set literals, not both")
-    if sizes:
-        sizes = tuple(sizes)
-        r0 = critical_r0(sizes, p)
-        prof = interval_profile(p, tuple(sizes[1:]))
-        return {
-            "p": p,
-            "sizes": list(sizes),
-            "r0": r0,
-            "interval_profile": prof.to_json(),
-            "optimal_head_translate": optimal_interval_translate(sizes, p),
-        }
-    if not set_lists:
-        raise ValueError("pollard needs --sizes or --set literals")
-    a0 = params.get("a0")
-    if a0 is None:
-        raise ValueError("set mode needs --a0 (head size fixing r0)")
-    sets = [Subset.from_residues(p, xs) for xs in set_lists]
-    sets.sort(key=lambda s: s.size)
-    sizes = (a0,) + tuple(s.size for s in sets)
+    sets = sorted((Subset.from_residues(p, xs) for xs in params["sets"]), key=lambda s: s.size)
+    sizes = (params["a0"],) + tuple(s.size for s in sets)
     r0 = critical_r0(sizes, p)
     prof = threshold_profile(sets)
     partial = []
@@ -199,11 +193,14 @@ def _run_optimal_t(params: dict) -> dict:
 def _run_angle_check(params: dict) -> dict:
     from .fourier import angle_check_punctured
 
+    return angle_check_punctured(params["p"], params["a"], _precision(params)).to_json()
+
+
+def _run_angle_sweep(params: dict) -> dict:
+    from .fourier import angle_check_punctured
+
     p = params["p"]
     prec = _precision(params)
-    a = params.get("a")
-    if a is not None:
-        return angle_check_punctured(p, a, prec).to_json()
     if p < 7:  # no a in 3..p-3: an empty sweep would pass vacuously
         raise ValueError(f"angle-check: the range holds no point to test (p={p})")
     checks = [angle_check_punctured(p, a_, prec).to_json() for a_ in range(3, p - 2)]
@@ -219,52 +216,47 @@ def _timed(build, *args, **kwargs) -> dict:
     return {**report.to_json(), "elapsed": round(time.perf_counter() - start, 6)}
 
 
+def _run_minimize_sizes(params: dict) -> dict:
+    return _timed(minimize_s_general, params["p"], params["sizes"],
+                  mode=params.get("mode", "auto"))
+
+
 def _run_minimize(params: dict) -> dict:
+    return _timed(minimize_sk, params["p"], params["a"], params["k"],
+                  method=params.get("method", "auto"))
+
+
+def _run_thm1_all_sizes(params: dict) -> dict:
+    p, k = params["p"], params["k"]
+    verdicts = [_timed(verify_thm_interval_extremal, p, sizes)
+                for sizes in itertools.product(range(1, p + 1), repeat=k + 1)]
+    return {"p": p, "k": k, "all_passed": all(v["passed"] for v in verdicts),
+            "verdicts": verdicts}
+
+
+def _run_thm1(params: dict) -> dict:
+    return _timed(verify_thm_interval_extremal, params["p"], params["sizes"])
+
+
+def _run_thm3(params: dict) -> dict:
     p = params["p"]
-    if params.get("sizes"):
-        return _timed(minimize_s_general, p, params["sizes"], mode=params.get("mode", "auto"))
-    if params.get("a") is None or params.get("k") is None:
-        raise ValueError("minimize needs --a with --k, or --sizes")
-    return _timed(minimize_sk, p, params["a"], params["k"], method=params.get("method", "auto"))
+    ks = range(max(params.get("k_min", 2), 2), params["k_max"] + 1)
+    return _timed(verify_thm_knot1, p, params["a"], [k for k in ks if k % p != 1])
 
 
-def _run_verify(params: dict) -> dict:
-    which = params["claim"]
-    p = params["p"]
-    if which == "thm1":
-        if params.get("all_sizes"):
-            k = params.get("k")
-            if k is None:
-                raise ValueError("--all-sizes needs --k")
-            verdicts = [_timed(verify_thm_interval_extremal, p, sizes)
-                        for sizes in itertools.product(range(1, p + 1), repeat=k + 1)]
-            return {"p": p, "k": k, "all_passed": all(v["passed"] for v in verdicts),
-                    "verdicts": verdicts}
-        if not params.get("sizes"):
-            raise ValueError("verify thm1 needs --sizes or --all-sizes")
-        return _timed(verify_thm_interval_extremal, p, params["sizes"])
-    if which in ("thm3", "thm5"):
-        bound = "k_max" if which == "thm3" else "s_max"
-        if params.get("a") is None or params.get(bound) is None:
-            raise ValueError(f"verify {which} needs --a and --{bound.replace('_', '-')}")
-    if which == "thm3":
-        ks = range(max(params.get("k_min", 2), 2), params["k_max"] + 1)
-        return _timed(verify_thm_knot1, p, params["a"], [k for k in ks if k % p != 1])
-    if which == "thm5":
-        lo, hi = params.get("s_min", 1), params["s_max"]
-        return _timed(verify_thm_k1, p, params["a"], range(lo, hi + 1))
-    if which == "cor7":
-        return _verify_cor7(p)
-    raise ValueError(f"unknown claim {which!r}")
+def _run_thm5(params: dict) -> dict:
+    return _timed(verify_thm_k1, params["p"], params["a"],
+                  range(params.get("s_min", 1), params["s_max"] + 1))
 
 
-def _verify_cor7(p_max: int) -> dict:
+def _run_cor7(params: dict) -> dict:
     """Orbit-count characterization sweep over odd primes p <= p_max:
     at least 3 orbits exactly when (p >= 13 and 3 <= a <= p-3) or
     (p >= 11 and 4 <= a <= p-4).
 
     p_max is prime and has the largest catalogs of the sweep, so its guard
     is checked before any catalog is built."""
+    p_max = params["p"]
     for a in range(1, p_max):
         enumeration_guard(p_max, a)
     rows = []
@@ -288,18 +280,52 @@ def _run_orbits(params: dict) -> dict:
     return orbit_catalog(params["p"], params["a"]).to_json()
 
 
-_HANDLERS = {
-    "count": _run_count,
-    "sigma": _run_sigma,
-    "pollard": _run_pollard,
-    "spectrum": _run_spectrum,
-    "optimal-t": _run_optimal_t,
-    "angle-check": _run_angle_check,
-    "minimize": _run_minimize,
-    "verify": _run_verify,
-    "scan-k0": _run_scan_k0,
-    "orbits": _run_orbits,
+# Every command's lanes, and for verify every claim's, in the order they are
+# tried: (name, the params that choose it, the other params it reads, handler).
+_LANES = {
+    "count": (("count", "sets", "k", _run_count),),
+    "sigma": (("sigma --k", "k", "sets", _run_sigma_power), ("sigma", "sets", "", _run_sigma)),
+    "pollard": (("pollard --sizes", "sizes", "", _run_pollard_sizes),
+                ("pollard --set", "sets a0", "", _run_pollard_sets)),
+    "spectrum": (("spectrum", "a", "depth precision", _run_spectrum),),
+    "optimal-t": (("optimal-t", "a k", "", _run_optimal_t),),
+    "angle-check": (("angle-check --a", "a", "precision", _run_angle_check),
+                    ("angle-check", "", "precision", _run_angle_sweep)),
+    "minimize": (("minimize --sizes", "sizes", "mode", _run_minimize_sizes),
+                 ("minimize --a/--k", "a k", "method", _run_minimize)),
+    "verify": {
+        "thm1": (("verify thm1 --all-sizes", "all_sizes k", "", _run_thm1_all_sizes),
+                 ("verify thm1 --sizes", "sizes", "", _run_thm1)),
+        "thm3": (("verify thm3", "a k_max", "k_min", _run_thm3),),
+        "thm5": (("verify thm5", "a s_max", "s_min", _run_thm5),),
+        "cor7": (("verify cor7", "", "", _run_cor7),),
+    },
+    "scan-k0": (("scan-k0", "a mode", "k_limit window", _run_scan_k0),),
+    "orbits": (("orbits", "a", "", _run_orbits),),
 }
+
+
+def _flag(key: str) -> str:
+    return "--set" if key == "sets" else f"--{key.replace('_', '-')}"
+
+
+def _lane(command: str, params: dict, fresh: bool = False):
+    """The handler of command's first lane (for verify, its claim's) whose
+    choosing params are all present, else a ValueError naming them; fresh
+    params may hold no flag that lane never reads but at a _LANE_DEFAULTS value."""
+    lanes, title = _LANES[command], command
+    if command == "verify":
+        lanes, title = lanes[params["claim"]], f"verify {params['claim']}"
+    for name, choose, reads, handler in lanes:
+        if all(key in params for key in choose.split()):
+            read = ("threads", "p", "claim", *choose.split(), *reads.split())
+            unread = [_flag(key) for key, val in params.items()
+                      if key not in read and val != _LANE_DEFAULTS.get(key)]
+            if fresh and unread:
+                raise ValueError(f"{name} does not read {', '.join(unread)}")
+            return handler
+    needs = [" and ".join(map(_flag, choose.split())) for _, choose, _, _ in lanes]
+    raise ValueError(f"{title} needs {', or '.join(needs)}")
 
 
 def _verification_failed(result: dict) -> bool:
@@ -363,12 +389,11 @@ def _run_recheck(path: str, fmt: str) -> int:
             and isinstance(doc["params"], dict)):
         raise ValueError(f"{path} is not a zpcount report (needs command, params, result)")
     command, params = doc["command"], doc["params"]
-    handler = _HANDLERS.get(command) if isinstance(command, str) else None
-    if handler is None:
+    if not (isinstance(command, str) and command in _LANES):
         raise ValueError(f"{path}: cannot recheck command {command!r}")
     _prime_guard(params)
     try:
-        result = handler(params)
+        result = _lane(command, params)(params)
     except (KeyError, TypeError) as exc:  # a param missing or of the wrong type
         raise ValueError(f"{path}: malformed {command} params "
                          f"({type(exc).__name__}: {exc})") from None
@@ -481,32 +506,6 @@ def _prime_guard(params: dict) -> None:
     prime_context(params.get("p"))
 
 
-# The lanes of each command or verify claim whose flags depend on the call:
-# (name, the params that choose it, the other params it reads), in order.
-_LANES = {
-    "minimize": (("minimize --sizes", "sizes", "mode"), ("minimize --a/--k", "a k", "method")),
-    "pollard": (("pollard --sizes", "sizes", "sets"),),  # the handler refuses a --set
-    "thm1": (("verify thm1 --all-sizes", "all_sizes k", ""), ("verify thm1 --sizes", "sizes", "")),
-    "thm3": (("verify thm3", "a k_max", "k_min"),),
-    "thm5": (("verify thm5", "a s_max", "s_min"),),
-    "cor7": (("verify cor7", "", ""),),
-}
-
-
-def _reject_unread_flags(command: str, params: dict) -> None:
-    """Refuse a flag given fresh that the chosen lane never reads: the first
-    lane whose choosing params are all given (with none, the handler names
-    what is missing).  recheck replays stored params without this check."""
-    for name, choose, reads in _LANES.get(params.get("claim", command), ()):
-        if all(key in params for key in choose.split()):
-            unread = [f"--{key.replace('_', '-')}" for key, val in params.items()
-                      if key not in ("threads", "p", "claim", *choose.split(), *reads.split())
-                      and val != _LANE_DEFAULTS.get(key)]
-            if unread:
-                raise ValueError(f"{name} does not read {', '.join(unread)}")
-            return
-
-
 def _params_from_args(args: argparse.Namespace) -> dict:
     given = vars(args)
     params = {key: val for key, val in given.items()
@@ -546,8 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "recheck":
             return _run_recheck(args.file, args.format)
         params = _params_from_args(args)
-        _reject_unread_flags(args.command, params)
-        result = _HANDLERS[args.command](params)
+        result = _lane(args.command, params, fresh=True)(params)
     except (ValueError, PrecisionError) as exc:  # ValueError includes SizeGuardError
         print(f"error: {exc}", file=sys.stderr)
         return 1

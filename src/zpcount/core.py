@@ -32,7 +32,7 @@ write their own __init__, and Subset its own comparisons.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import index
 from typing import Iterable, Iterator
 
@@ -301,6 +301,7 @@ def _dilation_orbit(mask: int, p: int) -> list[int]:
     return words
 
 
+@total_ordering
 class Subset(_Record):
     """Subset of Z_p as a p-bit membership word, ordered by (p, mask)."""
 
@@ -326,21 +327,6 @@ class Subset(_Record):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.p, self.mask) < (other.p, other.mask)
-
-    def __le__(self, other: "Subset") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.mask) <= (other.p, other.mask)
-
-    def __gt__(self, other: "Subset") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.mask) > (other.p, other.mask)
-
-    def __ge__(self, other: "Subset") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.mask) >= (other.p, other.mask)
 
     # --- constructors -----------------------------------------------------
 

@@ -33,8 +33,8 @@ from math import comb, inf, prod
 from typing import Iterable, Iterator, Sequence
 
 from .core import (  # InvariantError is re-exported from here
-    InvariantError, SizeGuardError, Subset, _check_claim_range, _Record, orbit_catalog,
-    prime_context, subset_masks_of_size,
+    InvariantError, SizeGuardError, Subset, _check_claim_range, _integer, _Record,
+    orbit_catalog, prime_context, subset_masks_of_size,
 )
 from .counting import _translate_rows, decimal_str, s_count, s_k_count, sigma_vector
 
@@ -181,6 +181,7 @@ def minimize_sk(p: int, a: int, k: int, *, method: str = "auto") -> SearchReport
     search (which scores every subset by s_k_count).
     """
     prime_context(p)
+    a, k = _integer("a", a), _integer("k", k)
     if not 1 <= a <= p - 1:
         raise ValueError(f"need 1 <= a <= p-1, got a={a}")
     if k < 2:
@@ -239,7 +240,7 @@ def minimize_s_general(
     re-counted by s_count before the report is returned.
     """
     prime_context(p)
-    sizes = tuple(int(x) for x in sizes)
+    sizes = tuple(_integer("size", x) for x in sizes)
     if len(sizes) < 2:
         raise ValueError("need a head size and at least one summand size")
     if not all(1 <= x <= p for x in sizes):
@@ -292,7 +293,7 @@ def verify_thm_interval_extremal(p: int, sizes: Sequence[int]) -> TheoremVerdict
     """Check that the interval configuration attains the true mixed-size
     minimum, and (uniform sizes, k != 1 mod p) that a single common set
     B = [a] + eta with eta = -t/(k-1) also attains it."""
-    sizes = tuple(int(x) for x in sizes)
+    sizes = tuple(_integer("size", x) for x in sizes)
     full = minimize_s_general(p, sizes, mode="full")
     ivl = minimize_s_general(p, sizes, mode="interval")
     ok = full.min_value == ivl.min_value

@@ -106,7 +106,6 @@ def _fold(x: mp.mpf) -> mp.mpf:
     return x - 2 * mp.pi * mp.nint(x / (2 * mp.pi))
 
 
-@lru_cache(maxsize=64)
 def _unit_table(p: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(round(2^w*cos(2*pi*j/p)), round(2^w*sin(2*pi*j/p))) for j = 0..p-1 as
     ints: evaluated at w+16 bits for j <= p//2 and mirrored, so the cosine

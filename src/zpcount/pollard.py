@@ -21,7 +21,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InvariantError, Subset, _dilate_mask, _Record, _rotate, _run_count, prime_context
+from .core import (
+    InvariantError, Subset, _dilate_mask, _integer, _Record, _rotate, _run_count, prime_context,
+)
 from .counting import CountVector, _sigma_masks
 
 
@@ -138,7 +140,7 @@ def _head_and_rest(a_sizes: Sequence[int], p: int) -> tuple[int, tuple[int, ...]
     prime_context(p)
     if len(a_sizes) < 2:
         raise ValueError("need a_0 plus at least one factor size")
-    a0, rest = a_sizes[0], tuple(a_sizes[1:])
+    a0, rest = _integer("a_0", a_sizes[0]), tuple(_integer("size", a) for a in a_sizes[1:])
     if not 0 < a0 < p:
         raise ValueError(f"critical index needs 0 < a_0 < p, got a_0={a0}")
     if any(not 0 <= a <= p for a in rest):
@@ -269,7 +271,7 @@ def _extremality_record(p: int, a0: int, masks: tuple[int, ...]) -> tuple[int, i
     sizes = (a0,) + tuple([m.bit_count() for m in masks])
     if any(not 1 <= a <= p - 1 for a in sizes):
         raise ValueError("extremality conditions need all sizes in [1, p-1]")
-    r0 = critical_r0(sizes, p)
+    r0 = _interval_r0(p, a0, sizes[1:])  # sizes are checked ints: skip critical_r0's reading
     prof = _tail_profile(p, masks)
     tie = r0 == 0 or prof.partial_sum(r0) == interval_profile(p, sizes[1:]).partial_sum(r0)
     return prof.mask(r0 + 1), prof.masks[0] ^ prof.mask(r0), tie

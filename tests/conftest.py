@@ -40,6 +40,15 @@ def subprocess_env() -> dict[str, str]:
             "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def outcome(call):
+    """call()'s value, or "<exception name>: <message>" for the ValueError or
+    TypeError it raises: one shape for a table of guards and branches."""
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def brute_s_count(a0: Subset, sets) -> int:
     """#{(x_0,...,x_k): x_0 = x_1 + ... + x_k}, one loop per coordinate."""
     p = a0.p

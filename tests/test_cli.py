@@ -1,5 +1,7 @@
 import argparse
 import ast
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 
 import zpcount
 from conftest import subprocess_env
-from zpcount import Subset, extremal, s_count, s_k_count
+from zpcount import Subset, extremal, power_sigma, s_count, s_k_count, sigma_vector
+from zpcount.counting import count_vector_to_json
 from zpcount.cli import (
     _NOT_PARAMS, _params_from_args, _parse_residues, _parse_sizes, _strip_elapsed,
     build_parser, main,
@@ -325,6 +328,32 @@ def test_human_format(capsys):
     assert "orbit_count: 2" in out
 
 
+_SIGMA_SETS = ([0, 1, 2], [0, 3], [1, 5])
+_COUNT_P7 = s_k_count(Subset.from_residues(7, [0, 1, 2]), 2)
+_POWER_P61 = json.dumps(count_vector_to_json(power_sigma(Subset.from_residues(61, range(30)), 3)))
+
+
+@pytest.mark.parametrize("argv, rows", [
+    # several --set literals: the count vector of the set list
+    (("sigma", "--p", "7", *(x for s in _SIGMA_SETS for x in ("--set", ",".join(map(str, s)))),
+      "--format", "human"),
+     ["sigma:", "  p: 7", "  sigma: " + json.dumps(count_vector_to_json(
+         sigma_vector([Subset.from_residues(7, s) for s in _SIGMA_SETS])))]),
+    # a result without points: one key,value row per key
+    (("count", "--p", "7", "--set", "0..2", "--k", "2", "--format", "csv"),
+     [["schema", "count/1"], ["key", "value"], ["count", f'"{_COUNT_P7}"'], ["k", "2"],
+      ["p", "7"], ["sets", "[[0, 1, 2]]"]]),
+    # a value past 120 characters is cut to 117 and "..."
+    (("sigma", "--p", "61", "--set", "0..29", "--k", "3", "--format", "human"),
+     ["sigma:", "  p: 61", f"  sigma: {_POWER_P61[:117]}..."]),
+], ids=["sigma-sets-human", "csv-key-value", "human-truncated"])
+def test_output_formats(capsys, argv, rows):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    parsed = list(csv.reader(io.StringIO(out))) if "csv" in argv else out.splitlines()
+    assert parsed == rows
+
+
 def test_recheck_roundtrip(capsys, tmp_path):
     for argv in (
         ("count", "--p", "17", "--k", "3", "--set", "-1..12"),
@@ -381,9 +410,12 @@ def test_recheck_detects_tampering(capsys, tmp_path):
     ('{"command": "minimize", "params": {}, "result": {}}', "p must be an odd prime"),
     ('{"command": "verify", "params": {"p": 7, "a": 3, "s_max": 2}, "result": {}}',
      "malformed verify params (KeyError: 'claim')"),
+    ('{"command": "verify", "params": {"p": 7, "claim": "thm9"}, "result": {}}',
+     "malformed verify params (KeyError: 'thm9')"),
     ('{"command": "minimize", "params": {"p": 7, "a": "x", "k": 3}, "result": {}}',
      "malformed minimize params (TypeError: "),
-], ids=["missing", "no-result", "unknown-command", "no-p", "no-claim", "wrong-type"])
+], ids=["missing", "no-result", "unknown-command", "no-p", "no-claim", "unknown-claim",
+        "wrong-type"])
 def test_recheck_bad_input_is_exit_1(capsys, tmp_path, content, message):
     f = tmp_path / "report.json"
     if content is not None:
@@ -530,6 +562,74 @@ def test_precision_on_a_non_spectral_command_is_exit_1(capsys, argv, bits):
 def test_flag_the_lane_never_reads_is_exit_1(capsys, argv, message):
     # each would otherwise run and record a flag that nothing reads
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("minimize", "--p", "7"), "minimize needs --sizes, or --a and --k"),
+    (("minimize", "--p", "7", "--k", "3"), "minimize needs --sizes, or --a and --k"),
+    (("pollard", "--p", "7"), "pollard needs --sizes, or --set and --a0"),
+    (("pollard", "--p", "7", "--set", "0,1"), "pollard needs --sizes, or --set and --a0"),
+    (("verify", "thm1", "--p", "5"), "verify thm1 needs --all-sizes and --k, or --sizes"),
+    (("verify", "thm1", "--p", "5", "--all-sizes"),
+     "verify thm1 needs --all-sizes and --k, or --sizes"),
+    (("verify", "thm3", "--p", "7", "--a", "3"), "verify thm3 needs --a and --k-max"),
+    (("verify", "thm5", "--p", "7", "--s-max", "2"), "verify thm5 needs --a and --s-max"),
+    (("pollard", "--p", "7", "--sizes", "3,2,2", "--set", "0,1"),
+     "pollard --sizes does not read --set"),
+    (("pollard", "--p", "7", "--a0", "3", "--set", "0,1", "--sizes", "3,2,2"),
+     "pollard --sizes does not read --a0, --set"),
+], ids=["minimize", "minimize-k", "pollard", "pollard-set", "thm1", "thm1-all-sizes", "thm3",
+        "thm5", "pollard-sizes-set", "pollard-sizes-a0-set"])
+def test_lane_table_errors_are_exit_1(capsys, argv, message):
+    # no lane's choosing flags all given, or a flag the chosen lane never reads
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, params, message", [
+    ("count", {"p": 7, "k": 2}, "count needs --set"),
+    ("sigma", {"p": 7}, "sigma needs --k, or --set"),
+    ("pollard", {"p": 7, "a0": 3}, "pollard needs --sizes, or --set and --a0"),
+    ("spectrum", {"p": 7, "depth": 3}, "spectrum needs --a"),
+    ("optimal-t", {"p": 7, "a": 3}, "optimal-t needs --a and --k"),
+    ("minimize", {"p": 7, "a": 3, "method": "auto"}, "minimize needs --sizes, or --a and --k"),
+    ("verify", {"p": 7, "claim": "thm1", "k": 2}, "verify thm1 needs --all-sizes and --k, or --sizes"),
+    ("verify", {"p": 7, "claim": "thm3", "k_max": 6}, "verify thm3 needs --a and --k-max"),
+    ("scan-k0", {"p": 7, "a": 3, "k_limit": 20}, "scan-k0 needs --a and --mode"),
+    ("orbits", {"p": 7}, "orbits needs --a"),
+], ids=["count", "sigma", "pollard", "spectrum", "optimal-t", "minimize", "thm1", "thm3",
+        "scan-k0", "orbits"])
+def test_recheck_without_a_lane_is_exit_1(capsys, tmp_path, command, params, message):
+    # stored params go through the same lane table as fresh ones
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps({"command": command, "params": params, "result": {}}))
+    assert run(capsys, "recheck", str(f)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("minimize", "--p", "7", "--a", "3", "--k", "2"), "k", 2.5),
+    (("minimize", "--p", "5", "--sizes", "2,2,2"), "sizes", [2, 2.5, 2]),
+    (("verify", "thm1", "--p", "5", "--sizes", "2,2,2"), "sizes", [2, 2.5, 2]),
+    (("pollard", "--p", "7", "--a0", "3", "--set", "0,1", "--set", "0,2,3"), "a0", 2.5),
+], ids=["minimize-k", "minimize-sizes", "thm1-sizes", "pollard-a0"])
+def test_recheck_of_a_non_integer_param_is_exit_1(capsys, tmp_path, argv, key, value):
+    # k = 2.5 used to end in a traceback, sizes to run truncated by int() and
+    # a0 = 2.5 to run as is
+    doc = run_json(capsys, *argv)
+    doc["params"][key] = value
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "recheck", str(f))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {f}: malformed {argv[0]} params (TypeError: ")
+    assert err.endswith(" must be an integer, got 2.5)\n")
+
+
+def test_recheck_of_a_pollard_report_with_sizes_and_sets_replays_sizes(capsys, tmp_path):
+    doc = run_json(capsys, "pollard", "--p", "11", "--sizes", "3,7,7")
+    doc["params"]["sets"] = [[0, 1, 2]]
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(doc))
+    assert run_json(capsys, "recheck", str(f))["result"] == {"target": "pollard", "match": True}
 
 
 def test_recorded_defaults_are_read_by_every_lane(capsys):

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from conftest import brute_affine_orbit, brute_orbit_catalog
+from conftest import brute_affine_orbit, brute_orbit_catalog, outcome
 from zpcount import (
     AffineMap, InvariantError, SizeGuardError, Subset, build_orbit_catalog, core,
     is_odd_prime, orbit_catalog, subset_masks_of_size,
@@ -338,3 +338,26 @@ def test_orbit_catalog_json():
     j = orbit_catalog(7, 3).to_json()
     assert j["orbit_count"] == 2
     assert j["reps"] == [[0, 1, 2], [0, 1, 3]]
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Subset(7, 1 << 7), "ValueError: mask 0x80 out of range for p=7"),
+    (lambda: Subset(7, -1), "ValueError: mask -0x1 out of range for p=7"),
+    (lambda: build_orbit_catalog(7, 8), "ValueError: subset size 8 out of range for p=7"),
+    (lambda: build_orbit_catalog(7, -1), "ValueError: subset size -1 out of range for p=7"),
+    (lambda: Subset(7, 3) < 3, "TypeError: '<' not supported between instances of 'Subset' and 'int'"),
+    (lambda: Subset(7, 3) >= 3, "TypeError: '>=' not supported between instances of 'Subset' and 'int'"),
+], ids=["mask-above", "mask-negative", "catalog-size-above", "catalog-size-negative",
+        "lt-foreign", "ge-foreign"])
+def test_guards(call, expected):
+    assert outcome(call) == expected
+
+
+def test_subset_order_is_p_then_mask():
+    # __le__, __gt__ and __ge__ are derived from __lt__ and __eq__
+    sets = [Subset(5, 3), Subset(5, 4), Subset(7, 1), Subset(7, 3)]
+    for x in sets:
+        for y in sets:
+            key_x, key_y = (x.p, x.mask), (y.p, y.mask)
+            assert ((x < y), (x <= y), (x > y), (x >= y)) == (
+                key_x < key_y, key_x <= key_y, key_x > key_y, key_x >= key_y)

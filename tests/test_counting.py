@@ -11,7 +11,9 @@ from zpcount.counting import (
     _split, _square, _translate_rows, _unpack, count_vector_to_json, decimal_str,
 )
 
-from conftest import brute_power, brute_s_count, brute_s_k, brute_sigma, schoolbook_convolve
+from conftest import (
+    brute_power, brute_s_count, brute_s_k, brute_sigma, outcome, schoolbook_convolve,
+)
 
 PRIMES = (3, 5, 7, 11, 13, 31, 61)
 # Fixed example streams and no example database, so every run tries the
@@ -404,3 +406,11 @@ def test_repack_into_a_narrow_slot_is_an_invariant_error():
     for v, nb in (((256, 0, 1), 1), ((0, 1 << 16, 3), 2), ((-1, 0, 0), 1), ((5, -2, 0), 3)):
         with pytest.raises(InvariantError, match="does not fit"):
             _pack(v, nb)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: sigma_vector([Subset(7, 1), Subset(11, 1)]), "ValueError: mismatched moduli"),
+    (lambda: power_sigma(Subset(7, 3), 0), "ValueError: power_sigma needs k >= 1, got 0"),
+], ids=["sigma-mixed-moduli", "power-k-0"])
+def test_guards(call, expected):
+    assert outcome(call) == expected

@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 
 from zpcount import (
-    InvariantError, SizeGuardError, Subset, minimize_s_general, minimize_sk, orbit_catalog,
-    s_count, s_k_count, scan_k0, sigma_vector, verify_thm_interval_extremal,
+    InvariantError, SizeGuardError, Subset, minimize_s_general, minimize_sk, optimal_t,
+    orbit_catalog, s_count, s_k_count, scan_k0, sigma_vector, verify_thm_interval_extremal,
     verify_thm_k1, verify_thm_knot1,
 )
 
@@ -12,7 +12,7 @@ from zpcount import extremal
 from zpcount.counting import SWEEP_RESTART_GAP, _translate_rows
 from zpcount.extremal import _argmin, _class_minima, _verdict
 
-from conftest import brute_s_k
+from conftest import brute_s_k, outcome
 
 
 def test_argmin_keeps_ties_in_order_and_counts_past_the_cap():
@@ -425,3 +425,29 @@ def test_verdict_labels(holds, limits, threshold, statuses):
     assert v.threshold == threshold and v.passed == (threshold is not None)
     assert [pt.status for pt in v.points] == statuses
     assert [pt.details for pt in v.points] == [{"x": x} for x in xs]
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: minimize_sk(7, 3, 2, method="fast"), "ValueError: unknown method 'fast'"),
+    (lambda: minimize_s_general(7, (3,)),
+     "ValueError: need a head size and at least one summand size"),
+    (lambda: minimize_s_general(7, (3, 2), mode="fast"), "ValueError: unknown mode 'fast'"),
+    (lambda: optimal_t(7, 0, 3), "ValueError: need 1 <= a <= p-1, got a=0"),
+    (lambda: optimal_t(7, 3, 1), "ValueError: need k >= 2, got 1"),
+    (lambda: verify_thm_k1(7, 3, [0, 1]), "ValueError: s values must be >= 1"),
+    # sizes used to pass through int(), so 2.5 ran as 2; k = 2.5 failed deep
+    # in the counting layer
+    (lambda: minimize_sk(7, 3, 2.5), "TypeError: k must be an integer, got 2.5"),
+    (lambda: minimize_sk(7, 3.0, 2), "TypeError: a must be an integer, got 3.0"),
+    (lambda: minimize_s_general(5, (2, 2.5, 2)), "TypeError: size must be an integer, got 2.5"),
+    (lambda: verify_thm_interval_extremal(5, (2, 2.5, 2)),
+     "TypeError: size must be an integer, got 2.5"),
+    # uniform sizes at k = 4 = 1 mod 3: no common-set reduction
+    (lambda: verify_thm_interval_extremal(3, (1,) * 5).points[0].details,
+     {"brute_min": "0", "interval_min": "0", "interval_head": [1], "common_set": None,
+      "common_set_note": "common-set reduction needs k != 1 mod p"}),
+], ids=["minimize-method", "general-one-size", "general-mode", "optimal-t-a", "optimal-t-k",
+        "thm5-s", "minimize-float-k", "minimize-float-a", "general-float-size",
+        "thm1-float-size", "thm1-uniform-k-1-mod-p"])
+def test_guards_and_rare_branches(call, expected):
+    assert outcome(call) == expected

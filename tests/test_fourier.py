@@ -18,7 +18,7 @@ from zpcount import (
 from zpcount import fourier
 from zpcount.fourier import PrecisionError, _clusters, _coordinates
 
-from conftest import brute_dft, unpruned_F_value
+from conftest import brute_dft, outcome, unpruned_F_value
 
 PRIMES = tuple(q for q in range(3, 62) if is_odd_prime(q))
 # Fixed example streams and no example database, so every run tries the
@@ -826,3 +826,23 @@ def test_t_good_scan_makes_one_punctured_dft(monkeypatch):
     t_good_scan(13, 3, range(-8, 9), precision=128)
     punct = (Subset.punctured_interval(13, 3).mask, 128)
     assert sorted(calls) == sorted(level_calls + [punct])
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: spectral_levels(7, 0),
+     "ValueError: need 1 <= a <= p-1 for nontrivial spectra, got a=0"),
+    (lambda: exact_arg_lattice_index(Subset(7, 0), 1),
+     "ValueError: coefficients of the empty/full set carry no direction"),
+    (lambda: primary_image(Subset(7, 0)),
+     "ValueError: primary image needs a nonempty proper subset"),
+    (lambda: projection_scores(Subset.from_residues(7, [0, 1, 3])),
+     "ValueError: set is not primary: argument outside (-pi/p, pi/p]"),
+    # the interval {0, 1, 2} sits on the lattice, at -2*pi/7
+    (lambda: projection_scores(Subset.from_residues(7, [0, 1, 2])),
+     "ValueError: set is not primary: lattice argument beyond +-pi/p"),
+    # without the cut, t = -1..-8 have s = 13, 12, 10, 8, 7, 5, 3, 2
+    (lambda: [pt.t for pt in t_good_scan(13, 3, range(-8, 9), s_max=2).points], [-1]),
+], ids=["levels-a", "lattice-empty", "primary-empty", "scores-off-lattice",
+        "scores-on-lattice", "t-good-s-max"])
+def test_guards_and_rare_branches(call, expected):
+    assert outcome(call) == expected

@@ -8,7 +8,7 @@ from zpcount import (
 from zpcount import pollard
 from zpcount.pollard import EqualityCase, EqualityTag, profile_from_sigma
 
-from conftest import brute_sigma
+from conftest import brute_sigma, outcome
 
 
 def random_subset(rng, p, lo=1, hi=None):
@@ -416,3 +416,15 @@ def test_profile_json():
     j = prof.to_json()
     assert j["p"] == 7
     assert j["n"][0] == 7
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: interval_profile(7, (3,)).n_r(-1), "ValueError: r must be nonnegative"),
+    (lambda: interval_profile(7, (8,)), "ValueError: interval length 8 out of range for p=7"),
+    (lambda: pollard_lhs_rhs([Subset(7, 3)], 0), "ValueError: partial sums need r >= 1"),
+    # a_0 = 2.5 used to run, as the head size of a critical index of 1
+    (lambda: critical_r0((2.5, 3, 3), 7), "TypeError: a_0 must be an integer, got 2.5"),
+    (lambda: critical_r0((2, 3, 3.0), 7), "TypeError: size must be an integer, got 3.0"),
+], ids=["n-r-negative", "interval-length", "partial-sum-r-0", "float-a0", "float-size"])
+def test_guards(call, expected):
+    assert outcome(call) == expected
