@@ -42,8 +42,8 @@ import sys
 import time
 
 from .core import (
-    VERSION, InvariantError, PrecisionError, Subset, enumeration_guard, is_odd_prime,
-    orbit_catalog, prime_context,
+    VERSION, InvariantError, PrecisionError, Subset, _integer, enumeration_guard,
+    is_odd_prime, orbit_catalog, prime_context,
 )
 from .counting import (
     count_vector_to_json, decimal_str, power_sigma, s_count, s_k_count, sigma_vector,
@@ -173,8 +173,8 @@ def _precision(params: dict) -> int:
 def _run_spectrum(params: dict) -> dict:
     from .fourier import spectral_levels
 
-    depth = params.get("depth", 3)
-    if not isinstance(depth, int) or depth < 1:
+    depth = _integer("depth", params.get("depth", 3))
+    if depth < 1:
         raise ValueError(f"--depth must be >= 1, got {depth!r}")
     levels = spectral_levels(params["p"], params["a"], depth=depth,
                              precision=_precision(params))
@@ -391,8 +391,8 @@ def _run_recheck(path: str, fmt: str) -> int:
     command, params = doc["command"], doc["params"]
     if not (isinstance(command, str) and command in _LANES):
         raise ValueError(f"{path}: cannot recheck command {command!r}")
-    _prime_guard(params)
     try:
+        _prime_guard(params)
         result = _lane(command, params)(params)
     except (KeyError, TypeError) as exc:  # a param missing or of the wrong type
         raise ValueError(f"{path}: malformed {command} params "
@@ -502,8 +502,11 @@ _NOT_PARAMS = ("command", "format", "set", "sizes")
 
 def _prime_guard(params: dict) -> None:
     """The CLI's one prime guard, run on fresh and replayed params alike
-    before anything reads p: every command but recheck takes --p."""
-    prime_context(params.get("p"))
+    before anything reads p: every command but recheck takes --p.  A stored
+    p that is not an integer is a malformed param (TypeError), refused before
+    the cached prime_context, which cannot hash a list or a dict."""
+    p = params.get("p")
+    prime_context(p if p is None else _integer("p", p))
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:

@@ -9,16 +9,19 @@ tables built on first use; it serves Subset.canonical,
 Subset.dilation_class_canonical and build_orbit_catalog (_dilate_mask, the
 member loop for one multiplier, serves Subset.dilate).  One translation
 kernel, _translate_min, finds a set's smallest translate among the members
-that follow a longest run of non-members; it serves Subset.canonical and
-build_orbit_catalog.  The catalog visits the necklaces (sets that are their
-own smallest translate), which _necklaces generates from their gap words,
-largest gap first, in ascending order, and stops at the one that completes
-its coverage sum; _orbit_count, Burnside's count of the orbits, checks what
-it found.  One run-count kernel, _run_count, decides
-progressions: a set with 0 < |A| < p is an arithmetic progression of
-difference d exactly when it is a single run along x -> x + d, one word
-operation, so Subset.is_interval is its d = 1 case and
-Subset.arith_prog_differences tries every d.
+that follow a longest run of non-members; it serves Subset.canonical only.
+The catalog keys each translation class by its zero-sum translate, the
+one translate whose members sum to 0 mod p, found from per-p byte tables
+of member sums; a dilate of a zero-sum set sums to 0 too, so one dilation
+chain of that key gives all of an orbit's classes.  The catalog visits the
+necklaces (sets that are their own smallest translate), which _necklaces
+generates from their gap words, largest gap first, in ascending order, and
+stops at the one that completes its coverage sum; _orbit_count, Burnside's
+count of the orbits, checks what it found.  One run-count kernel,
+_run_count, decides progressions: a set with 0 < |A| < p is an arithmetic
+progression of difference d exactly when it is a single run along
+x -> x + d, one word operation, so Subset.is_interval is its d = 1 case
+and Subset.arith_prog_differences tries every d.
 
 Every record of the package (here, in extremal, pollard and fourier) is a
 _Record: a slotted, immutable value whose fields are set once by __init__
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, total_ordering
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 VERSION = "0.1.0"  # reported by `zpcount --version` and as zpcount.__version__
 
@@ -73,10 +76,14 @@ def is_odd_prime(n: int) -> bool:
 
 
 def _integer(name: str, value: object) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    """value as an int.  A bool is refused: operator.index(True) is 1, so a
+    stored true would replay as 1."""
+    if value.__class__ is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class _Record:
@@ -262,11 +269,26 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
+def _byte_tables(p: int, weight: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of an additive map on membership words: table j maps byte
+    j of a word (residues 8j..8j+7) to the sum of weight[x] over its members
+    x, each entry one lookup from the entry without its lowest bit."""
+    tables = []
+    for lo in range(0, p, 8):
+        table = [0] * (1 << min(8, p - lo))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] + weight[lo + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 @lru_cache(maxsize=None)
 def _dilation_tables(p: int) -> tuple[tuple[int, ...], ...]:
     """Byte tables for the dilation by g = _primitive_root(p): table j maps
     byte j of a membership word (residues 8j..8j+7) to the word of the
-    images g*x of its members.  Built on first use, once per p.
+    images g*x of its members (distinct bits, so their sum is their union).
+    Built on first use, once per p.
 
     g must have order p-1, and this is checked here, before any catalog is
     built.  Orbits under a smaller subgroup still partition the subsets, so
@@ -276,14 +298,7 @@ def _dilation_tables(p: int) -> tuple[tuple[int, ...], ...]:
     order = next(j for j in range(1, p) if pow(g, j, p) == 1)
     if order != p - 1:
         raise InvariantError(f"dilation multiplier {g} has order {order} mod {p}, not {p - 1}")
-    tables = []
-    for lo in range(0, p, 8):
-        table = [0] * (1 << min(8, p - lo))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | 1 << (g * (lo + low.bit_length() - 1) % p)
-        tables.append(tuple(table))
-    return tuple(tables)
+    return _byte_tables(p, [1 << g * x % p for x in range(p)])
 
 
 def _dilation_orbit(mask: int, p: int) -> list[int]:
@@ -493,19 +508,44 @@ class OrbitCatalog(_Record):
         }
 
 
+@lru_cache(maxsize=None)
+def _member_sum_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of member sums, not reduced mod p: table j maps byte j of
+    a membership word to the sum of its members.  Built on first use, once
+    per p."""
+    return _byte_tables(p, range(p))
+
+
+def _zero_sum_shifts(p: int, a: int) -> tuple[int, ...]:
+    """For each member sum s of an a-subset (0 < a < p), summed without
+    reduction, the translation t = -s * a^-1 mod p that moves the set to
+    member sum 0 mod p: translating by t adds a*t to the member sum."""
+    step = -prime_context(p).inv[a]
+    return tuple(s * step % p for s in range(p * (p - 1) // 2 + 1))
+
+
 def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     """Partition all a-subsets of Z_p into affine orbits (single-threaded sweep).
+
+    Each translation class is keyed by its zero-sum translate Z(N): for
+    0 < a < p, translating N by t adds a*t to its member sum mod p, so the
+    class holds exactly one set with member sum 0 mod p, the translate by
+    t = -s * a^-1 for N's member sum s.  A dilate of a zero-sum set sums to
+    0 as well, so Z(xi*N) = xi*Z(N): the translation classes of N's orbit
+    are the words of the primitive-root chain _dilation_orbit(Z(N), p),
+    and, as translation acts freely, the orbit holds p sets per distinct
+    word.  seen holds these words for each orbit found; the classes of
+    distinct orbits are disjoint, so a new orbit's size is p times the
+    number of words its chain adds to seen.
 
     An orbit's representative, its smallest member, is a necklace (its own
     smallest translate).  _necklaces yields the necklaces in increasing
     order from their gap words, at most C(p, a)/p of them, without testing
-    the other masks; a necklace is kept unless seen, which holds the
-    smallest translates of each kept orbit's dilations: one entry per
-    translation class.  A kept necklace's dilations are the p-1 words of
-    the primitive-root chain _dilation_orbit, and each one's smallest
-    translate is taken by _translate_min's longest-gap rule.  For
-    0 < a < p translation acts freely, so an orbit holds p sets per
-    translation class.
+    the other masks.  A necklace's member sum is read off the byte tables
+    of _member_sum_tables, and the necklace is skipped if its Z(N) is seen;
+    otherwise it is the next representative and its chain is added to seen.
+    No smallest translate is searched for (_translate_min serves only
+    Subset.canonical).
 
     The walk stops once the orbit sizes sum to C(p, a): each orbit's
     smallest word comes before its other necklaces, so once every subset
@@ -516,23 +556,33 @@ def build_orbit_catalog(p: int, a: int) -> OrbitCatalog:
     InvariantError.
     """
     ctx = prime_context(p)
+    a = _integer("a", a)  # a bool a would be cached by orbit_catalog as a = 1
     if not 0 <= a <= p:
         raise ValueError(f"subset size {a} out of range for p={p}")
     total = enumeration_guard(p, a)
     full = ctx.full_mask
     if a in (0, p):
         return OrbitCatalog(p, a, (Subset(p, a and full),), (1,))
+    sums = _member_sum_tables(p)
+    shifts = _zero_sum_shifts(p, a)
     reps: list[Subset] = []
     sizes: list[int] = []
     seen: set[int] = set()
     covered = 0
     for mask in _necklaces(p, a):
-        if mask in seen:
+        s = 0
+        m = mask
+        for table in sums:
+            s += table[m & 255]
+            m >>= 8
+        t = shifts[s]
+        key = (mask << t | mask >> (p - t)) & full  # Z(mask): mask translated by t
+        if key in seen:
             continue
-        forms = {_translate_min(m, p, full) for m in _dilation_orbit(mask, p)}
+        before = len(seen)
+        seen.update(_dilation_orbit(key, p))
         reps.append(Subset(p, mask))
-        sizes.append(size := p * len(forms))
-        seen |= forms
+        sizes.append(size := p * (len(seen) - before))
         covered += size
         if covered >= total:  # every subset is covered: no later necklace starts an orbit
             break

@@ -397,6 +397,7 @@ def optimal_t(p: int, a: int, k: int) -> frozenset[int]:
     translates are then equivalent and no direction is preferred.
     """
     ctx = prime_context(p)
+    a, k = _integer("a", a), _integer("k", k)
     if not 1 <= a <= p - 1:
         raise ValueError(f"need 1 <= a <= p-1, got a={a}")
     if k < 2:

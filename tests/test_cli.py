@@ -624,6 +624,29 @@ def test_recheck_of_a_non_integer_param_is_exit_1(capsys, tmp_path, argv, key, v
     assert err.endswith(" must be an integer, got 2.5)\n")
 
 
+@pytest.mark.parametrize("argv, key, value, detail", [
+    (("optimal-t", "--p", "13", "--a", "5", "--k", "3"), "a", 2.0, "a must be an integer, got 2.0"),
+    (("minimize", "--p", "7", "--a", "3", "--k", "2"), "a", True, "a must be an integer, got True"),
+    (("minimize", "--p", "7", "--a", "3", "--k", "2"), "p", [7], "p must be an integer, got [7]"),
+    (("minimize", "--p", "7", "--a", "3", "--k", "2"), "p", {"x": 7},
+     "p must be an integer, got {'x': 7}"),
+    (("orbits", "--p", "7", "--a", "3"), "a", True, "a must be an integer, got True"),
+    (("spectrum", "--p", "7", "--a", "3"), "a", True, "a must be an integer, got True"),
+    (("spectrum", "--p", "7", "--a", "3"), "depth", True, "depth must be an integer, got True"),
+], ids=["optimal-t-float-a", "minimize-bool-a", "p-list", "p-dict", "orbits-bool-a",
+        "spectrum-bool-a", "spectrum-bool-depth"])
+def test_recheck_of_a_forged_param_is_one_line(capsys, tmp_path, argv, key, value, detail):
+    # a = 2.0 and a = true used to replay as 2 and 1 and report a mismatch
+    # (exit 2); a list or dict p reached the cached prime_context and ended
+    # in an unhashable-type traceback
+    doc = run_json(capsys, *argv)
+    doc["params"][key] = value
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "recheck", str(f)) == (
+        1, "", f"error: {f}: malformed {argv[0]} params (TypeError: {detail})\n")
+
+
 def test_recheck_of_a_pollard_report_with_sizes_and_sets_replays_sizes(capsys, tmp_path):
     doc = run_json(capsys, "pollard", "--p", "11", "--sizes", "3,7,7")
     doc["params"]["sets"] = [[0, 1, 2]]
@@ -855,6 +878,12 @@ def test_recheck_validates_stored_precision(capsys, tmp_path):
 # command that reaches it: an off-by-one recount of each search's attainers,
 # or level sets that are not nested.
 _BROKEN = {
+    # the catalog key with its sign flipped (+s * a^-1) is not constant on a
+    # translation class; the coverage sum and the orbit count are raised
+    # checks, so they still fire under -O
+    "zero_sum_sign_flip": ("zpcount.core", "_zero_sum_shifts",
+                           "lambda p, a: tuple(-t % p for t in real(p, a))",
+                           ["orbits", "--p", "13", "--a", "5"]),
     "s_k_count": ("zpcount.extremal", "s_k_count", "lambda *args: real(*args) + 1",
                   ["minimize", "--p", "7", "--a", "3", "--k", "4"]),
     # the raw search counts every subset by the half power and recounts its

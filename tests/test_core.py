@@ -1,6 +1,11 @@
+import hashlib
+import json
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_affine_orbit, brute_orbit_catalog, outcome
 from zpcount import (
@@ -206,17 +211,92 @@ def test_orbit_count_refuses_a_multiplier_of_smaller_order(monkeypatch):
         build_orbit_catalog(13, 5)
 
 
+def _zero_sum(mask: int, p: int) -> int:
+    """Z(mask), the catalog's key: mask translated to member sum 0 mod p,
+    from the same tables the catalog reads."""
+    s = sum(table[mask >> 8 * j & 255] for j, table in enumerate(core._member_sum_tables(p)))
+    return _rotate(mask, core._zero_sum_shifts(p, mask.bit_count())[s], p, (1 << p) - 1)
+
+
 def test_orbit_count_refuses_a_swallowed_orbit(monkeypatch):
-    # The interval's orbit also claims the last orbit's forms: its size grows
-    # by the last orbit's, the coverage sum still reaches C(13, 5), and the
-    # last representative is skipped as seen, so 9 of the 10 orbits are found.
-    last = build_orbit_catalog(13, 5).reps[-1].mask
-    interval = Subset.interval(13, 5).mask
+    # The interval's orbit also claims the last orbit's classes: its chain,
+    # the dilations of the interval's zero-sum word, also yields the last
+    # orbit's zero-sum chain.  Its size grows by the last orbit's, the
+    # coverage sum still reaches C(13, 5), and the last representative is
+    # skipped as seen, so 9 of the 10 orbits are found.
+    last = _zero_sum(build_orbit_catalog(13, 5).reps[-1].mask, 13)
+    interval = _zero_sum(Subset.interval(13, 5).mask, 13)
     real = _dilation_orbit
     monkeypatch.setattr(core, "_dilation_orbit", lambda mask, p: real(mask, p) + (
         real(last, p) if mask == interval else []))
     with pytest.raises(InvariantError, match="found 9 orbits of 5-subsets of Z_13, not 10"):
         build_orbit_catalog(13, 5)
+
+
+_WRONG_SHIFTS = {
+    # +s * a^-1: the translate sums to 2s, not 0, so the key moves with t
+    "sign-flip": lambda p, a: tuple(s * prime_context(p).inv[a] % p
+                                    for s in range(p * (p - 1) // 2 + 1)),
+    # -s * a: the inverse left out
+    "no-inverse": lambda p, a: tuple(-s * a % p for s in range(p * (p - 1) // 2 + 1)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_WRONG_SHIFTS))
+@pytest.mark.parametrize("p, a", [(7, 3), (11, 4), (13, 5), (17, 6)])
+def test_catalog_refuses_a_key_that_is_not_translation_invariant(monkeypatch, mutant, p, a):
+    # a key that differs across one translation class lets later necklaces
+    # of a found orbit through as new orbits: the coverage sum or the
+    # orbit count fails
+    monkeypatch.setattr(core, "_zero_sum_shifts", _WRONG_SHIFTS[mutant])
+    with pytest.raises(InvariantError):
+        build_orbit_catalog(p, a)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(st.sampled_from(PRIMES_BELOW_64), st.data())
+def test_zero_sum_key_is_translation_invariant_and_commutes_with_dilation(p, data):
+    full = (1 << p) - 1
+    mask = data.draw(st.integers(1, full - 1))
+    key = _zero_sum(mask, p)
+    assert sum(Subset(p, key).members()) % p == 0
+    assert all(_zero_sum(_rotate(mask, u, p, full), p) == key for u in range(p))
+    assert all(_zero_sum(_dilate_mask(mask, xi, p), p) == _dilate_mask(key, xi, p)
+               for xi in range(1, p))
+
+
+def _catalog_digest(cat) -> str:
+    body = json.dumps([[r.mask for r in cat.reps], list(cat.orbit_sizes)], separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_catalogs_match_their_frozen_digests():
+    # SHA-256 of (reps, orbit_sizes) for every p <= 19 and 0 < a < p, and
+    # for (23, a) with a <= 8 and a = 11, frozen from the builder that took
+    # each dilation's smallest translate
+    frozen = json.loads((Path(__file__).parent / "fixtures" / "catalog_digests.json").read_text())
+    assert len(frozen) == 77
+    for entry in frozen:
+        cat = build_orbit_catalog(entry["p"], entry["a"])
+        assert (len(cat.reps), _catalog_digest(cat)) == \
+            (entry["orbit_count"], entry["sha256"]), (entry["p"], entry["a"])
+
+
+def test_catalog_refuses_a_bool_size():
+    # orbit_catalog keys its cache by (p, a), and True == 1: a catalog built
+    # for a = True would be served, with "a": true, for a = 1
+    orbit_catalog.cache_clear()
+    with pytest.raises(TypeError, match="a must be an integer, got True"):
+        orbit_catalog(7, True)
+    assert type(orbit_catalog(7, 1).a) is int
+
+
+def test_catalog_does_not_search_smallest_translates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_translate_min called")
+
+    monkeypatch.setattr(core, "_translate_min", refuse)
+    assert len(build_orbit_catalog(13, 5).reps) == 10
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

@@ -439,6 +439,10 @@ def test_verdict_labels(holds, limits, threshold, statuses):
     # in the counting layer
     (lambda: minimize_sk(7, 3, 2.5), "TypeError: k must be an integer, got 2.5"),
     (lambda: minimize_sk(7, 3.0, 2), "TypeError: a must be an integer, got 3.0"),
+    # operator.index(True) is 1, so a bool used to run as 1
+    (lambda: minimize_sk(7, True, 2), "TypeError: a must be an integer, got True"),
+    (lambda: optimal_t(7, 2.0, 3), "TypeError: a must be an integer, got 2.0"),
+    (lambda: optimal_t(7, 3, 3.0), "TypeError: k must be an integer, got 3.0"),
     (lambda: minimize_s_general(5, (2, 2.5, 2)), "TypeError: size must be an integer, got 2.5"),
     (lambda: verify_thm_interval_extremal(5, (2, 2.5, 2)),
      "TypeError: size must be an integer, got 2.5"),
@@ -447,7 +451,8 @@ def test_verdict_labels(holds, limits, threshold, statuses):
      {"brute_min": "0", "interval_min": "0", "interval_head": [1], "common_set": None,
       "common_set_note": "common-set reduction needs k != 1 mod p"}),
 ], ids=["minimize-method", "general-one-size", "general-mode", "optimal-t-a", "optimal-t-k",
-        "thm5-s", "minimize-float-k", "minimize-float-a", "general-float-size",
+        "thm5-s", "minimize-float-k", "minimize-float-a", "minimize-bool-a",
+        "optimal-t-float-a", "optimal-t-float-k", "general-float-size",
         "thm1-float-size", "thm1-uniform-k-1-mod-p"])
 def test_guards_and_rare_branches(call, expected):
     assert outcome(call) == expected
