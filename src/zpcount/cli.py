@@ -7,24 +7,25 @@ with fixed versioned columns, or a short human summary.  Each JSON document
 embeds the command and its parameters so `recheck FILE` can re-run the
 computation and confirm the stored result byte-for-byte (elapsed excluded).
 
-Every command but recheck takes --p, and the one prime guard checks it
-before any set literal is read; recheck applies the same guard to the
-stored params.
+One table, _LANES, declares the command line and routes it.  A command's
+flags are its lanes' params and --p, which the one prime guard checks
+before any set literal is read (recheck guards a stored p alike); a lane row
+is the only place a flag is declared, and the values of --mode and --method
+are left to the library to check.  Fresh and stored params alike take the
+first lane (for verify, of the claim) whose choosing params are all given:
+with none, "minimize needs --sizes, or --a and --k"; a fresh flag that lane
+never reads, "pollard --sizes does not read --set".  recheck ignores such
+stored params, so a pollard report holding sizes and sets replays --sizes.
 
-Exit codes: 0 success; 1 usage or guard error, a precision escalation that
-hit its cap, a claim range that holds no point to test (for scan-k0, also a
---k-limit below the first eligible k), and a recheck file that is missing,
+Exit codes: 0 success; 1 a usage error (argparse's too: every error is one
+"error: ..." line), a guard error, a precision escalation that hit its cap,
+a claim range that holds no point to test (for scan-k0, also a --k-limit
+below the first eligible k), and a recheck file that is missing,
 unreadable, not a zpcount report or malformed (stored params missing or of
 the wrong type); 2 a verification verdict failed or a recheck mismatch; 3
 an internal invariant check failed, such as an attainer whose recount
 (s_k_count for the one sweep behind minimize, verify thm3/thm5 and scan-k0,
 the sweep's correlation for minimize --method raw) misses the minimum.
-
-Lane errors (exit 1) come from one table, _LANES, which routes fresh and
-stored params alike to the first lane whose choosing params are all given:
-with none, "minimize needs --sizes, or --a and --k"; a fresh flag that lane
-never reads, "pollard --sizes does not read --set".  recheck ignores such
-stored params, so a pollard report holding sizes and sets replays --sizes.
 
 Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
@@ -56,6 +57,15 @@ from .extremal import (
 CSV_SCHEMA = "1"
 
 
+def _residues(p: int, members) -> list[int]:
+    """The one rule for a set, given as a --set literal or stored in a report:
+    every member an integer, read mod p, and no residue repeated."""
+    out = [_integer("sets", x) % p for x in members]
+    if len(set(out)) != len(out):
+        raise ValueError(f"set literal repeats a residue mod {p}")
+    return out
+
+
 def _parse_residues(text: str, p: int) -> list[int]:
     """Comma-separated residues; negatives reduce mod p; "x..y" spans a range."""
     out: list[int] = []
@@ -70,12 +80,10 @@ def _parse_residues(text: str, p: int) -> list[int]:
                 raise ValueError(f"descending range {token!r}")
             if hi - lo + 1 > p:
                 raise ValueError(f"range {token!r} longer than the group")
-            out.extend(v % p for v in range(lo, hi + 1))
+            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(token) % p)
-    if len(set(out)) != len(out):
-        raise ValueError(f"set literal repeats a residue mod {p}")
-    return out
+            out.append(int(token))
+    return _residues(p, out)
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -89,9 +97,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 # --- handlers: params dict in, result dict out ---------------------------------
 
 
-def _run_count(params: dict) -> dict:
+def _subsets(params: dict) -> list[Subset]:
     p = params["p"]
-    sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
+    return [Subset.from_residues(p, _residues(p, xs)) for xs in params["sets"]]
+
+
+def _run_count(params: dict) -> dict:
+    p, sets = params["p"], _subsets(params)
     k = params.get("k")
     if len(sets) == 1:
         if k is None:
@@ -107,17 +119,14 @@ def _run_count(params: dict) -> dict:
 
 
 def _run_sigma_power(params: dict) -> dict:
-    p = params["p"]
-    sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
+    p, sets = params["p"], _subsets(params)
     if len(sets) != 1:
         raise ValueError("--k powers a single set; give exactly one --set")
     return {"p": p, "sigma": count_vector_to_json(power_sigma(sets[0], params["k"]))}
 
 
 def _run_sigma(params: dict) -> dict:
-    p = params["p"]
-    sets = [Subset.from_residues(p, xs) for xs in params["sets"]]
-    return {"p": p, "sigma": count_vector_to_json(sigma_vector(sets))}
+    return {"p": params["p"], "sigma": count_vector_to_json(sigma_vector(_subsets(params)))}
 
 
 def _run_pollard_sizes(params: dict) -> dict:
@@ -136,8 +145,7 @@ def _run_pollard_sizes(params: dict) -> dict:
 def _run_pollard_sets(params: dict) -> dict:
     from .pollard import classify_equality_k2, critical_r0, pollard_lhs_rhs, threshold_profile
 
-    p = params["p"]
-    sets = sorted((Subset.from_residues(p, xs) for xs in params["sets"]), key=lambda s: s.size)
+    p, sets = params["p"], sorted(_subsets(params), key=lambda s: s.size)
     sizes = (params["a0"],) + tuple(s.size for s in sets)
     r0 = critical_r0(sizes, p)
     prof = threshold_profile(sets)
@@ -159,26 +167,17 @@ def _run_pollard_sets(params: dict) -> dict:
 
 def _precision(params: dict) -> int:
     """The working precision of a spectral command: --precision, else the
-    library default.  Capped here at MAX_PRECISION, the ladder's cap, because
-    angle-check climbs no ladder and would otherwise run at any size."""
-    from .fourier import DEFAULT_PRECISION, MAX_PRECISION
+    library default.  The library refuses one below 1 or above MAX_PRECISION."""
+    from .fourier import DEFAULT_PRECISION
 
-    prec = params.get("precision", DEFAULT_PRECISION)
-    if not isinstance(prec, int) or not 1 <= prec <= MAX_PRECISION:
-        raise ValueError(f"--precision must be a positive number of bits up to "
-                         f"{MAX_PRECISION}, got {prec!r}")
-    return prec
+    return _integer("precision", params.get("precision", DEFAULT_PRECISION))
 
 
 def _run_spectrum(params: dict) -> dict:
     from .fourier import spectral_levels
 
-    depth = _integer("depth", params.get("depth", 3))
-    if depth < 1:
-        raise ValueError(f"--depth must be >= 1, got {depth!r}")
-    levels = spectral_levels(params["p"], params["a"], depth=depth,
-                             precision=_precision(params))
-    return levels.to_json()
+    return spectral_levels(params["p"], params["a"], depth=params["depth"],
+                           precision=_precision(params)).to_json()
 
 
 def _run_optimal_t(params: dict) -> dict:
@@ -217,13 +216,11 @@ def _timed(build, *args, **kwargs) -> dict:
 
 
 def _run_minimize_sizes(params: dict) -> dict:
-    return _timed(minimize_s_general, params["p"], params["sizes"],
-                  mode=params.get("mode", "auto"))
+    return _timed(minimize_s_general, params["p"], params["sizes"], mode=params["mode"])
 
 
 def _run_minimize(params: dict) -> dict:
-    return _timed(minimize_sk, params["p"], params["a"], params["k"],
-                  method=params.get("method", "auto"))
+    return _timed(minimize_sk, params["p"], params["a"], params["k"], method=params["method"])
 
 
 def _run_thm1_all_sizes(params: dict) -> dict:
@@ -240,13 +237,13 @@ def _run_thm1(params: dict) -> dict:
 
 def _run_thm3(params: dict) -> dict:
     p = params["p"]
-    ks = range(max(params.get("k_min", 2), 2), params["k_max"] + 1)
+    ks = range(max(params["k_min"], 2), params["k_max"] + 1)
     return _timed(verify_thm_knot1, p, params["a"], [k for k in ks if k % p != 1])
 
 
 def _run_thm5(params: dict) -> dict:
     return _timed(verify_thm_k1, params["p"], params["a"],
-                  range(params.get("s_min", 1), params["s_max"] + 1))
+                  range(params["s_min"], params["s_max"] + 1))
 
 
 def _run_cor7(params: dict) -> dict:
@@ -273,7 +270,7 @@ def _run_cor7(params: dict) -> dict:
 
 def _run_scan_k0(params: dict) -> dict:
     return _timed(scan_k0, params["p"], params["a"], params["mode"],
-                  k_limit=params.get("k_limit", 500), window=params.get("window"))
+                  k_limit=params["k_limit"], window=params.get("window"))
 
 
 def _run_orbits(params: dict) -> dict:
@@ -284,7 +281,7 @@ def _run_orbits(params: dict) -> dict:
 # tried: (name, the params that choose it, the other params it reads, handler).
 _LANES = {
     "count": (("count", "sets", "k", _run_count),),
-    "sigma": (("sigma --k", "k", "sets", _run_sigma_power), ("sigma", "sets", "", _run_sigma)),
+    "sigma": (("sigma --k", "k sets", "", _run_sigma_power), ("sigma", "sets", "", _run_sigma)),
     "pollard": (("pollard --sizes", "sizes", "", _run_pollard_sizes),
                 ("pollard --set", "sets a0", "", _run_pollard_sets)),
     "spectrum": (("spectrum", "a", "depth precision", _run_spectrum),),
@@ -304,6 +301,27 @@ _LANES = {
     "orbits": (("orbits", "a", "", _run_orbits),),
 }
 
+# The params every report of a command records whichever lane it takes: at
+# these values when their flag is not given, fresh or stored, so a flag given
+# at its default is never one the chosen lane fails to read.
+_DEFAULTS = {
+    "spectrum": {"depth": 3},
+    "minimize": {"method": "auto", "mode": "auto"},
+    "verify": {"k_min": 2, "s_min": 1},
+    "scan-k0": {"k_limit": 500},
+}
+
+# The lane params whose flags are not int-valued: the set and size literals,
+# parsed into params as sets and sizes, a switch, and the two named choices,
+# whose values the library checks.
+_KINDS = {
+    "sets": {"action": "append", "dest": "sets", "metavar": "RESIDUES"},
+    "sizes": {"metavar": "A0,A1,.."},
+    "all_sizes": {"action": "store_true"},
+    "mode": {},
+    "method": {},
+}
+
 
 def _flag(key: str) -> str:
     return "--set" if key == "sets" else f"--{key.replace('_', '-')}"
@@ -312,15 +330,15 @@ def _flag(key: str) -> str:
 def _lane(command: str, params: dict, fresh: bool = False):
     """The handler of command's first lane (for verify, its claim's) whose
     choosing params are all present, else a ValueError naming them; fresh
-    params may hold no flag that lane never reads but at a _LANE_DEFAULTS value."""
+    params may hold no flag that lane never reads but at its _DEFAULTS value."""
     lanes, title = _LANES[command], command
     if command == "verify":
         lanes, title = lanes[params["claim"]], f"verify {params['claim']}"
     for name, choose, reads, handler in lanes:
         if all(key in params for key in choose.split()):
             read = ("threads", "p", "claim", *choose.split(), *reads.split())
-            unread = [_flag(key) for key, val in params.items()
-                      if key not in read and val != _LANE_DEFAULTS.get(key)]
+            unread = sorted(_flag(key) for key, val in params.items()
+                            if key not in read and val != _DEFAULTS.get(command, {}).get(key))
             if fresh and unread:
                 raise ValueError(f"{name} does not read {', '.join(unread)}")
             return handler
@@ -388,9 +406,10 @@ def _run_recheck(path: str, fmt: str) -> int:
     if not (isinstance(doc, dict) and {"command", "params", "result"} <= doc.keys()
             and isinstance(doc["params"], dict)):
         raise ValueError(f"{path} is not a zpcount report (needs command, params, result)")
-    command, params = doc["command"], doc["params"]
+    command = doc["command"]
     if not (isinstance(command, str) and command in _LANES):
         raise ValueError(f"{path}: cannot recheck command {command!r}")
+    params = {**_DEFAULTS.get(command, {}), **doc["params"]}
     try:
         _prime_guard(params)
         result = _lane(command, params)(params)
@@ -404,100 +423,59 @@ def _run_recheck(path: str, fmt: str) -> int:
     return 0 if match else 2
 
 
-# Defaults of flags that only one lane of a command reads: every report of
-# that command records them whichever lane it takes, so a flag left at its
-# default is never one the lane fails to read.
-_LANE_DEFAULTS = {"method": "auto", "mode": "auto", "k_min": 2, "s_min": 1}
+# One line per command for --help.
+_HELP = {
+    "count": "s_k of one set, or s(A0; A1..Ak) of explicit sets",
+    "sigma": "count vector of a set list or a k-th power",
+    "pollard": "threshold profile, r0, partial sums, equality class",
+    "spectrum": "top coefficient-magnitude levels across orbits",
+    "optimal-t": "translates of [a] with the most negative dominant term",
+    "angle-check": "punctured-interval argument vs the pi/p lattice",
+    "minimize": "exact minimum of s_k (--a/--k) or s (--sizes)",
+    "verify": "point-by-point verdicts for the structural claims",
+    "scan-k0": "least k* whose claim holds across a trailing window",
+    "orbits": "affine orbit catalog for (p, a)",
+    "recheck": "re-run a stored JSON report and compare",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ValueErrors, so that main
+    prints each as one line, like every other error, and exits 1."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every command of _LANES, plus recheck.  A command's flags are --p and
+    its lanes' params (for verify, every claim's), each an int flag unless
+    _KINDS says otherwise; every subcommand takes --format and --threads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--threads", type=int, choices=(1,), default=1,
                         help="always 1: every search runs in one process (recorded in params)")
     prime = argparse.ArgumentParser(add_help=False, parents=[common])
-    prime.add_argument("--p", type=int, required=True,
+    prime.add_argument("--p", type=int,
                        help="odd prime (verify cor7: sweep primes up to this value)")
-
-    parser = argparse.ArgumentParser(
-        prog="zpcount",
-        description="Counts of additive (k+1)-tuples in Z_p and their minimizers.",
-    )
+    parser = _Parser(prog="zpcount",
+                     description="Counts of additive (k+1)-tuples in Z_p and their minimizers.")
     parser.add_argument("--version", action="version", version=f"zpcount {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("count", parents=[prime],
-                        help="s_k of one set, or s(A0; A1..Ak) of explicit sets")
-    sp.add_argument("--set", action="append", required=True, metavar="RESIDUES")
-    sp.add_argument("--k", type=int)
-
-    sp = sub.add_parser("sigma", parents=[prime],
-                        help="count vector of a set list or a k-th power")
-    sp.add_argument("--set", action="append", required=True, metavar="RESIDUES")
-    sp.add_argument("--k", type=int)
-
-    sp = sub.add_parser("pollard", parents=[prime],
-                        help="threshold profile, r0, partial sums, equality class")
-    sp.add_argument("--sizes", metavar="A0,A1,..")
-    sp.add_argument("--set", action="append", metavar="RESIDUES")
-    sp.add_argument("--a0", type=int, help="head size (set mode)")
-
-    sp = sub.add_parser("spectrum", parents=[prime],
-                        help="top coefficient-magnitude levels across orbits")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--precision", type=int, help="working precision in bits")
-
-    sp = sub.add_parser("optimal-t", parents=[prime],
-                        help="translates of [a] with the most negative dominant term")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = sub.add_parser("angle-check", parents=[prime],
-                        help="punctured-interval argument vs the pi/p lattice")
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--precision", type=int, help="working precision in bits")
-
-    sp = sub.add_parser("minimize", parents=[prime],
-                        help="exact minimum of s_k (--a/--k) or s (--sizes)")
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--sizes", metavar="A0,A1,..")
-    sp.add_argument("--method", choices=("auto", "raw"), default=_LANE_DEFAULTS["method"])
-    sp.add_argument("--mode", choices=("auto", "full", "interval"), default=_LANE_DEFAULTS["mode"])
-
-    sp = sub.add_parser("verify", parents=[prime],
-                        help="point-by-point verdicts for the structural claims")
-    sp.add_argument("claim", choices=("thm1", "thm3", "thm5", "cor7"))
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--sizes", metavar="A0,A1,..")
-    sp.add_argument("--all-sizes", action="store_true")
-    sp.add_argument("--k-min", type=int, default=_LANE_DEFAULTS["k_min"])
-    sp.add_argument("--k-max", type=int)
-    sp.add_argument("--s-min", type=int, default=_LANE_DEFAULTS["s_min"])
-    sp.add_argument("--s-max", type=int)
-
-    sp = sub.add_parser("scan-k0", parents=[prime],
-                        help="least k* whose claim holds across a trailing window")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--mode", choices=("knot1", "k1-even", "k1-part2"), required=True)
-    sp.add_argument("--k-limit", type=int, default=500)
-    sp.add_argument("--window", type=int)
-
-    sp = sub.add_parser("orbits", parents=[prime],
-                        help="affine orbit catalog for (p, a)")
-    sp.add_argument("--a", type=int, required=True)
-
-    sp = sub.add_parser("recheck", parents=[common],
-                        help="re-run a stored JSON report and compare")
-    sp.add_argument("file")
+    for command, lanes in _LANES.items():
+        sp = sub.add_parser(command, parents=[prime], help=_HELP.get(command))
+        if command == "verify":
+            sp.add_argument("claim", choices=tuple(lanes))
+            lanes = [lane for claim_lanes in lanes.values() for lane in claim_lanes]
+        for key in dict.fromkeys(k for _, choose, reads, _ in lanes
+                                 for k in f"{choose} {reads}".split()):
+            sp.add_argument(_flag(key), **_KINDS.get(key, {"type": int}))
+    sub.add_parser("recheck", parents=[common], help=_HELP["recheck"]).add_argument("file")
     return parser
 
 
-# Parsed flags that are not params: the subcommand, the output format, and
-# the set and size literals, which enter params parsed (as sets and sizes).
-_NOT_PARAMS = ("command", "format", "set", "sizes")
+# Parsed flags that are not params: the subcommand and the output format.
+_NOT_PARAMS = ("command", "format")
 
 
 def _prime_guard(params: dict) -> None:
@@ -510,45 +488,37 @@ def _prime_guard(params: dict) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    given = vars(args)
-    params = {key: val for key, val in given.items()
-              if key not in _NOT_PARAMS and val is not None and val is not False}
+    params = {**_DEFAULTS.get(args.command, {}),
+              **{key: val for key, val in vars(args).items()
+                 if key not in _NOT_PARAMS and val is not None and val is not False}}
     _prime_guard(params)
-    if given.get("sizes"):
-        params["sizes"] = list(_parse_sizes(given["sizes"]))
-    if given.get("set"):
-        params["sets"] = [_parse_residues(text, params["p"]) for text in given["set"]]
+    if "sizes" in params:
+        params["sizes"] = list(_parse_sizes(params["sizes"]))
+    if "sets" in params:
+        params["sets"] = [_parse_residues(text, params["p"]) for text in params["sets"]]
     return params
 
 
 def _glue_value_flags(argv: list[str]) -> list[str]:
     """Join "--set -1..12" into "--set=-1..12" so leading minus signs survive."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--set", "--sizes") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in ("--set", "--sizes"):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_value_flags(list(sys.argv[1:] if argv is None else argv)))
-    except SystemExit as exc:  # argparse uses 2 for usage errors; keep that for verdicts
-        if exc.code not in (0, None):
-            return 1
-        return 0
-    try:
+        args = build_parser().parse_args(_glue_value_flags(sys.argv[1:] if argv is None else argv))
         if args.command == "recheck":
             return _run_recheck(args.file, args.format)
         params = _params_from_args(args)
         result = _lane(args.command, params, fresh=True)(params)
+    except SystemExit as exc:  # --help and --version, printed; usage errors are ValueErrors
+        return exc.code
     except (ValueError, PrecisionError) as exc:  # ValueError includes SizeGuardError
         print(f"error: {exc}", file=sys.stderr)
         return 1

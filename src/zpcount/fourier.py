@@ -49,7 +49,8 @@ places an argument against that lattice.
 Every margin that a working precision may fail to resolve goes up one
 ladder, _escalate: an attempt at the requested precision, then at 2x, 4x,
 ... that precision, and PrecisionError (naming the call site) once the next
-rung would exceed MAX_PRECISION.
+rung would exceed MAX_PRECISION.  angle_check_punctured climbs none, but
+_check_start holds its precision to the ladder's bounds all the same.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 import mpmath as mp
 
 from .core import (  # PrecisionError is re-exported from here
-    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, _Record, _rotate,
-    orbit_catalog, prime_context,
+    AffineMap, InvariantError, PrecisionError, Subset, _check_claim_range, _integer, _Record,
+    _rotate, orbit_catalog, prime_context,
 )
 
 DEFAULT_PRECISION = 256
@@ -80,11 +81,8 @@ _T = TypeVar("_T")
 
 def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) -> _T:
     """First non-None attempt(prec) for prec = precision, 2*precision, ...;
-    PrecisionError once the next rung would exceed MAX_PRECISION.  A start
-    below 1 bit is a ValueError, a start above the cap a PrecisionError."""
-    _check_precision(precision)
-    if precision > MAX_PRECISION:
-        raise PrecisionError(f"{site}: {precision} bits requested (cap {MAX_PRECISION})")
+    PrecisionError once the next rung would exceed MAX_PRECISION."""
+    _check_start(site, precision)
     prec = precision
     while (result := attempt(prec)) is None:
         prec *= 2
@@ -98,6 +96,14 @@ def _escalate(site: str, precision: int, attempt: Callable[[int], _T | None]) ->
 def _check_precision(precision: int) -> None:
     if precision < 1:
         raise ValueError(f"precision must be a positive number of bits, got {precision}")
+
+
+def _check_start(site: str, precision: int) -> None:
+    """The start of a precision ladder, or of a check that climbs none: below
+    1 bit is a ValueError, above MAX_PRECISION a PrecisionError."""
+    _check_precision(precision)
+    if precision > MAX_PRECISION:
+        raise PrecisionError(f"{site}: {precision} bits requested (cap {MAX_PRECISION})")
 
 
 def _fold(x: mp.mpf) -> mp.mpf:
@@ -340,7 +346,7 @@ def spectral_levels(
     """
     if not 1 <= a <= p - 1:
         raise ValueError(f"need 1 <= a <= p-1 for nontrivial spectra, got a={a}")
-    if depth < 1:
+    if _integer("depth", depth) < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     catalog = orbit_catalog(p, a)
     e = _coeff_error(a)
@@ -744,6 +750,7 @@ def _punctured_avoidance(
     certified off (pi/p)*Z and its distance clears 10x the error bound."""
     prime_context(p)
     _check_claim_range(p, a)
+    _check_start(f"angle_check_punctured(p={p}, a={a})", precision)
     prof = dft_indicator(Subset.punctured_interval(p, a), precision)
     reading = _lattice_reading(prof, 1)
     if reading is None:

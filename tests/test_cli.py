@@ -15,8 +15,8 @@ from conftest import subprocess_env
 from zpcount import Subset, extremal, power_sigma, s_count, s_k_count, sigma_vector
 from zpcount.counting import count_vector_to_json
 from zpcount.cli import (
-    _NOT_PARAMS, _params_from_args, _parse_residues, _parse_sizes, _strip_elapsed,
-    build_parser, main,
+    _LANES, _NOT_PARAMS, _glue_value_flags, _lane, _params_from_args, _parse_residues,
+    _parse_sizes, _strip_elapsed, build_parser, main,
 )
 
 
@@ -99,7 +99,7 @@ def test_every_parser_flag_reaches_params():
             if action.dest == "help":
                 continue
             dests.add(action.dest)
-            value = {"p": "7", "set": "0", "sizes": "1,2"}.get(
+            value = {"p": "7", "sets": "0", "sizes": "1,2"}.get(
                 action.dest, str(action.choices[0]) if action.choices else "7")
             if not action.option_strings:
                 argv.append(value)
@@ -116,6 +116,103 @@ def test_argparse_usage_is_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     code, _, _ = run(capsys, "--help")
     assert code == 0
+    code, out, err = run(capsys, "minimize", "--help")
+    assert code == 0 and err == "" and out.startswith("usage: zpcount minimize")
+    assert run(capsys, "--version") == (0, f"zpcount {zpcount.VERSION}\n", "")
+
+
+# Each a malformed fresh command line and a part of its one-line message:
+# argparse's own errors, with no usage lines; a missing choosing flag or
+# --p on every command; and the --mode and --method values that only the
+# library refuses, as the parser lists no choices for them.
+_USAGE_ERRORS = {
+    "no-command": ((), "the following arguments are required: command"),
+    "unknown-command": (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+    "unknown-flag": (("orbits", "--p", "7", "--a", "3", "--bogus"),
+                     "unrecognized arguments: --bogus"),
+    "k-not-int": (("count", "--p", "7", "--set", "0,1", "--k", "x"),
+                  "argument --k: invalid int value: 'x'"),
+    "set-without-value": (("count", "--p", "7", "--k", "2", "--set"),
+                          "argument --set: expected one argument"),
+    "threads-2": (("minimize", "--p", "7", "--a", "3", "--k", "2", "--threads", "2"),
+                  "argument --threads: invalid choice: 2"),
+    "format-xml": (("orbits", "--p", "7", "--a", "3", "--format", "xml"),
+                   "argument --format: invalid choice: 'xml'"),
+    "empty-sizes": (("pollard", "--p", "7", "--sizes", "", "--a0", "3", "--set", "0,1"),
+                    "empty entry in size list"),
+    "unknown-claim": (("verify", "thm9", "--p", "7"), "argument claim: invalid choice: 'thm9'"),
+    "no-claim": (("verify", "--p", "7"), "the following arguments are required: claim"),
+    "recheck-no-file": (("recheck",), "the following arguments are required: file"),
+    "no-p": (("count", "--set", "0,1", "--k", "2"), "p must be an odd prime"),
+    "angle-check-no-p": (("angle-check", "--a", "4"), "p must be an odd prime"),
+    "cor7-no-p": (("verify", "cor7"), "p must be an odd prime"),
+    "count": (("count", "--p", "7", "--k", "2"), "count needs --set"),
+    "sigma": (("sigma", "--p", "7"), "sigma needs --k and --set, or --set"),
+    "sigma-k": (("sigma", "--p", "7", "--k", "3"), "sigma needs --k and --set, or --set"),
+    "pollard": (("pollard", "--p", "7", "--a0", "3"), "pollard needs --sizes, or --set and --a0"),
+    "spectrum": (("spectrum", "--p", "7"), "spectrum needs --a"),
+    "optimal-t": (("optimal-t", "--p", "7", "--a", "3"), "optimal-t needs --a and --k"),
+    "minimize": (("minimize", "--p", "7", "--k", "3"), "minimize needs --sizes, or --a and --k"),
+    "thm1": (("verify", "thm1", "--p", "5", "--k", "2"),
+             "verify thm1 needs --all-sizes and --k, or --sizes"),
+    "thm3": (("verify", "thm3", "--p", "7", "--a", "3"), "verify thm3 needs --a and --k-max"),
+    "thm5": (("verify", "thm5", "--p", "7", "--a", "3"), "verify thm5 needs --a and --s-max"),
+    "scan-k0": (("scan-k0", "--p", "7", "--a", "3"), "scan-k0 needs --a and --mode"),
+    "orbits": (("orbits", "--p", "7"), "orbits needs --a"),
+    "minimize-method": (("minimize", "--p", "7", "--a", "3", "--k", "2", "--method", "bogus"),
+                        "unknown method 'bogus'"),
+    "minimize-mode": (("minimize", "--p", "7", "--sizes", "3,2,2", "--mode", "bogus"),
+                      "unknown mode 'bogus'"),
+    "scan-k0-mode": (("scan-k0", "--p", "7", "--a", "3", "--mode", "bogus"),
+                     "unknown mode 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_USAGE_ERRORS))
+def test_every_usage_error_is_one_line(capsys, name):
+    argv, message = _USAGE_ERRORS[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+# The params of every benchmark menu command and of one or more command
+# lines per lane, frozen from the parser as it was when every flag was
+# declared by hand beside the lane table.
+_FROZEN_PARAMS = json.loads((Path(__file__).parent / "fixtures" / "cli_params.json").read_text())
+
+
+def test_parser_reproduces_the_frozen_params():
+    parser = build_parser()
+    handlers = set()
+    for line, frozen in _FROZEN_PARAMS.items():
+        params = _params_from_args(parser.parse_args(_glue_value_flags(line.split())))
+        assert json.dumps(params, sort_keys=True) == json.dumps(frozen, sort_keys=True), line
+        handlers.add(_lane(line.split()[0], params, fresh=True))
+    lanes = [lane for rows in _LANES.values()
+             for lane in (sum(rows.values(), ()) if isinstance(rows, dict) else rows)]
+    assert handlers == {handler for *_, handler in lanes}  # every lane is reached
+    assert {" ".join(entry["args"]) for entry in _CLI_REFERENCE.values()} <= _FROZEN_PARAMS.keys()
+
+
+def test_a_new_lane_row_is_its_whole_declaration(capsys, tmp_path, monkeypatch):
+    # one row, and the parser, the lane router and recheck all take it
+    def run_shift(params):
+        return {"p": params["p"], "shifted": (params["a"] + params.get("by", 0)) % params["p"]}
+
+    monkeypatch.setitem(_LANES, "shift", (("shift", "a", "by", run_shift),))
+    doc = run_json(capsys, "shift", "--p", "7", "--a", "5", "--by", "4")
+    assert doc == {"command": "shift", "params": {"a": 5, "by": 4, "p": 7, "threads": 1},
+                   "result": {"p": 7, "shifted": 2}}
+    assert run(capsys, "shift", "--p", "7", "--by", "4") == (1, "", "error: shift needs --a\n")
+    code, out, err = run(capsys, "shift", "--p", "7", "--a", "5", "--by", "x")
+    assert (code, out, err) == (1, "", "error: argument --by: invalid int value: 'x'\n")
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(doc))
+    assert run_json(capsys, "recheck", str(f))["result"] == {"target": "shift", "match": True}
+    doc["result"]["shifted"] = 3
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "recheck", str(f))[0] == 2
 
 
 def test_sigma_power(capsys):
@@ -505,19 +602,24 @@ def test_recheck_ignores_forged_cache(capsys, tmp_path):
     assert (cache / "sk.jsonl").read_text().count("\n") == 1  # nothing appended
 
 
-@pytest.mark.parametrize("argv", [
-    ("spectrum", "--p", "7", "--a", "3", "--precision", "-40"),
-    ("spectrum", "--p", "7", "--a", "3", "--precision", "0"),
-    ("angle-check", "--p", "11", "--a", "4", "--precision", "-20"),
-    ("angle-check", "--p", "11", "--precision", "0"),
-    ("spectrum", "--p", "7", "--a", "3", "--precision", "5000"),
-    ("angle-check", "--p", "11", "--a", "4", "--precision", "5000"),
+_BELOW_ONE_BIT = "precision must be a positive number of bits, got "
+
+
+# The library refuses each, in one line: the ladder behind spectrum and the
+# start check of angle-check, which climbs none.
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--p", "7", "--a", "3", "--precision", "-40"), _BELOW_ONE_BIT + "-40"),
+    (("spectrum", "--p", "7", "--a", "3", "--precision", "0"), _BELOW_ONE_BIT + "0"),
+    (("angle-check", "--p", "11", "--a", "4", "--precision", "-20"), _BELOW_ONE_BIT + "-20"),
+    (("angle-check", "--p", "11", "--precision", "0"), _BELOW_ONE_BIT + "0"),
+    (("spectrum", "--p", "7", "--a", "3", "--precision", "5000"),
+     "spectral_levels(p=7, a=3): 5000 bits requested (cap 4096)"),
+    (("angle-check", "--p", "11", "--a", "4", "--precision", "5000"),
+     "angle_check_punctured(p=11, a=4): 5000 bits requested (cap 4096)"),
 ], ids=["spectrum-negative", "spectrum-zero", "angle-negative", "angle-sweep-zero",
         "spectrum-above-cap", "angle-above-cap"])
-def test_precision_below_one_is_exit_1(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith("error: --precision must be a positive") and err.count("\n") == 1
+def test_precision_below_one_is_exit_1(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,7 +689,7 @@ def test_lane_table_errors_are_exit_1(capsys, argv, message):
 
 @pytest.mark.parametrize("command, params, message", [
     ("count", {"p": 7, "k": 2}, "count needs --set"),
-    ("sigma", {"p": 7}, "sigma needs --k, or --set"),
+    ("sigma", {"p": 7}, "sigma needs --k and --set, or --set"),
     ("pollard", {"p": 7, "a0": 3}, "pollard needs --sizes, or --set and --a0"),
     ("spectrum", {"p": 7, "depth": 3}, "spectrum needs --a"),
     ("optimal-t", {"p": 7, "a": 3}, "optimal-t needs --a and --k"),
@@ -633,8 +735,13 @@ def test_recheck_of_a_non_integer_param_is_exit_1(capsys, tmp_path, argv, key, v
     (("orbits", "--p", "7", "--a", "3"), "a", True, "a must be an integer, got True"),
     (("spectrum", "--p", "7", "--a", "3"), "a", True, "a must be an integer, got True"),
     (("spectrum", "--p", "7", "--a", "3"), "depth", True, "depth must be an integer, got True"),
+    (("spectrum", "--p", "7", "--a", "3", "--precision", "64"), "precision", True,
+     "precision must be an integer, got True"),
+    (("angle-check", "--p", "11", "--a", "4"), "precision", True,
+     "precision must be an integer, got True"),
 ], ids=["optimal-t-float-a", "minimize-bool-a", "p-list", "p-dict", "orbits-bool-a",
-        "spectrum-bool-a", "spectrum-bool-depth"])
+        "spectrum-bool-a", "spectrum-bool-depth", "spectrum-bool-precision",
+        "angle-check-bool-precision"])
 def test_recheck_of_a_forged_param_is_one_line(capsys, tmp_path, argv, key, value, detail):
     # a = 2.0 and a = true used to replay as 2 and 1 and report a mismatch
     # (exit 2); a list or dict p reached the cached prime_context and ended
@@ -645,6 +752,34 @@ def test_recheck_of_a_forged_param_is_one_line(capsys, tmp_path, argv, key, valu
     f.write_text(json.dumps(doc))
     assert run(capsys, "recheck", str(f)) == (
         1, "", f"error: {f}: malformed {argv[0]} params (TypeError: {detail})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--p", "7", "--set", "0,1,2", "--k", "3"),
+    ("sigma", "--p", "7", "--set", "0,1,2", "--k", "3"),
+    ("sigma", "--p", "7", "--set", "0,1", "--set", "2,3"),
+    ("pollard", "--p", "7", "--a0", "3", "--set", "0,1", "--set", "0,2,3"),
+], ids=["count", "sigma-k", "sigma", "pollard-sets"])
+def test_stored_sets_follow_the_set_literal_rule(capsys, tmp_path, argv):
+    # a stored set [0, 1, 2, 9] used to replay as {0, 1, 2} and match, while
+    # --set 0,1,2,9 is refused: both are now read by the one rule
+    doc = run_json(capsys, *argv)
+    first = doc["params"]["sets"][0]
+    f = tmp_path / "report.json"
+    for member, error in [
+        (first[0] + 7, "error: set literal repeats a residue mod 7\n"),
+        (True, f"error: {f}: malformed {argv[0]} params "
+               f"(TypeError: sets must be an integer, got True)\n"),
+        (1.5, f"error: {f}: malformed {argv[0]} params "
+              f"(TypeError: sets must be an integer, got 1.5)\n"),
+    ]:
+        forged = json.loads(json.dumps(doc))
+        forged["params"]["sets"][0].append(member)
+        f.write_text(json.dumps(forged))
+        assert run(capsys, "recheck", str(f)) == (1, "", error)
+    literal = ",".join(map(str, first + [first[0] + 7]))
+    fresh = [literal if arg == ",".join(map(str, first)) else arg for arg in argv]
+    assert run(capsys, *fresh) == (1, "", "error: set literal repeats a residue mod 7\n")
 
 
 def test_recheck_of_a_pollard_report_with_sizes_and_sets_replays_sizes(capsys, tmp_path):
@@ -677,7 +812,7 @@ def test_recheck_ignores_stored_params_no_lane_reads(capsys, tmp_path):
 def test_depth_below_one_is_exit_1(capsys, depth):
     code, out, err = run(capsys, "spectrum", "--p", "7", "--a", "3", "--depth", depth)
     assert code == 1 and out == ""
-    assert err == f"error: --depth must be >= 1, got {depth}\n"
+    assert err == f"error: depth must be >= 1, got {depth}\n"
 
 
 # Reports written by the float-accumulating DFT kernel that preceded the
@@ -869,9 +1004,7 @@ def test_recheck_validates_stored_precision(capsys, tmp_path):
     doc["params"]["precision"] = -40
     f = tmp_path / "report.json"
     f.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "recheck", str(f))
-    assert code == 1 and out == ""
-    assert err.startswith("error: --precision must be a positive") and err.count("\n") == 1
+    assert run(capsys, "recheck", str(f)) == (1, "", f"error: {_BELOW_ONE_BIT}-40\n")
 
 
 # A broken step patched into the library (module, name, replacement) and a

@@ -291,6 +291,13 @@ def test_spectral_levels_rejects_depth_below_one(depth):
         spectral_levels(7, 3, depth=depth)
 
 
+def test_spectral_levels_reads_depth_as_an_integer():
+    # a bool depth used to run as depth 1
+    for depth in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match=f"^depth must be an integer, got {depth!r}$"):
+            spectral_levels(7, 3, depth=depth)
+
+
 def test_spectral_levels_json():
     j = spectral_levels(13, 3).to_json()
     assert j["p"] == 13 and j["a"] == 3
@@ -549,6 +556,13 @@ def test_precision_out_of_range_is_refused():
             dft_indicator(Subset.interval(7, 3), bits)
     with pytest.raises(PrecisionError, match=r"^spectral_levels\(p=7, a=3\): 5000 bits"):
         spectral_levels(7, 3, precision=5000)
+    # angle_check_punctured climbs no ladder, but starts within the same bounds
+    with pytest.raises(ValueError, match="positive number of bits"):
+        angle_check_punctured(11, 4, precision=0)
+    with pytest.raises(PrecisionError,
+                       match=r"^angle_check_punctured\(p=11, a=4\): 4097 bits requested"):
+        angle_check_punctured(11, 4, precision=fourier.MAX_PRECISION + 1)
+    assert angle_check_punctured(11, 4, precision=fourier.MAX_PRECISION).precision == 4096
     # F_value's working precision legitimately passes the ladder's cap
     assert dft_indicator(Subset.interval(7, 3), 5000).precision == 5000
 
