@@ -31,7 +31,9 @@ Each command imports the layers it runs and no others: the spectral layer
 (zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
 zpcount.pollard by pollard, so a process that runs one of the exact commands
 (count, sigma, optimal-t, minimize, verify, scan-k0, orbits) never pays for
-them at start-up.
+them at start-up.  Likewise a process builds the parser of its command
+alone; --help, --version and a missing or unknown command build all of
+them, and the full --help lists every command.
 """
 
 from __future__ import annotations
@@ -447,10 +449,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Every command of _LANES, plus recheck.  A command's flags are --p and
-    its lanes' params (for verify, every claim's), each an int flag unless
-    _KINDS says otherwise; every subcommand takes --format and --threads."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command of _LANES, plus recheck, or only the subcommand named by
+    command.  A command's flags are --p and its lanes' params (for verify,
+    every claim's), each an int flag unless _KINDS says otherwise; every
+    subcommand takes --format and --threads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--threads", type=int, choices=(1,), default=1,
@@ -462,15 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Counts of additive (k+1)-tuples in Z_p and their minimizers.")
     parser.add_argument("--version", action="version", version=f"zpcount {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, lanes in _LANES.items():
-        sp = sub.add_parser(command, parents=[prime], help=_HELP.get(command))
-        if command == "verify":
+    for name, lanes in _LANES.items():
+        if command not in (None, name):
+            continue
+        sp = sub.add_parser(name, parents=[prime], help=_HELP.get(name))
+        if name == "verify":
             sp.add_argument("claim", choices=tuple(lanes))
             lanes = [lane for claim_lanes in lanes.values() for lane in claim_lanes]
         for key in dict.fromkeys(k for _, choose, reads, _ in lanes
                                  for k in f"{choose} {reads}".split()):
             sp.add_argument(_flag(key), **_KINDS.get(key, {"type": int}))
-    sub.add_parser("recheck", parents=[common], help=_HELP["recheck"]).add_argument("file")
+    if command in (None, "recheck"):
+        sub.add_parser("recheck", parents=[common], help=_HELP["recheck"]).add_argument("file")
     return parser
 
 
@@ -511,8 +517,12 @@ def _glue_value_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = _glue_value_flags(sys.argv[1:] if argv is None else argv)
+    # a known command needs only its own subcommand; --help, --version, an
+    # unknown command or none at all get the full parser and its listing
+    command = argv[0] if argv and (argv[0] in _LANES or argv[0] == "recheck") else None
     try:
-        args = build_parser().parse_args(_glue_value_flags(sys.argv[1:] if argv is None else argv))
+        args = build_parser(command).parse_args(argv)
         if args.command == "recheck":
             return _run_recheck(args.file, args.format)
         params = _params_from_args(args)

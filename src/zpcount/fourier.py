@@ -39,7 +39,10 @@ carries the key of g) and the rho ladder of spectral_levels all go through
 it, against the integer error bound, and no argument is read; mpf values
 are built only for what is reported.  projection_scores groups residues by
 one exact integer key and checks the groups against SEPARATION_MARGIN,
-which also bounds every lattice clearance (primary_image, the angle check).
+which also bounds every lattice clearance (primary_image, the angle check);
+its scores cos(2*pi*j/p + theta) come from the unit table's frequency-1 row
+and one mp.cos_sin of theta by angle addition, one mpf rounding each and no
+cosine per residue.
 
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
@@ -515,7 +518,9 @@ def projection_scores(
     {m, -m}; theta = pi/p ties {j, -j-1}; theta = -pi/p ties {j, 1-j}.
     Groups share |pos|, an exact integer key: exact ties at a certified
     lattice angle, single residues off it.  Their order is re-verified with
-    SEPARATION_MARGIN at the working precision.
+    SEPARATION_MARGIN at the working precision, on scores built by angle
+    addition from the frequency-1 row of the unit table, which the DFT of
+    d_pri has cached, and one mp.cos_sin of theta.
     Sizes 1 and p-1 are rejected: one of the two runner-up shapes needs a
     residue on either side of the top set.
     """
@@ -543,9 +548,21 @@ def projection_scores(
             pos = {j: (4 * j + c + 2 * p - 1) % (4 * p) - 2 * p + 1 for j in range(p)}
             order = sorted(range(p), key=lambda j: (abs(pos[j]), -pos[j] if c >= 0 else pos[j]))
             groups = [tuple(g) for _, g in groupby(order, key=lambda j: abs(pos[j]))]
-            scores = {j: mp.cos(2 * mp.pi * j / p + th) for j in range(p)}
-            # verify the claimed pattern at this precision
-            h_err = prof.argument_error(1) + mp.ldexp(mp.mpf(8), -prof.work_prec)
+            # cos(2*pi*j/p + theta) = cos_j*cos(theta) - sin_j*sin(theta): the
+            # frequency-1 rows hold cos[-j] = cos[j] and sin[-j] = -sin[j] of
+            # the unit table in units u = 2^-w, and one cos_sin gives theta's
+            # pair, rounded to ints in the same units, so each score is one
+            # rounding of an exact integer in units u^2
+            w = prof.work_prec
+            cos1, sin1 = _frequency_rows(p, w)[0]
+            ct, st = (int(mp.nint(mp.ldexp(x, w))) for x in mp.cos_sin(th))
+            scores = {j: mp.ldexp(cos1[j] * ct + sin1[j] * st, -2 * w) for j in range(p)}
+            # verify the claimed pattern at this precision.  A score is within
+            # 4 u of cos(2*pi*j/p + th): the table pair is off by <= 0.73 u,
+            # (ct, st) by <= 1.5 u per factor, 1 u from cos_sin and 1/2 u from
+            # the int (<= 2.13 u for the pair), and the score's one rounding
+            # by <= 1 u, as the integer is below 2^(2w+1); the 8 u term covers it.
+            h_err = prof.argument_error(1) + mp.ldexp(mp.mpf(8), -w)
             apart = all(scores[g[-1]] - scores[h[0]] > SEPARATION_MARGIN * h_err
                         for g, h in zip(groups, groups[1:]))
         if not apart:

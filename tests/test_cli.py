@@ -83,32 +83,60 @@ def test_prime_guard_runs_before_set_literals(capsys, argv):
     assert err.startswith("error: p must be an odd prime") and err.count("\n") == 1
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _sample_argv(name: str, sub: argparse.ArgumentParser) -> tuple[list[str], set[str]]:
+    """A command line giving every flag and positional of subcommand name a
+    valid value, and the dests it sets."""
+    argv = [name]
+    dests = set()
+    for action in sub._actions:
+        if action.dest == "help":
+            continue
+        dests.add(action.dest)
+        value = {"p": "7", "sets": "0", "sizes": "1,2"}.get(
+            action.dest, str(action.choices[0]) if action.choices else "7")
+        if not action.option_strings:
+            argv.append(value)
+        elif action.nargs == 0:
+            argv.append(action.option_strings[0])
+        else:
+            argv += [action.option_strings[0], value]
+    return argv, dests
+
+
 def test_every_parser_flag_reaches_params():
     # params are built from every parsed flag but the documented exclusions,
     # so a new flag cannot be dropped from reports (and from recheck) silently.
     parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, sub in subparsers.choices.items():
+    for name, sub in _subcommands(parser).items():
         flags = {opt for action in sub._actions for opt in action.option_strings}
         assert ("--p" in flags) == (name != "recheck"), name
         if name == "recheck":  # replays stored params; it has none of its own
             continue
-        argv = [name]
-        dests = set()
-        for action in sub._actions:
-            if action.dest == "help":
-                continue
-            dests.add(action.dest)
-            value = {"p": "7", "sets": "0", "sizes": "1,2"}.get(
-                action.dest, str(action.choices[0]) if action.choices else "7")
-            if not action.option_strings:
-                argv.append(value)
-            elif action.nargs == 0:
-                argv.append(action.option_strings[0])
-            else:
-                argv += [action.option_strings[0], value]
+        argv, dests = _sample_argv(name, sub)
         params = _params_from_args(parser.parse_args(argv))
         assert sorted(d for d in dests if d not in params and d not in _NOT_PARAMS) == [], name
+
+
+@pytest.mark.parametrize("name", [*_LANES, "recheck"])
+def test_one_command_parser_parses_like_the_full_parser(name):
+    # main builds only the invoked command's subparser; it must read every
+    # flag of that command as the full parser does
+    full, one = build_parser(), build_parser(name)
+    assert list(_subcommands(one)) == [name]
+    argv, _ = _sample_argv(name, _subcommands(full)[name])
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == [*_LANES, "recheck"]
 
 
 def test_argparse_usage_is_exit_1(capsys):

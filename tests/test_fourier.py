@@ -6,7 +6,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zpcount import (
@@ -366,6 +366,36 @@ def test_projection_scores_pinned_orderings(members, index, sign, groups, tops, 
     assert rank.groups == groups
     assert [s.mask for s in rank.top_sets] == tops
     assert [s.mask for s in rank.punctured_candidates] == cands
+
+
+@st.composite
+def primary_sets(draw):
+    """The primary image of a subset of Z_p, p <= 61, of a size 2..p-2 that
+    projection_scores takes."""
+    p = draw(st.sampled_from([q for q in PRIMES if q >= 5]))
+    size = draw(st.integers(2, p - 2))
+    members = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size, unique=True))
+    return primary_image(Subset.from_residues(p, members))[0]
+
+
+@CASES
+@given(primary_sets())
+# the lattice sets of the pinned orderings: theta = 0, pi/p and -pi/p
+@example(Subset.from_residues(13, (0, 1, 2, 11, 12)))
+@example(Subset.from_residues(13, (1, 2, 11, 12)))
+@example(Subset.from_residues(13, (0, 1, 11, 12)))
+@example(Subset.from_residues(13, (0, 1, 2, 12)))
+def test_projection_scores_are_within_5u_of_the_cosine(img):
+    # the scores come by angle addition from the unit table and one cos_sin;
+    # each must still be cos(2*pi*j/p + theta) of the reported theta to 5 u
+    p = img.p
+    for precision in (8, 64, 256):
+        rank = projection_scores(img, precision)
+        w = rank.precision + fourier.GUARD_BITS
+        with mp.workprec(4 * w):
+            tol = 5 * mp.ldexp(1, -w)
+            assert all(abs(rank.scores[j] - mp.cos(2 * mp.pi * j / p + rank.theta)) <= tol
+                       for j in range(p)), (img, precision)
 
 
 def test_clusters_ties_separates_and_stops_at_depth():
