@@ -6,49 +6,25 @@ certified error bounds and escalate precision rather than silently round.
 
 import importlib as _importlib
 
-from .core import (
-    VERSION,
-    AffineMap,
-    InvariantError,
-    OrbitCatalog,
-    PrecisionError,
-    SizeGuardError,
-    Subset,
-    build_orbit_catalog,
-    is_odd_prime,
-    orbit_catalog,
-    subset_masks_of_size,
-)
-from .counting import (
-    indicator,
-    power_sigma,
-    s_count,
-    s_k_count,
-    sigma_vector,
-)
-from .extremal import (
-    EXHAUSTIVE_ORBITS,
-    EXHAUSTIVE_RAW,
-    INTERVAL_SCAN,
-    PointVerdict,
-    SearchReport,
-    TheoremVerdict,
-    minimize_s_general,
-    minimize_sk,
-    optimal_t,
-    scan_k0,
-    translate_phase_index,
-    verify_thm_interval_extremal,
-    verify_thm_k1,
-    verify_thm_knot1,
-)
-
-__version__ = VERSION
-
-# The spectral layer (and mpmath with it) and the pollard layer load on first
-# use of one of their names (PEP 562), so importing zpcount, or running a CLI
-# command that needs only the exact layers, does not pay for them.
+# Every public name and the layer that defines it.  A layer loads on first
+# use of one of its names (PEP 562), so importing zpcount runs none of them,
+# and a name loads its own layer and what that layer imports: the spectral
+# layer (and mpmath with it) only for a fourier name.
 _LAZY = {
+    **dict.fromkeys((
+        "VERSION", "AffineMap", "InvariantError", "OrbitCatalog", "PrecisionError",
+        "SizeGuardError", "Subset", "build_orbit_catalog", "is_odd_prime", "orbit_catalog",
+        "subset_masks_of_size",
+    ), "core"),
+    **dict.fromkeys((
+        "indicator", "power_sigma", "s_count", "s_k_count", "sigma_vector",
+    ), "counting"),
+    **dict.fromkeys((
+        "EXHAUSTIVE_ORBITS", "EXHAUSTIVE_RAW", "INTERVAL_SCAN", "PointVerdict", "SearchReport",
+        "TheoremVerdict", "minimize_s_general", "minimize_sk", "optimal_t", "scan_k0",
+        "translate_phase_index", "verify_thm_interval_extremal", "verify_thm_k1",
+        "verify_thm_knot1",
+    ), "extremal"),
     **dict.fromkeys((
         "AngleCheck", "FourierProfile", "FValue", "F_value", "ProjectionRanking",
         "SpectralLevels", "TGoodScan", "angle_check_punctured", "dft_indicator",
@@ -63,29 +39,18 @@ _LAZY = {
     ), "pollard"),
 }
 
+__all__ = ["__version__", *_LAZY]
+
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    source = "VERSION" if name == "__version__" else name
+    layer = _LAZY.get(source)
+    if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_importlib.import_module(f".{module}", __name__), name)
+    value = getattr(_importlib.import_module(f".{layer}", __name__), source)
     globals()[name] = value  # later lookups are plain namespace hits
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LAZY.keys())
-
-
-__all__ = [
-    "VERSION", "__version__",
-    "AffineMap", "InvariantError", "OrbitCatalog", "PrecisionError", "SizeGuardError",
-    "Subset", "build_orbit_catalog", "is_odd_prime", "orbit_catalog",
-    "subset_masks_of_size",
-    "indicator", "power_sigma", "s_count", "s_k_count", "sigma_vector",
-    "EXHAUSTIVE_ORBITS", "EXHAUSTIVE_RAW", "INTERVAL_SCAN", "PointVerdict", "SearchReport",
-    "TheoremVerdict", "minimize_s_general", "minimize_sk", "optimal_t", "scan_k0",
-    "translate_phase_index", "verify_thm_interval_extremal", "verify_thm_k1",
-    "verify_thm_knot1",
-    *_LAZY,
-]
+    return sorted({*globals(), *__all__})

@@ -27,13 +27,13 @@ an internal invariant check failed, such as an attainer whose recount
 (s_k_count for the one sweep behind minimize, verify thm3/thm5 and scan-k0,
 the sweep's correlation for minimize --method raw) misses the minimum.
 
-Each command imports the layers it runs and no others: the spectral layer
-(zpcount.fourier, and mpmath with it) is loaded by spectrum and angle-check,
-zpcount.pollard by pollard, so a process that runs one of the exact commands
-(count, sigma, optimal-t, minimize, verify, scan-k0, orbits) never pays for
-them at start-up.  Likewise a process builds the parser of its command
-alone; --help, --version and a missing or unknown command build all of
-them, and the full --help lists every command.
+Every command loads the exact layers (zpcount.core, zpcount.counting and
+zpcount.extremal), which this module imports.  The spectral layer
+(zpcount.fourier, and mpmath with it) is loaded only by spectrum and
+angle-check, and zpcount.pollard only by pollard, so the other commands
+never pay for them at start-up.  Likewise a process builds the parser of
+its command alone; --help, --version and a missing or unknown command build
+all of them, and the full --help lists every command.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _precision(params: dict) -> int:
     library default.  The library refuses one below 1 or above MAX_PRECISION."""
     from .fourier import DEFAULT_PRECISION
 
-    return _integer("precision", params.get("precision", DEFAULT_PRECISION))
+    return params.get("precision", DEFAULT_PRECISION)
 
 
 def _run_spectrum(params: dict) -> dict:
@@ -332,17 +332,23 @@ def _flag(key: str) -> str:
 def _lane(command: str, params: dict, fresh: bool = False):
     """The handler of command's first lane (for verify, its claim's) whose
     choosing params are all present, else a ValueError naming them; fresh
-    params may hold no flag that lane never reads but at its _DEFAULTS value."""
+    params may hold no flag that lane never reads but at its _DEFAULTS value.
+    Every int param the lane reads is read here, through _integer, so a
+    stored true or 2.0 is a TypeError before the handler runs."""
     lanes, title = _LANES[command], command
     if command == "verify":
         lanes, title = lanes[params["claim"]], f"verify {params['claim']}"
     for name, choose, reads, handler in lanes:
         if all(key in params for key in choose.split()):
-            read = ("threads", "p", "claim", *choose.split(), *reads.split())
+            lane = (*choose.split(), *reads.split())
+            read = ("threads", "p", "claim", *lane)
             unread = sorted(_flag(key) for key, val in params.items()
                             if key not in read and val != _DEFAULTS.get(command, {}).get(key))
             if fresh and unread:
                 raise ValueError(f"{name} does not read {', '.join(unread)}")
+            for key in lane:
+                if key in params and key not in _KINDS:
+                    params[key] = _integer(key, params[key])
             return handler
     needs = [" and ".join(map(_flag, choose.split())) for _, choose, _, _ in lanes]
     raise ValueError(f"{title} needs {', or '.join(needs)}")

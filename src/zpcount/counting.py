@@ -58,7 +58,7 @@ from __future__ import annotations
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .core import InvariantError, Subset
+from .core import InvariantError, Subset, _integer
 
 CountVector = tuple[int, ...]
 
@@ -276,6 +276,7 @@ def power_sigma(a: Subset, k: int) -> CountVector:
     """k-fold convolution power of the indicator of a single set (k >= 1):
     the chain's offset added back to its entries, which _split checks sum to
     |A|^k with it (InvariantError otherwise)."""
+    k = _integer("k", k)
     m, packed, nb = _power_packed(a, k)
     e = _split(a, k, m, packed, nb)
     return tuple([m + x for x in e]) if m else e

@@ -439,7 +439,7 @@ def verify_thm_knot1(p: int, a: int, k_range: Iterable[int]) -> TheoremVerdict:
     last failure are labelled below-threshold and the threshold is the least
     tested k from which the claim holds through the end of the range."""
     _check_claim_range(p, a)
-    ks = sorted(set(k_range))
+    ks = sorted({_integer("k", k) for k in k_range})
     if any(k % p == 1 or k < 2 for k in ks):
         raise ValueError("k values must be >= 2 and != 1 mod p")
 
@@ -465,8 +465,9 @@ def verify_thm_k1(p: int, a: int, s_range: Iterable[int]) -> TheoremVerdict:
     the interval must be the unique maximum, and each point is bucketed by
     whether the punctured-interval orbit is the unique minimizer ("2b"),
     some other orbit wins ("2c"), or the attainers mix."""
+    a = _integer("a", a)
     _check_claim_range(p, a)
-    ss = sorted(set(s_range))
+    ss = sorted({_integer("s", s) for s in s_range})
     if any(s < 1 for s in ss):
         raise ValueError("s values must be >= 1")
     interval_orbit = Subset.interval(p, a).canonical()
@@ -526,9 +527,9 @@ def scan_k0(
     is assumed.  Like the claims it scans, it needs p >= 7 and
     3 <= a <= p-3, and at least one eligible k <= k_limit.
     """
+    a, k_limit = _integer("a", a), _integer("k_limit", k_limit)
     _check_claim_range(p, a)
-    if window is None:
-        window = 4 * p
+    window = 4 * p if window is None else _integer("window", window)
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     if mode == "knot1":

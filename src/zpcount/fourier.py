@@ -47,7 +47,11 @@ cosine per residue.
 Angles that the algebra forces onto the lattice (pi/p)*Z are certified with
 exact integer arithmetic in Z[zeta_2p] (see exact_arg_lattice_index), never
 by floating-point proximity alone; _lattice_reading is the one place that
-places an argument against that lattice.
+decides whether an argument lies on that lattice.  Two callers also place
+an argument on (2*pi/p)*Z themselves, numerically: primary_image takes its
+translate l = nint(theta*p/(2*pi)) once theta clears (pi/p)*Z by
+SEPARATION_MARGIN errors, and t_good_scan splits p*theta into c plus an
+even multiple ell of pi, which the sign window of each point then checks.
 
 Every margin that a working precision may fail to resolve goes up one
 ladder, _escalate: an attempt at the requested precision, then at 2x, 4x,

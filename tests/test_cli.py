@@ -767,13 +767,29 @@ def test_recheck_of_a_non_integer_param_is_exit_1(capsys, tmp_path, argv, key, v
      "precision must be an integer, got True"),
     (("angle-check", "--p", "11", "--a", "4"), "precision", True,
      "precision must be an integer, got True"),
+    (("verify", "thm5", "--p", "7", "--a", "3", "--s-max", "1"), "s_max", True,
+     "s_max must be an integer, got True"),
+    (("verify", "thm5", "--p", "7", "--a", "3", "--s-max", "1"), "s_min", True,
+     "s_min must be an integer, got True"),
+    (("verify", "thm3", "--p", "7", "--a", "3", "--k-max", "6"), "k_min", True,
+     "k_min must be an integer, got True"),
+    (("verify", "thm3", "--p", "7", "--a", "3", "--k-max", "6"), "k_max", 6.0,
+     "k_max must be an integer, got 6.0"),
+    (("sigma", "--p", "7", "--set", "0,1,2", "--k", "1"), "k", True,
+     "k must be an integer, got True"),
+    (("scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "20", "--window", "1"),
+     "window", True, "window must be an integer, got True"),
+    (("scan-k0", "--p", "7", "--a", "3", "--mode", "knot1", "--k-limit", "20"), "k_limit", 20.0,
+     "k_limit must be an integer, got 20.0"),
 ], ids=["optimal-t-float-a", "minimize-bool-a", "p-list", "p-dict", "orbits-bool-a",
         "spectrum-bool-a", "spectrum-bool-depth", "spectrum-bool-precision",
-        "angle-check-bool-precision"])
+        "angle-check-bool-precision", "thm5-bool-s-max", "thm5-bool-s-min", "thm3-bool-k-min",
+        "thm3-float-k-max", "sigma-k-bool-k", "scan-k0-bool-window", "scan-k0-float-k-limit"])
 def test_recheck_of_a_forged_param_is_one_line(capsys, tmp_path, argv, key, value, detail):
     # a = 2.0 and a = true used to replay as 2 and 1 and report a mismatch
-    # (exit 2); a list or dict p reached the cached prime_context and ended
-    # in an unhashable-type traceback
+    # (exit 2), and s_max = true as 1, which matched a report at 1 (exit 0);
+    # k_max = 6.0 ended in a float-range error; a list or dict p reached the
+    # cached prime_context and ended in an unhashable-type traceback
     doc = run_json(capsys, *argv)
     doc["params"][key] = value
     f = tmp_path / "report.json"
@@ -1176,7 +1192,7 @@ def test_no_dataclasses_import_in_src():
     assert found == []
 
 
-# --- lazy layers: a command imports only what it runs ----------------------------
+# --- layers: which modules each command loads -----------------------------------
 
 _EXACT_COMMANDS = [
     ["minimize", "--p", "7", "--a", "3", "--k", "2"],
@@ -1187,7 +1203,9 @@ _EXACT_COMMANDS = [
     ["orbits", "--p", "7", "--a", "3"],
     ["optimal-t", "--p", "7", "--a", "3", "--k", "2"],
 ]
-_LAYERS = ("mpmath", "zpcount.fourier", "zpcount.pollard", "dataclasses", "inspect")
+_LAYERS = ("zpcount.core", "zpcount.counting", "zpcount.extremal", "mpmath", "zpcount.fourier",
+           "zpcount.pollard", "dataclasses", "inspect")
+_EXACT_LAYERS = ["zpcount.core", "zpcount.counting", "zpcount.extremal"]
 
 
 def _loaded_after(commands: list[list[str]]) -> tuple[list[int], list[str]]:
@@ -1210,13 +1228,13 @@ def _loaded_after(commands: list[list[str]]) -> tuple[list[int], list[str]]:
 def test_exact_commands_load_no_spectral_or_pollard_layer():
     codes, loaded = _loaded_after(_EXACT_COMMANDS)
     assert codes == [0] * len(_EXACT_COMMANDS)
-    assert loaded == []
+    assert loaded == _EXACT_LAYERS
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["spectrum", "--p", "7", "--a", "3"], ["mpmath", "zpcount.fourier"]),
-    (["angle-check", "--p", "7", "--a", "3"], ["mpmath", "zpcount.fourier"]),
-    (["pollard", "--p", "7", "--sizes", "3,2,2"], ["zpcount.pollard"]),
+    (["spectrum", "--p", "7", "--a", "3"], [*_EXACT_LAYERS, "mpmath", "zpcount.fourier"]),
+    (["angle-check", "--p", "7", "--a", "3"], [*_EXACT_LAYERS, "mpmath", "zpcount.fourier"]),
+    (["pollard", "--p", "7", "--sizes", "3,2,2"], [*_EXACT_LAYERS, "zpcount.pollard"]),
 ], ids=["spectrum", "angle-check", "pollard"])
 def test_layer_commands_load_their_layer(argv, layers):
     codes, loaded = _loaded_after([argv])

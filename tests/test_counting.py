@@ -411,6 +411,9 @@ def test_repack_into_a_narrow_slot_is_an_invariant_error():
 @pytest.mark.parametrize("call, expected", [
     (lambda: sigma_vector([Subset(7, 1), Subset(11, 1)]), "ValueError: mismatched moduli"),
     (lambda: power_sigma(Subset(7, 3), 0), "ValueError: power_sigma needs k >= 1, got 0"),
-], ids=["sigma-mixed-moduli", "power-k-0"])
+    # operator.index(True) is 1, so a bool k used to return sigma^(1)
+    (lambda: power_sigma(Subset(7, 3), True), "TypeError: k must be an integer, got True"),
+    (lambda: power_sigma(Subset(7, 3), 2.0), "TypeError: k must be an integer, got 2.0"),
+], ids=["sigma-mixed-moduli", "power-k-0", "power-bool-k", "power-float-k"])
 def test_guards(call, expected):
     assert outcome(call) == expected

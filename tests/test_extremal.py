@@ -446,6 +446,16 @@ def test_verdict_labels(holds, limits, threshold, statuses):
     (lambda: minimize_s_general(5, (2, 2.5, 2)), "TypeError: size must be an integer, got 2.5"),
     (lambda: verify_thm_interval_extremal(5, (2, 2.5, 2)),
      "TypeError: size must be an integer, got 2.5"),
+    # a bool window used to run as 1 and be reported as true, a bool s as the
+    # point x = True, and a float k to fail in the counting layer
+    (lambda: scan_k0(7, 3, "knot1", k_limit=5, window=True),
+     "TypeError: window must be an integer, got True"),
+    (lambda: scan_k0(7, 3, "knot1", k_limit=5.0), "TypeError: k_limit must be an integer, got 5.0"),
+    (lambda: verify_thm_k1(7, 3, [True]), "TypeError: s must be an integer, got True"),
+    (lambda: verify_thm_knot1(7, 3, [2.0, 3]), "TypeError: k must be an integer, got 2.0"),
+    # a float a used to fail in Subset.interval's shift
+    (lambda: scan_k0(7, 3.0, "knot1", k_limit=5), "TypeError: a must be an integer, got 3.0"),
+    (lambda: verify_thm_k1(7, 3.0, [1]), "TypeError: a must be an integer, got 3.0"),
     # uniform sizes at k = 4 = 1 mod 3: no common-set reduction
     (lambda: verify_thm_interval_extremal(3, (1,) * 5).points[0].details,
      {"brute_min": "0", "interval_min": "0", "interval_head": [1], "common_set": None,
@@ -453,6 +463,7 @@ def test_verdict_labels(holds, limits, threshold, statuses):
 ], ids=["minimize-method", "general-one-size", "general-mode", "optimal-t-a", "optimal-t-k",
         "thm5-s", "minimize-float-k", "minimize-float-a", "minimize-bool-a",
         "optimal-t-float-a", "optimal-t-float-k", "general-float-size",
-        "thm1-float-size", "thm1-uniform-k-1-mod-p"])
+        "thm1-float-size", "scan-k0-bool-window", "scan-k0-float-k-limit", "thm5-bool-s",
+        "thm3-float-k", "scan-k0-float-a", "thm5-float-a", "thm1-uniform-k-1-mod-p"])
 def test_guards_and_rare_branches(call, expected):
     assert outcome(call) == expected

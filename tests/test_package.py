@@ -1,5 +1,5 @@
-"""The package's public names: eager ones from the exact layers, lazy ones
-(PEP 562) from zpcount.fourier and zpcount.pollard."""
+"""The package's public names, each resolved (PEP 562) from its layer on
+first use."""
 
 import json
 import shutil
@@ -40,22 +40,44 @@ def test_unknown_name_is_attribute_error():
         zpcount.no_such_name  # noqa: B018
 
 
-def test_lazy_name_loads_its_layer_once():
-    # In a fresh process: importing the package loads neither lazy layer; the
-    # first lookup loads fourier and stores the value in the package namespace.
+# The layer modules, and mpmath, which zpcount.fourier imports.
+_MODULES = ("mpmath", "zpcount.core", "zpcount.counting", "zpcount.extremal",
+            "zpcount.fourier", "zpcount.pollard")
+
+
+# What the first lookup of a name loads: its layer and what that layer imports.
+_FIRST_LOADS = {
+    "__version__": ["zpcount.core"],
+    "Subset": ["zpcount.core"],
+    "s_k_count": ["zpcount.core", "zpcount.counting"],
+    "minimize_sk": ["zpcount.core", "zpcount.counting", "zpcount.extremal"],
+    "threshold_profile": ["zpcount.core", "zpcount.counting", "zpcount.pollard"],
+    "F_value": ["mpmath", "zpcount.core", "zpcount.fourier"],
+}
+
+
+@pytest.mark.parametrize("name", _FIRST_LOADS)
+def test_lazy_name_loads_its_layer_once(name):
+    # In a fresh process: importing the package loads no layer, and the
+    # first lookup stores the value in the package namespace.
     script = (
         "import json, sys\n"
         "import zpcount\n"
-        "before = [m in sys.modules for m in ('mpmath', 'zpcount.fourier', 'zpcount.pollard')]\n"
-        "value = zpcount.F_value\n"
-        "after = ['zpcount.fourier' in sys.modules, 'zpcount.pollard' in sys.modules,\n"
-        "         vars(zpcount).get('F_value') is value]\n"
-        "print(json.dumps([before, after]))\n"
+        f"loaded = lambda: [m for m in {_MODULES!r} if m in sys.modules]\n"
+        "before = loaded()\n"
+        f"value = zpcount.{name}\n"
+        f"print(json.dumps([before, loaded(), vars(zpcount).get({name!r}) is value]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[False, False, False], [True, False, True]]
+    assert json.loads(proc.stdout) == [[], _FIRST_LOADS[name], True]
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == zpcount.__version__
 
 
 def test_subprocess_env_writes_no_bytecode(tmp_path):
